@@ -21,7 +21,6 @@ from .center import (
 from .fusion import (
     FusionRing,
     fp_dims,
-    global_fpdim,
     make_hi_ring,
     make_near_group_ring,
     verify_ring,
@@ -42,18 +41,15 @@ from .indicators import (
     nu_ng1x_closed,
     nu_ng2_closed,
     nu_ng2_jacobi,
-    nu_ng2_omega,
     rigidity_report,
 )
 from .qforms import (
-    PreMetricGroup,
     QuadraticForm,
     gauss_sum,
     half_form,
     jacobi_symbol,
     monomial_form,
     orthogonal_sum,
-    scale_form,
 )
 from .tables import builtin_rows, emit_report, verify_row, verify_tables
 
@@ -67,7 +63,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "FusionRing",
     "IndicatorVector",
-    "PreMetricGroup",
     "QuadraticForm",
     "build_agl",
     "builtin_rows",
@@ -82,7 +77,6 @@ __all__ = [
     "emit_report",
     "fp_dims",
     "gauss_sum",
-    "global_fpdim",
     "half_form",
     "indicator_period",
     "indicator_vector",
@@ -98,10 +92,8 @@ __all__ = [
     "nu_ng1x_closed",
     "nu_ng2_closed",
     "nu_ng2_jacobi",
-    "nu_ng2_omega",
     "orthogonal_sum",
     "rigidity_report",
-    "scale_form",
     "verify_ring",
     "verify_row",
     "verify_tables",

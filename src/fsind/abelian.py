@@ -120,6 +120,20 @@ def direct_sum(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> FiniteAbelianG
     return FiniteAbelianGroup(g1.cyclic_factors + g2.cyclic_factors)
 
 
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """Return (p, l) with q = p^l, or raise if q is not a prime power."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    rest, ell = q, 0
+    while rest % p == 0:
+        rest //= p
+        ell += 1
+    if rest != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, ell
+
+
 def group_to_json(group: FiniteAbelianGroup) -> dict:
     return {"cyclic_factors": list(group.cyclic_factors)}
 

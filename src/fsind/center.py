@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup, cyclic, format_element
+from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power, format_element
 from .fusion import (
     RHO_LABEL,
     FusionRing,
@@ -66,10 +66,6 @@ def indicator_period(presentation: CenterPresentation) -> int:
     return math.lcm(*(obj.twist.denominator for obj in presentation.objects))
 
 
-def _character_phase(n: int, j: int, g: int) -> Fraction:
-    return Fraction(j * g, n) % 1
-
-
 def center_ng1(
     group: FiniteAbelianGroup, p: int, zeta1: Fraction, provenance: tuple[str, ...] = ()
 ) -> CenterPresentation:
@@ -82,7 +78,9 @@ def center_ng1(
     n = group.order
     if group.rank > 1 and n > 1:
         raise ValueError("m = |G| - 1 near groups require a cyclic group")
-    p, ell = int(p), _prime_power_log(p, n + 1)
+    prime, ell = factor_prime_power(n + 1)
+    if prime != p:
+        raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {p}")
     zeta1 = qz(zeta1)
     ring = make_near_group_ring(group, n - 1)
     d_rho = float(n)
@@ -93,7 +91,7 @@ def center_ng1(
     objects.append(CenterObject("Sigma", Fraction(0), float(n), {group_label(x): 1 for x in elems}))
     for g in elems:
         for j in range(1, n):  # nontrivial characters of the cyclic group
-            twist = (-_character_phase(n, j, g[0])) % 1
+            twist = (-group.character_value((j,), g)) % 1
             objects.append(
                 CenterObject(
                     f"B:{format_element(g)},w{j}",
@@ -104,8 +102,8 @@ def center_ng1(
             )
     # C^psi for psi in the dual of the additive group (Z/p)^ell; psi(1) pairs
     # psi with the multiplicative unit, i.e. with coordinate vector (1,0,...,0).
-    for f in FiniteAbelianGroup((p,) * ell).elements():
-        twist = (-(zeta1 + Fraction(f[0], p))) % 1
+    for f in FiniteAbelianGroup((prime,) * ell).elements():
+        twist = (-(zeta1 + Fraction(f[0], prime))) % 1
         objects.append(
             CenterObject("C:f=" + format_element(f), twist, d_rho, {RHO_LABEL: 1})
         )
@@ -213,8 +211,8 @@ def center_hi(
             CenterObject(f"A:psi{j}", Fraction(0), 2.0 + n * d, {unit_label: 2, **all_grho})
         )
     for h in _pair_representatives(group):
-        for j in range(n):  # all characters phi of G
-            twist = group.character_value(_char_element(group, j), h)
+        for j, phi in enumerate(elems):  # all characters phi of G
+            twist = group.character_value(phi, h)
             objects.append(
                 CenterObject(
                     f"C:{format_element(h)},phi{j}",
@@ -249,22 +247,6 @@ def weil_modular_data(q: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
     return S, T
 
 
-def presentation_to_json(presentation: CenterPresentation) -> dict:
-    return {
-        "global_qdim": presentation.global_qdim,
-        "provenance": list(presentation.provenance),
-        "objects": [
-            {
-                "label": obj.label,
-                "twist": f"{obj.twist.numerator}/{obj.twist.denominator}",
-                "qdim": obj.qdim,
-                "mult": dict(sorted(obj.mult.items())),
-            }
-            for obj in presentation.objects
-        ],
-    }
-
-
 def _pair_representatives(group: FiniteAbelianGroup) -> list:
     """One representative per unordered pair {x, -x}, x != e (lex smaller)."""
     reps = []
@@ -274,20 +256,3 @@ def _pair_representatives(group: FiniteAbelianGroup) -> list:
         if x <= group.neg(x):
             reps.append(x)
     return reps
-
-
-def _char_element(group: FiniteAbelianGroup, j: int):
-    """Element indexing the j-th character under the standard pairing."""
-    return group.elements()[j]
-
-
-def _prime_power_log(p: int, value: int) -> int:
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
-        raise ValueError(f"{p} is not prime")
-    ell = 0
-    while value % p == 0:
-        value //= p
-        ell += 1
-    if value != 1 or ell == 0:
-        raise ValueError("|G| + 1 must be a positive power of p")
-    return ell

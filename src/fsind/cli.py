@@ -24,15 +24,14 @@ from .indicators import (
     DEFAULT_TOL,
     build_agl,
     closed_form_nu,
-    factor_prime_power,
     nu_agl_bruteforce,
     nu_agl_closed_exact,
     nu_from_center,
     rigidity_report,
     spec_from_json,
 )
-from .qforms import form_from_json, gauss_sum, phase_to_complex, scale_form
-from .tables import TABLE_IDS, emit_report, verify_tables
+from .qforms import form_from_json, gauss_sum, phase_to_complex
+from .tables import TABLE_IDS, emit_report, format_real, verify_tables
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -40,12 +39,6 @@ VERIFY_ERROR = 1
 
 class CliError(Exception):
     """Usage or parse problem; maps to exit code 2."""
-
-
-def _fmt(x: float, tol: float) -> str:
-    if abs(x) < tol:
-        x = 0.0
-    return f"{x:.12g}"
 
 
 def _json_default(value):
@@ -98,9 +91,9 @@ def cmd_gauss(args) -> int:
     group = group_from_json(_load_json_arg(args.group))
     form = form_from_json(_load_json_arg(args.form), group)
     if args.scale != 1:
-        form = scale_form(args.scale, form)
+        form = form.scaled(args.scale)
     theta = gauss_sum(form)
-    print(_fmt(theta.real, tol), _fmt(theta.imag, tol))
+    print(format_real(theta.real, tol), format_real(theta.imag, tol))
     phase = _recognized_phase(theta, tol, 4 * group.order**2)
     if phase is not None:
         print(f"phase: {phase.numerator}/{phase.denominator}")
@@ -121,15 +114,15 @@ def cmd_indicators(args) -> int:
         entry: dict = {"k": k}
         if args.path in ("center", "both"):
             z = nu_from_center(presentation, target, k)
-            entry["re"], entry["im"] = _fmt(z.real, tol), _fmt(z.imag, tol)
+            entry["re"], entry["im"] = format_real(z.real, tol), format_real(z.imag, tol)
         if args.path in ("closed", "both"):
             w = closed_form_nu(spec, k)
             if args.path == "closed":
-                entry["re"], entry["im"] = _fmt(w.real, tol), _fmt(w.imag, tol)
+                entry["re"], entry["im"] = format_real(w.real, tol), format_real(w.imag, tol)
             else:
-                entry["re_closed"] = _fmt(w.real, tol)
-                entry["im_closed"] = _fmt(w.imag, tol)
-                entry["deviation"] = _fmt(abs(z - w), tol)
+                entry["re_closed"] = format_real(w.real, tol)
+                entry["im_closed"] = format_real(w.imag, tol)
+                entry["deviation"] = format_real(abs(z - w), tol)
         values.append(entry)
     payload = {
         "spec": spec.describe(),
@@ -156,13 +149,7 @@ def cmd_rigidity(args) -> int:
     specs = [spec_from_json(entry) for entry in _load_json_arg(args.specs)]
     if not specs:
         raise CliError("need at least one spec")
-    ring = specs[0].base_ring()
-    for spec in specs[1:]:
-        if spec.base_ring() != ring:
-            raise CliError("specs do not share a Grothendieck ring")
-    report = rigidity_report(specs, ring, tol)
-    if args.kmax != "auto":
-        raise CliError("only --kmax auto is supported for rigidity")
+    report = rigidity_report(specs, specs[0].base_ring(), tol)
     payload = {
         "period": report.period,
         "distinguished": report.distinguished,
@@ -184,25 +171,19 @@ def cmd_rigidity(args) -> int:
 
 def cmd_agl(args) -> int:
     tol = _tolerance(args)
-    try:
-        factor_prime_power(args.q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.q > 64:
-        raise CliError("q is capped at 64")
+    agl = build_agl(args.q)
     if args.q == 2:
         print(
             "warning: q = 2 is degenerate (|G| = 1; rho is the sign character of Z/2)",
             file=sys.stderr,
         )
-    agl = build_agl(args.q)
     print(f"# AGL_1(F_{args.q}): order {agl.order}, characteristic {agl.p}")
     print("k nu_bruteforce nu_closed deviation")
     for k in range(1, args.kmax + 1):
         brute = nu_agl_bruteforce(args.q, k)
         closed = nu_agl_closed_exact(args.q, k)
         deviation = abs(float(brute) - closed)
-        print(f"{k} {_fmt(float(brute), tol)} {closed} {_fmt(deviation, tol)}")
+        print(f"{k} {format_real(float(brute), tol)} {closed} {format_real(deviation, tol)}")
     return 0
 
 
@@ -238,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigidity", help="partition specs by indicator vectors")
     p.add_argument("--specs", required=True, help="JSON list of specs (or @file)")
-    p.add_argument("--kmax", default="auto")
     p.set_defaults(func=cmd_rigidity)
 
     p = sub.add_parser("agl", help="brute force vs closed form over AGL_1(F_q)")

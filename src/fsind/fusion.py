@@ -73,13 +73,8 @@ def make_near_group_ring(group: FiniteAbelianGroup, m: int) -> FusionRing:
     return FusionRing(labels, index[group.identity], dual, _freeze(N))
 
 
-def make_hi_ring(group: FiniteAbelianGroup, *, literal_summand: bool = False) -> FusionRing:
-    """HI(G): basis {g} u {g rho} with (g rho)(h rho) = (g - h) + sum_a (a rho).
-
-    ``literal_summand=True`` instead uses (g rho)(h rho) = (g - h) + |G|*(g rho),
-    a reading that fails associativity for |G| > 1; it exists so the failure
-    can be demonstrated rather than assumed.
-    """
+def make_hi_ring(group: FiniteAbelianGroup) -> FusionRing:
+    """HI(G): basis {g} u {g rho} with (g rho)(h rho) = (g - h) + sum_a (a rho)."""
     elems = group.elements()
     n = len(elems)
     rank = 2 * n
@@ -95,11 +90,8 @@ def make_hi_ring(group: FiniteAbelianGroup, *, literal_summand: bool = False) ->
             N[index[a]][rho_idx(b)][rho_idx(group.add(a, b))] = 1
             N[rho_idx(a)][index[b]][rho_idx(group.add(a, group.neg(b)))] = 1
             N[rho_idx(a)][rho_idx(b)][index[group.add(a, group.neg(b))]] = 1
-            if literal_summand:
-                N[rho_idx(a)][rho_idx(b)][rho_idx(a)] += n
-            else:
-                for c in elems:
-                    N[rho_idx(a)][rho_idx(b)][rho_idx(c)] = 1
+            for c in elems:
+                N[rho_idx(a)][rho_idx(b)][rho_idx(c)] = 1
     labels = tuple(group_label(g) for g in elems) + tuple(grho_label(g) for g in elems)
     dual = tuple(index[group.neg(g)] for g in elems) + tuple(rho_idx(g) for g in elems)
     return FusionRing(labels, index[group.identity], dual, _freeze(N))
@@ -170,10 +162,6 @@ def fp_dims(ring: FusionRing, tol: float = FP_TOL, max_iter: int = FP_MAX_ITER) 
     return [float(d) for d in dims]
 
 
-def global_fpdim(ring: FusionRing) -> float:
-    return float(sum(d * d for d in fp_dims(ring)))
-
-
 @lru_cache(maxsize=None)
 def near_group_rho_dim(order: int, m: int) -> float:
     """Positive root of d^2 = m d + |G|, the exact FP dimension of rho."""
@@ -184,24 +172,6 @@ def near_group_rho_dim(order: int, m: int) -> float:
 def hi_rho_dim(order: int) -> float:
     """Positive root of d^2 = 1 + |G| d for the HI ring."""
     return (order + math.sqrt(order * order + 4)) / 2
-
-
-def ring_to_json(ring: FusionRing) -> dict:
-    return {
-        "labels": list(ring.labels),
-        "unit": ring.unit,
-        "dual": list(ring.dual),
-        "N": [[list(row) for row in plane] for plane in ring.N],
-    }
-
-
-def ring_from_json(data: dict) -> FusionRing:
-    return FusionRing(
-        tuple(data["labels"]),
-        int(data["unit"]),
-        tuple(int(d) for d in data["dual"]),
-        _freeze(data["N"]),
-    )
 
 
 def _freeze(N) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -9,13 +9,16 @@ Three independent evaluation routes are provided and cross-checked:
 
 A :class:`CategorySpec` pins down one monoidal-equivalence class; its full
 indicator vector over one period is the invariant used for rigidity
-comparisons.
+comparisons.  Everything that differs between the four families (their
+parameters, ring, rho, center and closed form) is one :class:`Family` record
+in the table :data:`FAMILIES`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +26,7 @@ from functools import lru_cache
 from .abelian import (
     FiniteAbelianGroup,
     cyclic,
+    factor_prime_power,
     group_from_json,
     group_to_json,
 )
@@ -40,7 +44,6 @@ from .fusion import (
     grho_label,
     make_hi_ring,
     make_near_group_ring,
-    near_group_rho_dim,
 )
 from .qforms import (
     QuadraticForm,
@@ -50,12 +53,9 @@ from .qforms import (
     jacobi_symbol,
     phase_to_complex,
     qz,
-    scale_form,
 )
 
 DEFAULT_TOL = 1e-9
-
-FAMILIES = ("NG1", "NG1X", "NG2", "HI")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,8 @@ class CategorySpec:
     """One monoidal-equivalence class of a singly-generated fusion category.
 
     Families: NG1 (near group, m = |G| - 1), NG1X (the exceptional |G| = 7
-    class with s = -1), NG2 (near group, m = |G|), HI (Haagerup-Izumi).
+    class with s = -1), NG2 (near group, m = |G|), HI (Haagerup-Izumi); the
+    fields each family uses are listed in :data:`FAMILIES`.
     ``labels`` carries opaque equivalence-class tags (signs, roots of unity,
     matrix names); they never enter any numeric formula.
     """
@@ -87,43 +88,26 @@ class CategorySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        family = FAMILIES[self.family]
+        if any(getattr(self, par.name) is None for par in family.params):
+            raise ValueError(family.needs)
+        if family.group is not None and self.group != family.group:
+            raise ValueError(f"{family.name} lives over {family.group}")
         n = self.group.order
-        if self.family == "NG1":
-            if self.p is None or self.zeta1 is None:
-                raise ValueError("NG1 needs p and zeta1")
-            object.__setattr__(self, "zeta1", qz(self.zeta1))
-        elif self.family == "NG1X":
-            if self.group != cyclic(7):
-                raise ValueError("the exceptional class lives over Z/7")
-        elif self.family == "NG2":
-            if self.q is None or self.gp is None or self.qp is None:
-                raise ValueError("NG2 needs q, gp, qp")
-            if n % 2 == 0:
-                raise ValueError("NG2 requires |G| odd")
-            if self.gp.order != n + 4:
-                raise ValueError(f"|G'| must be {n + 4}, got {self.gp.order}")
-        elif self.family == "HI":
-            if self.h is None or self.qpp is None:
-                raise ValueError("HI needs h and qpp")
-            if n % 2 == 0:
-                raise ValueError("HI requires |G| odd")
-            if self.h.order != n * n + 4:
-                raise ValueError(f"|H| must be {n * n + 4}, got {self.h.order}")
+        if family.odd and n % 2 == 0:
+            raise ValueError(f"{family.name} requires |G| odd")
+        for par in family.params:
+            value = getattr(self, par.name)
+            if par.kind is PHASE:
+                object.__setattr__(self, par.name, qz(value))
+            if par.order is not None and value.order != par.order(n):
+                raise ValueError(f"|{par.shown}| must be {par.order(n)}, got {value.order}")
 
     def base_ring(self) -> FusionRing:
-        n = self.group.order
-        if self.family == "NG1":
-            return make_near_group_ring(self.group, n - 1)
-        if self.family == "NG1X":
-            return make_near_group_ring(self.group, 6)
-        if self.family == "NG2":
-            return make_near_group_ring(self.group, n)
-        return make_hi_ring(self.group)
+        return FAMILIES[self.family].ring(self.group)
 
     def rho_label(self) -> str:
-        if self.family == "HI":
-            return grho_label(self.group.identity)
-        return RHO_LABEL
+        return FAMILIES[self.family].rho_label(self.group)
 
     def center(self) -> CenterPresentation:
         return _build_center(self)
@@ -131,24 +115,14 @@ class CategorySpec:
     def period(self) -> int:
         return indicator_period(self.center())
 
-    def label_map(self) -> dict:
-        return dict(self.labels)
-
     def describe(self) -> str:
+        parts = [str(self.group)] + [
+            f"{par.shown}={par.kind.show(getattr(self, par.name))}"
+            for par in FAMILIES[self.family].params
+        ]
         tags = ",".join(f"{k}={v}" for k, v in self.labels)
         suffix = f";{tags}" if tags else ""
-        if self.family == "NG1":
-            return f"NG1({self.group},p={self.p},zeta1={self.zeta1}{suffix})"
-        if self.family == "NG1X":
-            return f"NG1X({self.group}{suffix})"
-        if self.family == "NG2":
-            return (
-                f"NG2({self.group},q={_describe_form(self.q)},"
-                f"Gp={self.gp},qp={_describe_form(self.qp)}{suffix})"
-            )
-        return (
-            f"HI({self.group},H={self.h},qpp={_describe_form(self.qpp)}{suffix})"
-        )
+        return f"{self.family}({','.join(parts)}{suffix})"
 
 
 def _describe_form(q: QuadraticForm) -> str:
@@ -160,28 +134,6 @@ def _describe_form(q: QuadraticForm) -> str:
         ]
         return "[" + ",".join(parts) + "]"
     return "<table>"
-
-
-@lru_cache(maxsize=None)
-def _build_center(spec: CategorySpec) -> CenterPresentation:
-    if spec.family == "NG1":
-        return center_ng1(spec.group, spec.p, spec.zeta1, spec.provenance)
-    if spec.family == "NG1X":
-        return center_ng1_exceptional7(spec.provenance)
-    if spec.family == "NG2":
-        return center_ng2(spec.group, spec.q, spec.gp, spec.qp, spec.provenance)
-    return center_hi(spec.group, spec.h, spec.qpp, spec.provenance)
-
-
-def conjugate_spec(spec: CategorySpec) -> CategorySpec:
-    """The complex-conjugate class: all forms and zeta1 negated."""
-    if spec.family == "NG1":
-        return replace(spec, zeta1=(-spec.zeta1) % 1, provenance=())
-    if spec.family == "NG1X":
-        return spec
-    if spec.family == "NG2":
-        return replace(spec, q=spec.q.negated(), qp=spec.qp.negated(), provenance=())
-    return replace(spec, qpp=spec.qpp.negated(), provenance=())
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +184,8 @@ def nu_ng2_closed(
     if gp.order != group.order + 4:
         raise ValueError("|G'| must equal |G| + 4")
     theta = theta_count(group, k)
-    product = gauss_sum(scale_form(2 * k, q)) * gauss_sum(scale_form(2 * k, qp))
+    product = gauss_sum(q.scaled(2 * k)) * gauss_sum(qp.scaled(2 * k))
     return theta / 2 + product / 2
-
-
-def nu_ng2_omega(
-    group: FiniteAbelianGroup, q: QuadraticForm, omegas, k: int
-) -> complex:
-    """Indicator from the raw E-object twists (exact phases) of the center."""
-    n = group.order
-    expected = n * (n + 3) // 2
-    omegas = list(omegas)
-    if len(omegas) != expected:
-        raise ValueError(f"expected {expected} twists, got {len(omegas)}")
-    d = near_group_rho_dim(n, n)
-    qdim = n * (2 + d)
-    omega_sum = sum(phase_to_complex((k * qz(w)) % 1) for w in omegas)
-    theta_term = math.sqrt(n) / 2 * gauss_sum(scale_form(2 * k, q))
-    return theta_count(group, k) / 2 + d / qdim * (theta_term + omega_sum)
 
 
 def nu_ng2_jacobi(group: FiniteAbelianGroup, gp: FiniteAbelianGroup, k: int) -> float:
@@ -271,17 +207,130 @@ def nu_hi_closed(
         raise ValueError("|H| must equal |G|^2 + 4")
     m = (h_group.order - 1) // 2
     theta = theta_count(group, k)
-    return theta / 2 + gauss_sum(scale_form(k * m, qpp)) / 2
+    return theta / 2 + gauss_sum(qpp.scaled(k * m)) / 2
+
+
+# ---------------------------------------------------------------------------
+# The family table
+
+
+@dataclass(frozen=True)
+class ParamKind:
+    """How one kind of family parameter is written, read, shown and conjugated."""
+
+    to_json: Callable
+    from_json: Callable  # (JSON value, the group it lives on) -> value
+    show: Callable
+    conjugate: Callable
+
+
+INT = ParamKind(int, lambda data, _: int(data), str, lambda value: value)
+PHASE = ParamKind(
+    lambda value: f"{value.numerator}/{value.denominator}",
+    lambda data, _: Fraction(data),
+    str,
+    lambda value: -value % 1,
+)
+GROUP = ParamKind(group_to_json, lambda data, _: group_from_json(data), str, lambda value: value)
+FORM = ParamKind(form_to_json, form_from_json, _describe_form, QuadraticForm.negated)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One family parameter: a CategorySpec field, also its JSON key."""
+
+    name: str
+    kind: ParamKind
+    label: str | None = None  # its name in describe(), if not ``name``
+    on: str = "group"  # for a form: the field holding the group it lives on
+    order: Callable[[int], int] | None = None  # for a group: its order given |G|
+
+    @property
+    def shown(self) -> str:
+        return self.label or self.name
+
+
+@dataclass(frozen=True)
+class Family:
+    name: str
+    params: tuple[Param, ...]
+    ring: Callable[[FiniteAbelianGroup], FusionRing]
+    rho_label: Callable[[FiniteAbelianGroup], str]
+    center: Callable[[CategorySpec], CenterPresentation]
+    closed: Callable[[CategorySpec, int], complex]  # the closed form of nu_k(rho)
+    odd: bool = False  # |G| must be odd
+    group: FiniteAbelianGroup | None = None  # the only group allowed, if any
+
+    @property
+    def needs(self) -> str:
+        return f"{self.name} needs " + ", ".join(par.name for par in self.params)
+
+
+FAMILIES: dict[str, Family] = {
+    family.name: family
+    for family in (
+        Family(
+            "NG1",
+            (Param("p", INT), Param("zeta1", PHASE)),
+            ring=lambda group: make_near_group_ring(group, group.order - 1),
+            rho_label=lambda group: RHO_LABEL,
+            center=lambda s: center_ng1(s.group, s.p, s.zeta1, s.provenance),
+            closed=lambda s, k: nu_ng1_closed(s.group, s.p, s.zeta1, k),
+        ),
+        Family(
+            "NG1X",
+            (),
+            ring=lambda group: make_near_group_ring(group, group.order - 1),
+            rho_label=lambda group: RHO_LABEL,
+            center=lambda s: center_ng1_exceptional7(s.provenance),
+            closed=lambda s, k: nu_ng1x_closed(k),
+            group=cyclic(7),
+        ),
+        Family(
+            "NG2",
+            (
+                Param("q", FORM),
+                Param("gp", GROUP, "Gp", order=lambda n: n + 4),
+                Param("qp", FORM, on="gp"),
+            ),
+            ring=lambda group: make_near_group_ring(group, group.order),
+            rho_label=lambda group: RHO_LABEL,
+            center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp, s.provenance),
+            closed=lambda s, k: nu_ng2_closed(s.group, s.q, s.gp, s.qp, k),
+            odd=True,
+        ),
+        Family(
+            "HI",
+            (
+                Param("h", GROUP, "H", order=lambda n: n * n + 4),
+                Param("qpp", FORM, on="h"),
+            ),
+            ring=make_hi_ring,
+            rho_label=lambda group: grho_label(group.identity),
+            center=lambda s: center_hi(s.group, s.h, s.qpp, s.provenance),
+            closed=lambda s, k: nu_hi_closed(s.group, s.h, s.qpp, k),
+            odd=True,
+        ),
+    )
+}
+
+
+@lru_cache(maxsize=None)
+def _build_center(spec: CategorySpec) -> CenterPresentation:
+    return FAMILIES[spec.family].center(spec)
 
 
 def closed_form_nu(spec: CategorySpec, k: int) -> complex:
-    if spec.family == "NG1":
-        return nu_ng1_closed(spec.group, spec.p, spec.zeta1, k)
-    if spec.family == "NG1X":
-        return nu_ng1x_closed(k)
-    if spec.family == "NG2":
-        return nu_ng2_closed(spec.group, spec.q, spec.gp, spec.qp, k)
-    return nu_hi_closed(spec.group, spec.h, spec.qpp, k)
+    return FAMILIES[spec.family].closed(spec, k)
+
+
+def conjugate_spec(spec: CategorySpec) -> CategorySpec:
+    """The complex-conjugate class: all forms and zeta1 negated."""
+    flipped = {
+        par.name: par.kind.conjugate(getattr(spec, par.name))
+        for par in FAMILIES[spec.family].params
+    }
+    return replace(spec, provenance=(), **flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -470,40 +519,6 @@ class AGLGroup:
             k >>= 1
         return result
 
-    def element_order(self, x) -> int:
-        e = self.identity_element()
-        y = x
-        order = 1
-        while y != e:
-            y = self.mul(y, x)
-            order += 1
-        return order
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, math.isqrt(n) + 1))
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, l) with q = p^l, or raise if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not _is_prime(p):
-                break
-            ell = 0
-            value = q
-            while value % p == 0:
-                value //= p
-                ell += 1
-            if value != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, ell
-    raise ValueError(f"{q} is not a prime power")
-
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     num = list(num)
@@ -563,24 +578,6 @@ def agl_rho_character(agl: AGLGroup, x) -> int:
     return agl.q - 1 if a == agl.zero else -1
 
 
-def agl_rho_via_eta(agl: AGLGroup, x, u) -> complex:
-    """Same character from its additive-character formula, for any eta != 1.
-
-    eta_u(c) = e^{2 pi i (u*c)_0 / p}; the result must not depend on u.
-    """
-    a, b = x
-    if b != agl.one:
-        return 0j
-    total = 0j
-    for y in agl.field_elements:
-        if y == agl.zero:
-            continue
-        # eta(y^{-1} a) summed over y is eta(y a) summed over y
-        c = agl.field_mul(u, agl.field_mul(y, a))
-        total += phase_to_complex(Fraction(c[0], agl.p))
-    return total
-
-
 def nu_agl_bruteforce(q: int, k: int) -> Fraction:
     """Classical indicator sum (1/|Gamma|) sum_gamma rho(gamma^k), exactly."""
     agl = build_agl(q)
@@ -600,44 +597,29 @@ def nu_agl_closed_exact(q: int, k: int) -> int:
 
 def spec_to_json(spec: CategorySpec) -> dict:
     data: dict = {"family": spec.family, "group": group_to_json(spec.group)}
-    if spec.family == "NG1":
-        data["p"] = spec.p
-        data["zeta1"] = f"{spec.zeta1.numerator}/{spec.zeta1.denominator}"
-    elif spec.family == "NG2":
-        data["q"] = form_to_json(spec.q)
-        data["gp"] = group_to_json(spec.gp)
-        data["qp"] = form_to_json(spec.qp)
-    elif spec.family == "HI":
-        data["h"] = group_to_json(spec.h)
-        data["qpp"] = form_to_json(spec.qpp)
+    for par in FAMILIES[spec.family].params:
+        data[par.name] = par.kind.to_json(getattr(spec, par.name))
     if spec.labels:
         data["labels"] = dict(spec.labels)
     return data
 
 
 def spec_from_json(data: dict) -> CategorySpec:
-    family = data["family"]
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    group = group_from_json(data["group"]) if "group" in data else cyclic(7)
+    """Parse a spec; only a family with one allowed group may omit ``group``."""
+    name = data["family"]
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    family = FAMILIES[name]
+    if "group" in data:
+        group = group_from_json(data["group"])
+    elif family.group is not None:
+        group = family.group
+    else:
+        raise ValueError(f"{name} needs group")
+    if any(par.name not in data for par in family.params):
+        raise ValueError(family.needs)
+    values = {"group": group}
+    for par in family.params:
+        values[par.name] = par.kind.from_json(data[par.name], values.get(par.on))
     labels = tuple(sorted((str(k), str(v)) for k, v in data.get("labels", {}).items()))
-    if family == "NG1":
-        return CategorySpec(
-            "NG1", group, p=int(data["p"]), zeta1=Fraction(data["zeta1"]), labels=labels
-        )
-    if family == "NG1X":
-        return CategorySpec("NG1X", group, labels=labels)
-    if family == "NG2":
-        gp = group_from_json(data["gp"])
-        return CategorySpec(
-            "NG2",
-            group,
-            q=form_from_json(data["q"], group),
-            gp=gp,
-            qp=form_from_json(data["qp"], gp),
-            labels=labels,
-        )
-    h = group_from_json(data["h"])
-    return CategorySpec(
-        "HI", group, h=h, qpp=form_from_json(data["qpp"], h), labels=labels
-    )
+    return CategorySpec(name, labels=labels, **values)

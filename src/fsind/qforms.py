@@ -20,22 +20,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import FiniteAbelianGroup, GroupElement, direct_sum
-
-QZValue = Fraction
+from .abelian import (
+    FiniteAbelianGroup,
+    GroupElement,
+    direct_sum,
+    group_from_json,
+    group_to_json,
+)
 
 
 def qz(value) -> Fraction:
     """Normalize a rational to its representative in [0, 1)."""
     return Fraction(value) % 1
-
-
-def qz_add(a: Fraction, b: Fraction) -> Fraction:
-    return (a + b) % 1
-
-
-def qz_scale(k: int, a: Fraction) -> Fraction:
-    return (k * a) % 1
 
 
 def phase_to_complex(a: Fraction) -> complex:
@@ -77,9 +73,6 @@ class QuadraticForm:
     def negated(self) -> "QuadraticForm":
         return self.scaled(-1)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def radical(self) -> list[GroupElement]:
         """Elements h with dq(., h) identically zero."""
         elems = self.group.elements()
@@ -117,23 +110,6 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
     return QuadraticForm(group, tuple(values))
 
 
-def zero_form(group: FiniteAbelianGroup) -> QuadraticForm:
-    return QuadraticForm(group, (Fraction(0),) * group.order)
-
-
-def boundary(q: QuadraticForm, g: GroupElement, h: GroupElement) -> Fraction:
-    return q.boundary(g, h)
-
-
-def bicharacter(q: QuadraticForm, g: GroupElement, h: GroupElement) -> complex:
-    return q.bicharacter(g, h)
-
-
-def scale_form(k: int, q: QuadraticForm) -> QuadraticForm:
-    """Pointwise k*q mod 1.  May be degenerate even if q is not."""
-    return q.scaled(k)
-
-
 def half_form(q: QuadraticForm) -> QuadraticForm:
     """The unique form f with 2f = q on a group of odd exponent."""
     exponent = q.group.exponent
@@ -148,26 +124,11 @@ def gauss_sum(q: QuadraticForm) -> complex:
     return total / math.sqrt(q.group.order)
 
 
-@dataclass(frozen=True)
-class PreMetricGroup:
-    group: FiniteAbelianGroup
-    form: QuadraticForm
-    nondegenerate: bool
-
-    @classmethod
-    def from_form(cls, form: QuadraticForm) -> "PreMetricGroup":
-        return cls(form.group, form, form.is_nondegenerate())
-
-
-def orthogonal_sum(p1: PreMetricGroup, p2: PreMetricGroup) -> PreMetricGroup:
+def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     """(G1 x G2, q1 + q2); the Gauss sum is multiplicative over this."""
-    group = direct_sum(p1.group, p2.group)
-    n2 = p2.group.order
-    values = []
-    for idx in range(group.order):
-        i1, i2 = divmod(idx, n2)
-        values.append((p1.form.values[i1] + p2.form.values[i2]) % 1)
-    return PreMetricGroup.from_form(QuadraticForm(group, tuple(values)))
+    group = direct_sum(q1.group, q2.group)
+    values = tuple(v1 + v2 for v1 in q1.values for v2 in q2.values)
+    return QuadraticForm(group, values)
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -189,8 +150,6 @@ def jacobi_symbol(a: int, n: int) -> int:
 
 
 def form_to_json(q: QuadraticForm) -> dict:
-    from .abelian import group_to_json
-
     data: dict = {"group": group_to_json(q.group)}
     coeffs = _monomial_coefficients(q)
     if coeffs is not None:
@@ -203,8 +162,6 @@ def form_to_json(q: QuadraticForm) -> dict:
 
 
 def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> QuadraticForm:
-    from .abelian import group_from_json
-
     if group is None:
         if "group" not in data:
             raise ValueError("form spec needs a group")

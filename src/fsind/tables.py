@@ -26,23 +26,18 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, cyclic
 from .indicators import (
     DEFAULT_TOL,
+    FAMILIES,
     CategorySpec,
     closed_form_nu,
     nu_from_center,
 )
-from .qforms import (
-    QuadraticForm,
-    gauss_sum,
-    half_form,
-    jacobi_symbol,
-    monomial_form,
-    scale_form,
-)
+from .qforms import half_form, jacobi_symbol, monomial_form
 
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 
@@ -96,38 +91,24 @@ class TableRow:
 # Loading helpers
 
 
-def _calibrate_ng2(
-    q: QuadraticForm, qp: QuadraticForm, tol: float
-) -> tuple[QuadraticForm, tuple[str, ...]]:
-    def nu1_product(qp_candidate: QuadraticForm) -> complex:
-        return gauss_sum(scale_form(2, q)) * gauss_sum(scale_form(2, qp_candidate))
+def _calibrate(spec: CategorySpec, loaded: str, form: str, tol: float) -> CategorySpec:
+    """The nu_1(rho) = 0 oracle; on failure, retry with the last form negated.
 
-    if abs(nu1_product(qp) + 1) < tol:
-        return qp, ("orientation: nu_1(rho) = 0 with forms as loaded",)
-    flipped = qp.negated()
-    if abs(nu1_product(flipped) + 1) < tol:
-        return flipped, ("orientation: replaced q' by -q' (nu_1 oracle)",)
-    return qp, (
-        "orientation: calibration failed, nu_1(rho) != 0 for either sign of q'",
-    )
-
-
-def _calibrate_hi(
-    h_group: FiniteAbelianGroup, qpp: QuadraticForm, tol: float
-) -> tuple[QuadraticForm, tuple[str, ...]]:
-    m = (h_group.order - 1) // 2
-
-    def nu1_term(candidate: QuadraticForm) -> complex:
-        return gauss_sum(scale_form(m, candidate))
-
-    if abs(nu1_term(qpp) + 1) < tol:
-        return qpp, ("orientation: nu_1(rho) = 0 with q'' as loaded",)
-    flipped = qpp.negated()
-    if abs(nu1_term(flipped) + 1) < tol:
-        return flipped, ("orientation: replaced q'' by -q'' (nu_1 oracle)",)
-    return qpp, (
-        "orientation: calibration failed, nu_1(rho) != 0 for either sign of q''",
-    )
+    ``loaded`` names what the "as loaded" note refers to and ``form`` the
+    printed name of the family's last form; the outcome is appended to the
+    spec's provenance.
+    """
+    if abs(2 * closed_form_nu(spec, 1)) < tol:
+        note = f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
+    else:
+        last = FAMILIES[spec.family].params[-1].name
+        flipped = replace(spec, **{last: getattr(spec, last).negated()})
+        if abs(2 * closed_form_nu(flipped, 1)) < tol:
+            spec = flipped
+            note = f"orientation: replaced {form} by -{form} (nu_1 oracle)"
+        else:
+            note = f"orientation: calibration failed, nu_1(rho) != 0 for either sign of {form}"
+    return replace(spec, provenance=spec.provenance + (note,))
 
 
 def load_ng2_spec(
@@ -139,13 +120,16 @@ def load_ng2_spec(
     tol: float = DEFAULT_TOL,
 ) -> CategorySpec:
     """Build an m = |G| spec from printed (doubled-convention) coefficients."""
-    q = half_form(monomial_form(group, q_coeffs))
-    qp_loaded = half_form(monomial_form(gp, qp_coeffs))
-    qp, notes = _calibrate_ng2(q, qp_loaded, tol)
-    provenance = ("forms loaded as printed/2 (twist convention bridge)",) + notes
-    return CategorySpec(
-        "NG2", group, q=q, gp=gp, qp=qp, labels=tuple(labels), provenance=provenance
+    spec = CategorySpec(
+        "NG2",
+        group,
+        q=half_form(monomial_form(group, q_coeffs)),
+        gp=gp,
+        qp=half_form(monomial_form(gp, qp_coeffs)),
+        labels=tuple(labels),
+        provenance=("forms loaded as printed/2 (twist convention bridge)",),
     )
+    return _calibrate(spec, "forms", "q'", tol)
 
 
 def load_hi_spec(
@@ -156,16 +140,10 @@ def load_hi_spec(
     tol: float = DEFAULT_TOL,
 ) -> CategorySpec:
     """Build a Haagerup-Izumi spec from printed coefficients (used directly)."""
-    qpp_loaded = monomial_form(h_group, qpp_coeffs)
-    qpp, notes = _calibrate_hi(h_group, qpp_loaded, tol)
-    return CategorySpec(
-        "HI",
-        group,
-        h=h_group,
-        qpp=qpp,
-        labels=tuple(labels),
-        provenance=notes,
+    spec = CategorySpec(
+        "HI", group, h=h_group, qpp=monomial_form(h_group, qpp_coeffs), labels=tuple(labels)
     )
+    return _calibrate(spec, "q''", "q''", tol)
 
 
 def _v(k: int, text: str, a: int, b: int, d: int) -> ValueClaim:
@@ -176,11 +154,9 @@ def _v(k: int, text: str, a: int, b: int, d: int) -> ValueClaim:
 # The rows
 
 
+@lru_cache(maxsize=None)
 def builtin_rows() -> tuple[TableRow, ...]:
-    return _BUILTIN_ROWS
-
-
-def _build_rows() -> tuple[TableRow, ...]:
+    """The 26 bundled rows, built on first use."""
     rows: list[TableRow] = []
 
     def ng(table_id, row_id, n_or_factors, q_coeffs, gp_factors, qp_coeffs, c_label,
@@ -408,8 +384,12 @@ def verify_tables(table_id: str | None = None, tol: float = DEFAULT_TOL) -> list
 # Reports
 
 
-def _fmt(x: float) -> str:
-    if abs(x) < 1e-12:
+ZERO = 1e-12  # report values below this in modulus print as 0
+
+
+def format_real(x: float, zero: float) -> str:
+    """``x`` to 12 significant digits, or ``0`` if ``|x| < zero``."""
+    if abs(x) < zero:
         x = 0.0
     return f"{x:.12g}"
 
@@ -432,11 +412,11 @@ def _records(reports: list[RowReport]) -> list[dict]:
                     "group": str(row.spec.group),
                     "form": row.printed_category,
                     "k": str(check.k),
-                    "expected_re": _fmt(check.expected.real),
-                    "expected_im": _fmt(check.expected.imag),
-                    "computed_re": _fmt(check.center.real),
-                    "computed_im": _fmt(check.center.imag),
-                    "deviation": _fmt(check.deviation),
+                    "expected_re": format_real(check.expected.real, ZERO),
+                    "expected_im": format_real(check.expected.imag, ZERO),
+                    "computed_re": format_real(check.center.real, ZERO),
+                    "computed_im": format_real(check.center.imag, ZERO),
+                    "deviation": format_real(check.deviation, ZERO),
                     "calibrated": calibrated,
                     "pass": "true" if check.passed else "false",
                 }
@@ -473,7 +453,7 @@ def emit_report(reports: list[RowReport], fmt: str) -> str:
                     "calibration": list(r.calibration),
                     "notes": list(r.row.notes),
                     "all_pass": r.all_pass,
-                    "max_deviation": _fmt(r.max_deviation),
+                    "max_deviation": format_real(r.max_deviation, ZERO),
                 }
                 for r in reports
             ],
@@ -514,10 +494,11 @@ def _markdown_report(reports: list[RowReport]) -> str:
                 elif check.passed:
                     rendered.append(f"{check.text} ok")
                 else:
+                    sign = "+" if check.center.imag >= 0 else ""
                     rendered.append(
                         f"{check.text} MISMATCH computed "
-                        f"{_fmt(check.center.real)}{'+' if check.center.imag >= 0 else ''}"
-                        f"{_fmt(check.center.imag)}i"
+                        f"{format_real(check.center.real, ZERO)}{sign}"
+                        f"{format_real(check.center.imag, ZERO)}i"
                     )
             lines.append(
                 f"| {report.row.row_id} | {report.row.printed_category} | "
@@ -525,6 +506,3 @@ def _markdown_report(reports: list[RowReport]) -> str:
             )
         lines.append("")
     return "\n".join(lines)
-
-
-_BUILTIN_ROWS = _build_rows()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fsind.abelian import cyclic
-from fsind.qforms import PreMetricGroup, QuadraticForm, monomial_form
+from fsind.qforms import QuadraticForm, monomial_form, orthogonal_sum
 
 # all abelian groups of order <= 13, one tuple of cyclic factors each
 ABELIAN_GROUPS_LE_13 = [
@@ -39,30 +39,21 @@ def _second_unit(n: int) -> int:
     return a
 
 
-def metric_group_catalog(max_order: int) -> list[PreMetricGroup]:
+def metric_group_catalog(max_order: int) -> list[QuadraticForm]:
     """Deterministic list of metric groups of order up to ``max_order``."""
-    catalog: list[PreMetricGroup] = []
+    catalog: list[QuadraticForm] = []
     for n in range(1, max_order + 1):
         coeffs = [1] if n <= 2 else [1, _second_unit(n)]
         for a in coeffs:
             form = cyclic_metric_form(n, a)
-            pm = PreMetricGroup.from_form(form)
-            assert pm.nondegenerate, (n, a)
-            catalog.append(pm)
+            assert form.is_nondegenerate(), (n, a)
+            catalog.append(form)
     # a few non-cyclic ones
-    from fsind.qforms import orthogonal_sum
-
-    q33 = orthogonal_sum(
-        PreMetricGroup.from_form(monomial_form(cyclic(3), (1,))),
-        PreMetricGroup.from_form(monomial_form(cyclic(3), (1,))),
-    )
+    q33 = orthogonal_sum(monomial_form(cyclic(3), (1,)), monomial_form(cyclic(3), (1,)))
     if 9 <= max_order:
         catalog.append(q33)
     if 25 <= max_order:
-        q55 = orthogonal_sum(
-            PreMetricGroup.from_form(monomial_form(cyclic(5), (1,))),
-            PreMetricGroup.from_form(monomial_form(cyclic(5), (2,))),
-        )
+        q55 = orthogonal_sum(monomial_form(cyclic(5), (1,)), monomial_form(cyclic(5), (2,)))
         catalog.append(q55)
     return catalog
 

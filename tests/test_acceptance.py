@@ -42,7 +42,7 @@ from fsind.indicators import (
     nu_from_center,
     rigidity_report,
 )
-from fsind.qforms import gauss_sum, monomial_form, orthogonal_sum, scale_form
+from fsind.qforms import gauss_sum, monomial_form, orthogonal_sum
 from fsind.tables import builtin_rows, load_ng2_spec, verify_row
 
 from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog
@@ -190,10 +190,10 @@ def test_criterion_5_gauss_multiplicativity():
     failures = []
     catalog = metric_group_catalog(16)
     for p1 in catalog:
-        theta1 = gauss_sum(p1.form)
+        theta1 = gauss_sum(p1)
         for p2 in catalog:
             combined = orthogonal_sum(p1, p2)
-            deviation = abs(gauss_sum(combined.form) - theta1 * gauss_sum(p2.form))
+            deviation = abs(gauss_sum(combined) - theta1 * gauss_sum(p2))
             if deviation >= TOL:
                 failures.append(f"{p1.group} x {p2.group}: {deviation:.2e}")
     _report("5 gauss-multiplicativity", failures, started)
@@ -203,7 +203,7 @@ def test_criterion_5_gauss_modulus():
     started = time.time()
     failures = []
     for pm in metric_group_catalog(32):
-        deviation = abs(abs(gauss_sum(pm.form)) - 1)
+        deviation = abs(abs(gauss_sum(pm)) - 1)
         if deviation >= TOL:
             failures.append(f"{pm.group}: |Theta| off by {deviation:.2e}")
     _report("5 gauss-modulus-one", failures, started)
@@ -226,7 +226,7 @@ def test_criterion_5_jacobi_scaling_law():
                 if math.gcd(k, n) != 1:
                     continue
                 deviation = abs(
-                    gauss_sum(scale_form(k, q)) - jacobi_symbol(k, n) * theta
+                    gauss_sum(q.scaled(k)) - jacobi_symbol(k, n) * theta
                 )
                 if deviation >= TOL:
                     failures.append(f"{group} coeffs={coeffs} k={k}: {deviation:.2e}")
@@ -241,7 +241,7 @@ def test_criterion_5_theta_product_is_minus_one():
         if row.family != "NG2":
             continue
         spec = row.spec
-        product = gauss_sum(scale_form(2, spec.q)) * gauss_sum(scale_form(2, spec.qp))
+        product = gauss_sum(spec.q.scaled(2)) * gauss_sum(spec.qp.scaled(2))
         if abs(product + 1) >= TOL:
             failures.append(f"{row.table_id} row {row.row_id}: product {product:.6f}")
     _report("5 theta-product-minus-one (18 rows)", failures, started)

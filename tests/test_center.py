@@ -10,11 +10,10 @@ from fsind.center import (
     center_ng1_exceptional7,
     center_ng2,
     indicator_period,
-    presentation_to_json,
     weil_modular_data,
 )
 from fsind.fusion import fp_dims
-from fsind.qforms import monomial_form, phase_to_complex, zero_form
+from fsind.qforms import monomial_form, phase_to_complex
 from fsind.tables import load_hi_spec, load_ng2_spec
 
 TOL = 1e-9
@@ -84,7 +83,9 @@ def test_center_ng2_count_formula_g5():
 
 def test_center_ng2_validation():
     with pytest.raises(ValueError):
-        center_ng2(cyclic(2), zero_form(cyclic(2)), cyclic(6), zero_form(cyclic(6)))
+        center_ng2(
+            cyclic(2), monomial_form(cyclic(2), (0,)), cyclic(6), monomial_form(cyclic(6), (0,))
+        )
     with pytest.raises(ValueError):
         center_ng2(cyclic(3), Q3, cyclic(9), monomial_form(cyclic(9), (1,)))
     with pytest.raises(ValueError):
@@ -153,12 +154,3 @@ def test_orientation_calibration_failure_is_recorded():
     # the sign '-' Haagerup-Izumi data admits no orientation with nu_1 = 0
     spec = load_hi_spec(cyclic(3), cyclic(13), (2,))
     assert any("calibration failed" in note for note in spec.provenance)
-
-
-def test_presentation_json_is_exact():
-    pres = center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG)
-    data = presentation_to_json(pres)
-    assert data["objects"][0]["twist"] == "0/1"
-    b1 = next(o for o in data["objects"] if o["label"] == "B:(1)")
-    assert b1["twist"] == "2/3"
-    assert len(data["objects"]) == pres.rank

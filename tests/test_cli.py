@@ -81,6 +81,16 @@ def test_indicators_invalid_family(capsys):
     assert "NG9" in err
 
 
+def test_indicators_missing_group_is_a_usage_error(capsys):
+    spec = json.loads(NG2_SPEC)
+    del spec["group"]
+    spec["gp"] = {"cyclic_factors": [11]}
+    code, out, err = run(capsys, "indicators", "--spec", json.dumps(spec))
+    assert code == 2
+    assert out == ""
+    assert "group" in err
+
+
 def test_verify_tables_passing_table(capsys):
     code, out, _ = run(capsys, "verify-tables", "--table", "ng7", "--format", "json")
     assert code == 0

@@ -7,13 +7,10 @@ from fsind.fusion import (
     FusionRing,
     _freeze,
     fp_dims,
-    global_fpdim,
     hi_rho_dim,
     make_hi_ring,
     make_near_group_ring,
     near_group_rho_dim,
-    ring_from_json,
-    ring_to_json,
     verify_ring,
 )
 
@@ -62,7 +59,7 @@ def test_hi_z3_ring():
     assert all(row[ring.index(f"grho:({a})")] == 1 for a in range(3))
     d = fp_dims(ring)[rho1]
     assert abs(d - (3 + math.sqrt(13)) / 2) < TOL
-    assert abs(global_fpdim(ring) - (6 + 9 * (3 + math.sqrt(13)) / 2)) < 1e-7
+    assert abs(sum(x * x for x in fp_dims(ring)) - (6 + 9 * (3 + math.sqrt(13)) / 2)) < 1e-7
 
 
 def test_verify_ring_clean_examples():
@@ -76,13 +73,6 @@ def test_verify_ring_catches_tampering():
     tensor[3][3][1] += 1  # rho^2 gains an extra copy of a non-identity element
     bad = FusionRing(base.labels, base.unit, base.dual, _freeze(tensor))
     assert any("associativity" in problem for problem in verify_ring(bad))
-
-
-def test_hi_literal_summand_reading_fails_associativity():
-    # keeping the bound variable out of the summand only works for |G| = 1
-    assert verify_ring(make_hi_ring(cyclic(1), literal_summand=True)) == []
-    problems = verify_ring(make_hi_ring(cyclic(3), literal_summand=True))
-    assert any("associativity" in problem for problem in problems)
 
 
 @pytest.mark.parametrize("n,m,expected", [(3, 2, 3.0), (3, 3, (3 + math.sqrt(21)) / 2)])
@@ -107,8 +97,3 @@ def test_dual_symmetry_of_structure_constants(factors):
             for j in range(ring.rank):
                 for k in range(ring.rank):
                     assert ring.N[i][j][k] == ring.N[dual[j]][dual[i]][dual[k]]
-
-
-def test_ring_json_round_trip():
-    ring = make_hi_ring(cyclic(3))
-    assert ring_from_json(ring_to_json(ring)) == ring
