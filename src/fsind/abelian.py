@@ -2,7 +2,9 @@
 
 Elements are tuples of residues, one entry per cyclic factor, in the order of
 ``cyclic_factors``.  The group law is written additively.  Everything here is
-immutable and pure, so values can be shared freely between threads.
+immutable and pure, so values can be shared freely between threads.  The
+arithmetic does not validate its arguments: elements are never read from
+input, and every element the package builds is a valid residue tuple.
 """
 
 from __future__ import annotations
@@ -53,34 +55,11 @@ class FiniteAbelianGroup:
     def identity(self) -> GroupElement:
         return (0,) * self.rank
 
-    def contains(self, a: GroupElement) -> bool:
-        return len(a) == self.rank and all(
-            0 <= r < n for r, n in zip(a, self.cyclic_factors)
-        )
-
-    def check_element(self, a: GroupElement) -> None:
-        if not self.contains(a):
-            raise ValueError(f"{a!r} is not an element of {self}")
-
-    def element(self, residues) -> GroupElement:
-        """Reduce an integer vector mod the factor orders."""
-        residues = tuple(residues)
-        if len(residues) != self.rank:
-            raise ValueError(f"expected {self.rank} residues, got {residues!r}")
-        return tuple(r % n for r, n in zip(residues, self.cyclic_factors))
-
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self.check_element(a)
-        self.check_element(b)
         return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_factors))
 
     def neg(self, a: GroupElement) -> GroupElement:
-        self.check_element(a)
         return tuple((-x) % n for x, n in zip(a, self.cyclic_factors))
-
-    def scalar_mul(self, k: int, a: GroupElement) -> GroupElement:
-        self.check_element(a)
-        return tuple((k * x) % n for x, n in zip(a, self.cyclic_factors))
 
     def elements(self) -> list[GroupElement]:
         """All elements in lexicographic order, identity first."""
@@ -88,23 +67,21 @@ class FiniteAbelianGroup:
 
     def index(self, a: GroupElement) -> int:
         """Position of ``a`` in :meth:`elements` (mixed-radix expansion)."""
-        self.check_element(a)
         idx = 0
         for r, n in zip(a, self.cyclic_factors):
             idx = idx * n + r
         return idx
 
     def power_count(self, k: int, h: GroupElement) -> int:
-        """Number of g with k*g = h."""
-        self.check_element(h)
+        """Number of g with k*g = h: per factor, gcd(k, n) solutions if that
+        gcd divides the residue of h, else none."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        return sum(1 for g in self.elements() if self.scalar_mul(k, g) == h)
+        gcds = [math.gcd(k, n) for n in self.cyclic_factors]
+        return math.prod(d if r % d == 0 else 0 for r, d in zip(h, gcds))
 
     def character_value(self, h: GroupElement, g: GroupElement) -> Fraction:
         """Phase of the standard pairing: chi_h(g) = e^{2 pi i phase}."""
-        self.check_element(h)
-        self.check_element(g)
         total = sum(
             (Fraction(hi * gi, n) for hi, gi, n in zip(h, g, self.cyclic_factors)),
             start=Fraction(0),

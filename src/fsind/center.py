@@ -243,7 +243,7 @@ def weil_modular_data(q: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
         for j, h in enumerate(elems):
             S[i, j] = q.bicharacter(g, h).conjugate()
     S /= math.sqrt(n)
-    T = np.diag([phase_to_complex(v) for v in q.values])
+    T = np.diag([phase_to_complex(q.value(g)) for g in elems])
     return S, T
 
 

@@ -41,14 +41,8 @@ class CliError(Exception):
     """Usage or parse problem; maps to exit code 2."""
 
 
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    raise TypeError(f"not serializable: {value!r}")
-
-
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _load_json_arg(text: str):

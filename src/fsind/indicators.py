@@ -392,17 +392,11 @@ def rigidity_report(
         if spec.base_ring() != ring:
             raise ValueError(f"{spec.describe()} does not have the given ring")
     period = math.lcm(*(spec.period() for spec in specs)) if specs else 1
-    vectors = []
-    for spec in specs:
-        presentation = spec.center()
-        target = spec.rho_label()
-        vectors.append(
-            [nu_from_center(presentation, target, k) for k in range(1, period + 1)]
-        )
+    vectors = [indicator_vector(spec) for spec in specs]
 
     def first_separator(i: int, j: int) -> int | None:
         for k in range(1, period + 1):
-            if abs(vectors[i][k - 1] - vectors[j][k - 1]) > tol:
+            if abs(vectors[i].value(k) - vectors[j].value(k)) > tol:
                 return k
         return None
 

@@ -1,7 +1,7 @@
 """Exact Q/Z arithmetic, quadratic forms, Gauss sums and Jacobi symbols.
 
-A quadratic form here is a function q: G -> Q/Z with q(-g) = q(g) whose
-boundary
+A quadratic form here is a function q: G -> Q/Z with q(0) = 0 and
+q(-g) = q(g) whose boundary
 
     dq(g, h) := q(g + h) - q(g) - q(h)
 
@@ -9,8 +9,10 @@ is bi-additive.  The sign convention matters: with this choice the diagonal
 of the associated bicharacter satisfies <g, g> = e^{2 pi i * 2 q(g)} for
 monomial forms, which is the identity the indicator formulas rely on.
 
-Values in Q/Z are plain ``fractions.Fraction`` objects normalized to [0, 1);
-only the final exponentials and sums are floating point.
+Since 2 q(g) = dq(g, g) has order dividing ord(g), every value is a multiple
+of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
+over den, checked once by the constructor; exact ``Fraction`` phases appear
+only in ``value``, ``boundary`` and the JSON ``table`` format.
 """
 
 from __future__ import annotations
@@ -39,60 +41,85 @@ def phase_to_complex(a: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(a % 1))
 
 
+def _positions(group: FiniteAbelianGroup, digit_maps) -> list[int]:
+    """Element-order positions of all images under residue maps r -> digit_maps[i][r]."""
+    positions = [0]
+    for n, digit in zip(group.cyclic_factors, digit_maps):
+        positions = [p * n + digit[r] for p in positions for r in range(n)]
+    return positions
+
+
+def _generator_shifts(group: FiniteAbelianGroup) -> list[list[int]]:
+    """shifts[j][x] is the position of g + e_j for the element g at position x."""
+    factors = group.cyclic_factors
+    return [
+        _positions(group, [[(r + (i == j)) % n for r in range(n)] for i, n in enumerate(factors)])
+        for j in range(group.rank)
+    ]
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Total map q: G -> Q/Z stored densely in element order."""
+    """q: G -> Q/Z as integer numerators over :attr:`den`, in element order;
+    ``ValueError`` unless q(0) = 0, q(-g) = q(g) and dq is bi-additive."""
 
     group: FiniteAbelianGroup
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(qz(v) for v in self.values)
+        den, group = self.den, self.group
+        values = tuple(v % den for v in self.values)
         object.__setattr__(self, "values", values)
-        if len(values) != self.group.order:
+        if len(values) != group.order:
             raise ValueError("value table does not match group order")
         if values[0] != 0:
             raise ValueError("quadratic form must vanish at the identity")
-        for g in self.group.elements():
-            if self.value(g) != self.value(self.group.neg(g)):
-                raise ValueError(f"q(-g) != q(g) at g={g}")
+        negation = _positions(group, [[-r % n for r in range(n)] for n in group.cyclic_factors])
+        if any(values[x] != values[y] for x, y in enumerate(negation)):
+            raise ValueError("q(-g) != q(g)")
+        # dq is bi-additive iff dq(e_i, g + e_j) = dq(e_i, g) + dq(e_i, e_j) for
+        # all i, j, g: the cocycle identity dq(a + b, c) + dq(a, b) =
+        # dq(a, b + c) + dq(b, c) carries additivity from generators to all of G.
+        shifts = _generator_shifts(group)
+        for row in self._generator_boundaries(shifts):
+            for shift in shifts:
+                step = row[shift[0]]
+                if any(row[s] != (row[x] + step) % den for x, s in enumerate(shift)):
+                    raise ValueError("the boundary dq is not bi-additive")
+
+    @property
+    def den(self) -> int:
+        return 2 * self.group.exponent
+
+    def _generator_boundaries(self, shifts) -> list[list[int]]:
+        """rows[i][x] = den * dq(e_i, g) mod den for the element g at position x."""
+        v, den = self.values, self.den
+        return [[(v[s] - v[x] - v[shift[0]]) % den for x, s in enumerate(shift)] for shift in shifts]
 
     def value(self, g: GroupElement) -> Fraction:
-        return self.values[self.group.index(g)]
+        return Fraction(self.values[self.group.index(g)], self.den)
 
     def boundary(self, g: GroupElement, h: GroupElement) -> Fraction:
-        grp = self.group
-        return (self.value(grp.add(g, h)) - self.value(g) - self.value(h)) % 1
+        grp, v = self.group, self.values
+        numerator = v[grp.index(grp.add(g, h))] - v[grp.index(g)] - v[grp.index(h)]
+        return Fraction(numerator % self.den, self.den)
 
     def bicharacter(self, g: GroupElement, h: GroupElement) -> complex:
         return phase_to_complex(self.boundary(g, h))
 
     def scaled(self, k: int) -> "QuadraticForm":
-        return QuadraticForm(self.group, tuple((k * v) % 1 for v in self.values))
+        return QuadraticForm(self.group, tuple(k * v for v in self.values))
 
     def negated(self) -> "QuadraticForm":
         return self.scaled(-1)
 
     def radical(self) -> list[GroupElement]:
         """Elements h with dq(., h) identically zero."""
-        elems = self.group.elements()
-        return [h for h in elems if all(self.boundary(g, h) == 0 for g in elems)]
+        rows = self._generator_boundaries(_generator_shifts(self.group))
+        return [h for x, h in enumerate(self.group.elements()) if all(row[x] == 0 for row in rows)]
 
     def is_nondegenerate(self) -> bool:
         return len(self.radical()) == 1
-
-    def boundary_is_biadditive(self) -> bool:
-        """Exhaustive bi-additivity check of dq (cubic in |G|; test use)."""
-        grp = self.group
-        elems = grp.elements()
-        for g1 in elems:
-            for g2 in elems:
-                for h in elems:
-                    lhs = self.boundary(grp.add(g1, g2), h)
-                    rhs = (self.boundary(g1, h) + self.boundary(g2, h)) % 1
-                    if lhs != rhs:
-                        return False
-        return True
 
 
 def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
@@ -100,13 +127,11 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != group.rank:
         raise ValueError(f"expected {group.rank} coefficients, got {coeffs!r}")
-    values = []
-    for g in group.elements():
-        total = sum(
-            (Fraction(c * r * r, n) for c, r, n in zip(coeffs, g, group.cyclic_factors)),
-            start=Fraction(0),
-        )
-        values.append(total % 1)
+    den = 2 * group.exponent
+    values = [0]
+    for c, n in zip(coeffs, group.cyclic_factors):
+        step = c * (den // n)
+        values = [v + step * r * r for v in values for r in range(n)]
     return QuadraticForm(group, tuple(values))
 
 
@@ -120,14 +145,17 @@ def half_form(q: QuadraticForm) -> QuadraticForm:
 
 def gauss_sum(q: QuadraticForm) -> complex:
     """Theta(G, q) = |G|^{-1/2} sum_g e^{2 pi i q(g)}."""
-    total = sum(phase_to_complex(v) for v in q.values)
+    den = q.den
+    total = sum(cmath.exp(2j * math.pi * (v / den)) for v in q.values)
     return total / math.sqrt(q.group.order)
 
 
 def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     """(G1 x G2, q1 + q2); the Gauss sum is multiplicative over this."""
     group = direct_sum(q1.group, q2.group)
-    values = tuple(v1 + v2 for v1 in q1.values for v2 in q2.values)
+    den = 2 * group.exponent
+    s1, s2 = den // q1.den, den // q2.den
+    values = tuple(v1 * s1 + v2 * s2 for v1 in q1.values for v2 in q2.values)
     return QuadraticForm(group, values)
 
 
@@ -157,7 +185,8 @@ def form_to_json(q: QuadraticForm) -> dict:
             {"factor": i, "coeff": c} for i, c in enumerate(coeffs) if c != 0
         ]
     else:
-        data["table"] = [f"{v.numerator}/{v.denominator}" for v in q.values]
+        phases = (Fraction(v, q.den) for v in q.values)
+        data["table"] = [f"{a.numerator}/{a.denominator}" for a in phases]
     return data
 
 
@@ -169,23 +198,25 @@ def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> Quadr
     elif "group" in data and group_from_json(data["group"]) != group:
         raise ValueError("form group does not match the ambient group")
     if "table" in data:
-        return QuadraticForm(group, tuple(Fraction(v) for v in data["table"]))
+        den = 2 * group.exponent
+        numerators = [Fraction(entry) * den for entry in data["table"]]
+        if any(a.denominator != 1 for a in numerators):
+            raise ValueError(f"table values must be multiples of 1/{den}")
+        return QuadraticForm(group, tuple(int(a) for a in numerators))
     coeffs = [0] * group.rank
     for entry in data.get("monomial", ()):
-        coeffs[int(entry["factor"])] += int(entry["coeff"])
+        factor = int(entry["factor"])
+        if not 0 <= factor < group.rank:
+            raise ValueError(f"no cyclic factor {factor} in {list(group.cyclic_factors)}")
+        coeffs[factor] += int(entry["coeff"])
     return monomial_form(group, coeffs)
 
 
 def _monomial_coefficients(q: QuadraticForm) -> tuple[int, ...] | None:
     """Recover per-factor coefficients if q is monomial, else None."""
     group = q.group
-    coeffs = []
-    for i, n in enumerate(group.cyclic_factors):
-        gen = tuple(1 if j == i else 0 for j in range(group.rank))
-        c = q.value(gen) * n
-        if c.denominator != 1:
-            return None
-        coeffs.append(int(c) % n)
-    if monomial_form(group, coeffs).values == q.values:
-        return tuple(coeffs)
-    return None
+    coeffs = tuple(  # from q(e_i) = c_i / n_i
+        q.values[shift[0]] * n // q.den % n
+        for shift, n in zip(_generator_shifts(group), group.cyclic_factors)
+    )
+    return coeffs if monomial_form(group, coeffs).values == q.values else None

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from fsind.abelian import cyclic
@@ -24,7 +22,7 @@ def cyclic_metric_form(n: int, a: int = 1) -> QuadraticForm:
         return monomial_form(group, (a,))
     if a % 2 == 0:
         raise ValueError("even-order cyclic metric forms need an odd coefficient")
-    values = tuple(Fraction(a * g * g, 2 * n) % 1 for g in range(n))
+    values = tuple(a * g * g % (2 * n) for g in range(n))  # numerators over 2n
     return QuadraticForm(group, values)
 
 

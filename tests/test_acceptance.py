@@ -267,6 +267,26 @@ def test_criterion_5_nu1_vanishes_for_all_specs():
     _report("5 nu1-vanishes (26 specs)", failures, started)
 
 
+def test_criterion_5_nu1_red_set_is_pinned():
+    """The red set of the criterion above is exactly hi3 and hi5 rows 3-4.
+
+    Those four rows give nu_1(rho) = 1 and the other 22 give 0, so a new
+    nu_1 failure cannot hide behind the known one.
+    """
+    started = time.time()
+    failures = []
+    red = {("hi3", 3), ("hi3", 4), ("hi5", 3), ("hi5", 4)}
+    rows = builtin_rows()
+    for row in rows:
+        value = nu_from_center(row.spec.center(), row.spec.rho_label(), 1)
+        expected = 1 if (row.table_id, row.row_id) in red else 0
+        if abs(value - expected) >= TOL:
+            failures.append(f"{row.table_id} row {row.row_id}: nu_1 = {value:.6f}, pinned {expected}")
+    if len(rows) != 26 or not red <= {(row.table_id, row.row_id) for row in rows}:
+        failures.append("the bundled rows are not the 26 of the paper")
+    _report("5 nu1-red-set (26 specs)", failures, started)
+
+
 def test_criterion_5_conjugate_row_symmetry():
     started = time.time()
     failures = []

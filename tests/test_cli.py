@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fsind.cli import main
 
 Z3 = '{"cyclic_factors":[3]}'
@@ -89,6 +91,32 @@ def test_indicators_missing_group_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "group" in err
+
+
+Z5 = '{"cyclic_factors":[5]}'
+NG2_SPEC_Q_ON_FACTOR_1 = json.dumps(
+    {**json.loads(NG2_SPEC), "q": {"monomial": [{"factor": 1, "coeff": 1}]}}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a monomial factor outside 0..rank-1
+        ("gauss", "--group", Z5, "--form", '{"monomial":[{"factor":3,"coeff":1}]}'),
+        ("gauss", "--group", Z5, "--form", '{"monomial":[{"factor":-1,"coeff":1}]}'),
+        ("indicators", "--spec", NG2_SPEC_Q_ON_FACTOR_1),
+        # values that are not multiples of 1/(2 * exponent) = 1/10
+        ("gauss", "--group", Z5, "--form", '{"table":["0","1/7","1/3","1/3","1/7"]}'),
+        # multiples of 1/10, but dq(1, 2) != 2 dq(1, 1): not a quadratic form
+        ("gauss", "--group", Z5, "--form", '{"table":["0","1/10","3/10","3/10","1/10"]}'),
+    ],
+)
+def test_bad_forms_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_tables_passing_table(capsys):

@@ -198,9 +198,10 @@ def test_spec_json_round_trip():
             cyclic(5),
             q=monomial_form(cyclic(5), (2,)),
             gp=FiniteAbelianGroup((3, 3)),
-            qp=QuadraticForm(  # (x^2 + xy + 2y^2)/3: not monomial, so stored as a table
+            # (x^2 + xy + 2y^2)/3 as numerators over 6: not monomial, so stored as a table
+            qp=QuadraticForm(
                 FiniteAbelianGroup((3, 3)),
-                tuple(Fraction(x * x + x * y + 2 * y * y, 3) for x in range(3) for y in range(3)),
+                tuple(2 * (x * x + x * y + 2 * y * y) for x in range(3) for y in range(3)),
             ),
             labels=(("c", "-"),),
         )

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.qforms import (
@@ -17,9 +19,32 @@ from fsind.qforms import (
     qz,
 )
 
-from conftest import cyclic_metric_form, metric_group_catalog
+from conftest import ABELIAN_GROUPS_LE_13, cyclic_metric_form, metric_group_catalog
 
 TOL = 1e-9
+
+
+def boundary_is_biadditive(group, value) -> bool:
+    """Reference check, cubic in |G|: dq(g1 + g2, h) = dq(g1, h) + dq(g2, h)
+    for the boundary of the exact phases ``value(g)``."""
+    elems = group.elements()
+
+    def dq(g, h):
+        return (value(group.add(g, h)) - value(g) - value(h)) % 1
+
+    return all(
+        dq(group.add(g1, g2), h) == (dq(g1, h) + dq(g2, h)) % 1
+        for g1 in elems
+        for g2 in elems
+        for h in elems
+    )
+
+
+def monomial_reference(group, coeffs, g) -> Fraction:
+    """sum_i c_i g_i^2 / n_i in Q/Z, in exact arithmetic."""
+    terms = (Fraction(c * r * r, n) for c, r, n in zip(coeffs, g, group.cyclic_factors))
+    return sum(terms, start=Fraction(0)) % 1
+
 
 Q3 = monomial_form(cyclic(3), (1,))
 Q7 = monomial_form(cyclic(7), (1,))
@@ -140,7 +165,7 @@ def test_boundary_biadditivity_exhaustive():
         cyclic_metric_form(16, 5),
     ]
     for q in forms:
-        assert q.boundary_is_biadditive()
+        assert boundary_is_biadditive(q.group, q.value)
 
 
 def test_boundary_determines_monomial_form_odd_order():
@@ -165,10 +190,52 @@ def test_half_form():
 
 
 def test_form_validation():
+    # numerators over 2 * exponent: 6 on Z/3, 10 on Z/5
     with pytest.raises(ValueError):
-        QuadraticForm(cyclic(3), (Fraction(1, 3), Fraction(0), Fraction(0)))
+        QuadraticForm(cyclic(3), (2, 0, 0))  # q(0) != 0
     with pytest.raises(ValueError):
-        QuadraticForm(cyclic(3), (Fraction(0), Fraction(1, 3), Fraction(2, 3)))
+        QuadraticForm(cyclic(3), (0, 2, 4))  # q(-1) != q(1)
+    with pytest.raises(ValueError):
+        QuadraticForm(cyclic(5), (0, 1, 3, 3, 1))  # dq(1, 2) != 2 dq(1, 1)
+
+
+monomial_inputs = st.sampled_from(ABELIAN_GROUPS_LE_13).flatmap(
+    lambda factors: st.tuples(
+        st.just(FiniteAbelianGroup(factors)),
+        st.lists(st.integers(-40, 40), min_size=len(factors), max_size=len(factors)),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(monomial_inputs, monomial_inputs, st.integers(-40, 40), st.data())
+def test_form_arithmetic_and_validation_against_fraction_reference(first, second, k, data):
+    (group, coeffs), (group2, coeffs2) = first, second
+    q = monomial_form(group, coeffs)
+    total = orthogonal_sum(q, monomial_form(group2, coeffs2))
+    scaled = q.scaled(k)
+    elems = group.elements()
+    for g in elems:
+        expected = monomial_reference(group, coeffs, g)
+        assert q.value(g) == expected
+        assert scaled.value(g) == k * expected % 1
+        for h in group2.elements():
+            assert total.value(g + h) == (expected + monomial_reference(group2, coeffs2, h)) % 1
+
+    # move the value of q at one pair {g, -g}; the result is a quadratic form
+    # exactly when the reference says so
+    g = data.draw(st.sampled_from(elems))
+    moved = data.draw(st.integers(0, q.den - 1))
+    values = list(q.values)
+    values[group.index(g)] = values[group.index(group.neg(g))] = moved
+    table = {h: Fraction(v, q.den) for h, v in zip(elems, values)}
+    quadratic = table[group.identity] == 0 and boundary_is_biadditive(group, table.__getitem__)
+    try:
+        QuadraticForm(group, tuple(values))
+    except ValueError:
+        assert not quadratic
+    else:
+        assert quadratic
 
 
 def test_form_json_round_trip():

@@ -74,7 +74,8 @@ def test_hi5_row3_claims_and_h_normalization():
 def test_ng13_row4_denominator_normalization():
     row = _row("ng13", 4)
     assert row.spec.gp.order == 17
-    assert all(v.denominator in (1, 17) for v in row.spec.qp.values)
+    qp = row.spec.qp
+    assert all(qp.value(g).denominator in (1, 17) for g in qp.group.elements())
     assert any("17" in note for note in row.notes)
 
 
