@@ -30,7 +30,9 @@ from .indicators import (
     CategorySpec,
     IndicatorVector,
     build_agl,
+    center_vector,
     closed_form_nu,
+    closed_vector,
     conjugate_spec,
     indicator_vector,
     ng1_equivalence_classes,
@@ -46,6 +48,7 @@ from .indicators import (
 from .qforms import (
     QuadraticForm,
     gauss_sum,
+    gauss_sums,
     half_form,
     jacobi_symbol,
     monomial_form,
@@ -70,13 +73,16 @@ __all__ = [
     "center_ng1",
     "center_ng1_exceptional7",
     "center_ng2",
+    "center_vector",
     "closed_form_nu",
+    "closed_vector",
     "conjugate_spec",
     "cyclic",
     "direct_sum",
     "emit_report",
     "fp_dims",
     "gauss_sum",
+    "gauss_sums",
     "half_form",
     "indicator_period",
     "indicator_vector",

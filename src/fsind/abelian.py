@@ -115,5 +115,14 @@ def group_to_json(group: FiniteAbelianGroup) -> dict:
     return {"cyclic_factors": list(group.cyclic_factors)}
 
 
+def is_json_int(value) -> bool:
+    """True for a JSON integer (``bool`` is an ``int`` subclass but not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def group_from_json(data: dict) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(tuple(data["cyclic_factors"]))
+    """Read a group; ``ValueError`` unless ``data`` is {"cyclic_factors": [int, ...]}."""
+    factors = data.get("cyclic_factors") if isinstance(data, dict) else None
+    if not isinstance(factors, list) or not all(is_json_int(n) for n in factors):
+        raise ValueError('a group must be {"cyclic_factors": [int, ...]}')
+    return FiniteAbelianGroup(tuple(factors))

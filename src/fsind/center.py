@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power, format_element
 from .fusion import (
@@ -39,6 +38,9 @@ from .fusion import (
     near_group_rho_dim,
 )
 from .qforms import QuadraticForm, phase_to_complex, qz
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,8 @@ def weil_modular_data(q: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
     S = |G|^{-1/2} (conj <g,h>)_{g,h} and T = diag(e^{2 pi i q(g)}), in
     element order.
     """
+    import numpy as np
+
     if not q.is_nondegenerate():
         raise ValueError("Weil modular data requires a non-degenerate form")
     group = q.group

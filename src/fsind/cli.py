@@ -23,10 +23,10 @@ from .abelian import group_from_json
 from .indicators import (
     DEFAULT_TOL,
     build_agl,
-    closed_form_nu,
+    center_vector,
+    closed_vector,
     nu_agl_bruteforce,
     nu_agl_closed_exact,
-    nu_from_center,
     rigidity_report,
     spec_from_json,
 )
@@ -35,6 +35,7 @@ from .tables import TABLE_IDS, emit_report, format_real, verify_tables
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+MAX_KMAX = 100_000  # bounds the time and memory of one indicators run
 
 
 class CliError(Exception):
@@ -97,20 +98,23 @@ def cmd_gauss(args) -> int:
 def cmd_indicators(args) -> int:
     tol = _tolerance(args)
     spec = spec_from_json(_load_json_arg(args.spec))
+    kmax = None if args.kmax == "auto" else int(args.kmax)
+    if kmax is not None and not 1 <= kmax <= MAX_KMAX:
+        raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
     period = spec.period()
-    kmax = period if args.kmax == "auto" else int(args.kmax)
-    if kmax < 1:
-        raise CliError("kmax must be at least 1")
-    presentation = spec.center()
-    target = spec.rho_label()
+    ks = range(1, (kmax or period) + 1)
+    if args.path in ("center", "both"):
+        center = center_vector(spec.center(), spec.rho_label(), ks)
+    if args.path in ("closed", "both"):
+        closed = closed_vector(spec, ks)
     values = []
-    for k in range(1, kmax + 1):
+    for k in ks:
         entry: dict = {"k": k}
         if args.path in ("center", "both"):
-            z = nu_from_center(presentation, target, k)
+            z = center[k - 1]
             entry["re"], entry["im"] = format_real(z.real, tol), format_real(z.imag, tol)
         if args.path in ("closed", "both"):
-            w = closed_form_nu(spec, k)
+            w = closed[k - 1]
             if args.path == "closed":
                 entry["re"], entry["im"] = format_real(w.real, tol), format_real(w.imag, tol)
             else:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .abelian import FiniteAbelianGroup, GroupElement, format_element
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FP_TOL = 1e-9
 FP_MAX_ITER = 10**5
@@ -48,6 +50,8 @@ class FusionRing:
         return self.labels.index(label)
 
     def n_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.N, dtype=np.int64)
 
 
@@ -103,6 +107,8 @@ def verify_ring(ring: FusionRing) -> list[str]:
     Returns a list of violation descriptions; an empty list means the ring
     satisfies all axioms.
     """
+    import numpy as np
+
     problems: list[str] = []
     N = ring.n_array()
     rank = ring.rank
@@ -139,6 +145,8 @@ def fp_dims(ring: FusionRing, tol: float = FP_TOL, max_iter: int = FP_MAX_ITER) 
     Iterates the matrix of left multiplication by sum_i b_i and normalizes the
     Perron vector so the unit has dimension 1.
     """
+    import numpy as np
+
     N = ring.n_array()
     M = N.sum(axis=0).T.astype(float)  # M[k][j] = sum_i N[i][j][k]
     v = np.ones(ring.rank)

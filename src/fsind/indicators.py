@@ -2,10 +2,16 @@
 
 Three independent evaluation routes are provided and cross-checked:
 
-* :func:`nu_from_center` sums twists over a center presentation,
-* the per-family closed forms (``nu_ng1_closed``, ``nu_ng2_closed``, ...),
+* :func:`center_vector` sums twists over a center presentation
+  (:func:`nu_from_center` is its one-k, per-object reference),
+* :func:`closed_vector`, the per-family closed forms (``nu_ng1_closed``,
+  ``nu_ng2_closed``, ... are their one-k cases),
 * :func:`nu_agl_bruteforce`, the classical character-theoretic indicator of
   the affine group AGL_1(F_q), computed in exact rational arithmetic.
+
+The first two evaluate many k at once through :func:`fsind.qforms.root_sums`,
+the center route on its twist histogram and the closed route on the
+histograms of its forms' values; they share nothing else.
 
 A :class:`CategorySpec` pins down one monoidal-equivalence class; its full
 indicator vector over one period is the invariant used for rigidity
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from collections import defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -49,10 +56,11 @@ from .qforms import (
     QuadraticForm,
     form_from_json,
     form_to_json,
-    gauss_sum,
+    gauss_sums,
     jacobi_symbol,
     phase_to_complex,
     qz,
+    root_sums,
 )
 
 DEFAULT_TOL = 1e-9
@@ -141,7 +149,10 @@ def _describe_form(q: QuadraticForm) -> str:
 
 
 def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> complex:
-    """The center-summation formula; twist powers are exact phases."""
+    """The center-summation formula for one k; twist powers are exact phases.
+
+    The scalar reference for :func:`center_vector`.
+    """
     if target not in presentation.base_ring.labels:
         raise ValueError(f"unknown base simple {target!r}")
     total = 0j
@@ -150,6 +161,23 @@ def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> com
         if mult:
             total += phase_to_complex((k * obj.twist) % 1) * obj.qdim * mult
     return total / presentation.global_qdim
+
+
+def center_vector(
+    presentation: CenterPresentation, target: str, ks: Iterable[int]
+) -> list[complex]:
+    """nu_k(target) for each k in ``ks`` by the center formula, from one histogram:
+    qdim * mult of each object bucketed by its twist numerator over the period."""
+    if target not in presentation.base_ring.labels:
+        raise ValueError(f"unknown base simple {target!r}")
+    period = indicator_period(presentation)
+    weights: dict[int, float] = defaultdict(float)
+    for obj in presentation.objects:
+        mult = obj.mult.get(target, 0)
+        if mult:
+            twist = obj.twist
+            weights[twist.numerator * (period // twist.denominator)] += obj.qdim * mult
+    return [total / presentation.global_qdim for total in root_sums(weights, period, ks)]
 
 
 def theta_count(group: FiniteAbelianGroup, k: int) -> int:
@@ -181,11 +209,23 @@ def nu_ng2_closed(
     k: int,
 ) -> complex:
     """theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2 for the m = |G| family."""
+    return ng2_closed_vector(group, q, gp, qp, (k,))[0]
+
+
+def ng2_closed_vector(
+    group: FiniteAbelianGroup,
+    q: QuadraticForm,
+    gp: FiniteAbelianGroup,
+    qp: QuadraticForm,
+    ks: Iterable[int],
+) -> list[complex]:
+    """:func:`nu_ng2_closed` for each k in ``ks``, from one Gauss-sum vector per form."""
     if gp.order != group.order + 4:
         raise ValueError("|G'| must equal |G| + 4")
-    theta = theta_count(group, k)
-    product = gauss_sum(q.scaled(2 * k)) * gauss_sum(qp.scaled(2 * k))
-    return theta / 2 + product / 2
+    ks = list(ks)
+    scales = [2 * k for k in ks]
+    products = (a * b for a, b in zip(gauss_sums(q, scales), gauss_sums(qp, scales)))
+    return [theta_count(group, k) / 2 + product / 2 for k, product in zip(ks, products)]
 
 
 def nu_ng2_jacobi(group: FiniteAbelianGroup, gp: FiniteAbelianGroup, k: int) -> float:
@@ -203,11 +243,22 @@ def nu_hi_closed(
     k: int,
 ) -> complex:
     """theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1."""
+    return hi_closed_vector(group, h_group, qpp, (k,))[0]
+
+
+def hi_closed_vector(
+    group: FiniteAbelianGroup,
+    h_group: FiniteAbelianGroup,
+    qpp: QuadraticForm,
+    ks: Iterable[int],
+) -> list[complex]:
+    """:func:`nu_hi_closed` for each k in ``ks``, from one Gauss-sum vector."""
     if h_group.order != group.order**2 + 4:
         raise ValueError("|H| must equal |G|^2 + 4")
+    ks = list(ks)
     m = (h_group.order - 1) // 2
-    theta = theta_count(group, k)
-    return theta / 2 + gauss_sum(qpp.scaled(k * m)) / 2
+    sums = gauss_sums(qpp, [k * m for k in ks])
+    return [theta_count(group, k) / 2 + gauss / 2 for k, gauss in zip(ks, sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +308,7 @@ class Family:
     ring: Callable[[FiniteAbelianGroup], FusionRing]
     rho_label: Callable[[FiniteAbelianGroup], str]
     center: Callable[[CategorySpec], CenterPresentation]
-    closed: Callable[[CategorySpec, int], complex]  # the closed form of nu_k(rho)
+    closed: Callable[[CategorySpec, Iterable[int]], list[complex]]  # nu_k(rho) for each k
     odd: bool = False  # |G| must be odd
     group: FiniteAbelianGroup | None = None  # the only group allowed, if any
 
@@ -275,7 +326,7 @@ FAMILIES: dict[str, Family] = {
             ring=lambda group: make_near_group_ring(group, group.order - 1),
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1(s.group, s.p, s.zeta1, s.provenance),
-            closed=lambda s, k: nu_ng1_closed(s.group, s.p, s.zeta1, k),
+            closed=lambda s, ks: [nu_ng1_closed(s.group, s.p, s.zeta1, k) for k in ks],
         ),
         Family(
             "NG1X",
@@ -283,7 +334,7 @@ FAMILIES: dict[str, Family] = {
             ring=lambda group: make_near_group_ring(group, group.order - 1),
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1_exceptional7(s.provenance),
-            closed=lambda s, k: nu_ng1x_closed(k),
+            closed=lambda s, ks: [nu_ng1x_closed(k) for k in ks],
             group=cyclic(7),
         ),
         Family(
@@ -296,7 +347,7 @@ FAMILIES: dict[str, Family] = {
             ring=lambda group: make_near_group_ring(group, group.order),
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp, s.provenance),
-            closed=lambda s, k: nu_ng2_closed(s.group, s.q, s.gp, s.qp, k),
+            closed=lambda s, ks: ng2_closed_vector(s.group, s.q, s.gp, s.qp, ks),
             odd=True,
         ),
         Family(
@@ -308,7 +359,7 @@ FAMILIES: dict[str, Family] = {
             ring=make_hi_ring,
             rho_label=lambda group: grho_label(group.identity),
             center=lambda s: center_hi(s.group, s.h, s.qpp, s.provenance),
-            closed=lambda s, k: nu_hi_closed(s.group, s.h, s.qpp, k),
+            closed=lambda s, ks: hi_closed_vector(s.group, s.h, s.qpp, ks),
             odd=True,
         ),
     )
@@ -321,7 +372,12 @@ def _build_center(spec: CategorySpec) -> CenterPresentation:
 
 
 def closed_form_nu(spec: CategorySpec, k: int) -> complex:
-    return FAMILIES[spec.family].closed(spec, k)
+    return closed_vector(spec, (k,))[0]
+
+
+def closed_vector(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
+    """nu_k(rho) for each k in ``ks`` by the family's closed form."""
+    return FAMILIES[spec.family].closed(spec, ks)
 
 
 def conjugate_spec(spec: CategorySpec) -> CategorySpec:
@@ -350,16 +406,14 @@ class IndicatorVector:
 def indicator_vector(spec: CategorySpec, path: str = "center") -> IndicatorVector:
     presentation = spec.center()
     period = indicator_period(presentation)
-    target = spec.rho_label()
+    ks = range(1, period + 1)
     if path == "center":
-        values = tuple(
-            nu_from_center(presentation, target, k) for k in range(1, period + 1)
-        )
+        values = center_vector(presentation, spec.rho_label(), ks)
     elif path == "closed":
-        values = tuple(closed_form_nu(spec, k) for k in range(1, period + 1))
+        values = closed_vector(spec, ks)
     else:
         raise ValueError(f"unknown path {path!r}")
-    return IndicatorVector(spec, period, values)
+    return IndicatorVector(spec, period, tuple(values))
 
 
 @dataclass(frozen=True)

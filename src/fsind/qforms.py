@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from .abelian import (
     direct_sum,
     group_from_json,
     group_to_json,
+    is_json_int,
 )
 
 
@@ -143,11 +146,35 @@ def half_form(q: QuadraticForm) -> QuadraticForm:
     return q.scaled(pow(2, -1, exponent))
 
 
+def root_sums(weights: Mapping[int, complex], n: int, ks: Iterable[int]) -> list[complex]:
+    """sum_r weights[r] * e^{2 pi i k r / n} for each k in ``ks``.
+
+    Each term reads a table of the n-th roots of unity at the exact integer
+    index k*r mod n, and each residue of k mod n is summed once, so the
+    result is exactly periodic in k with period n.
+    """
+    roots = [cmath.exp(2j * math.pi * (r / n)) for r in range(n)]
+    buckets = [(r, w) for r, w in weights.items() if w]
+    sums: dict[int, complex] = {}
+    result = []
+    for k in ks:
+        k %= n
+        if k not in sums:
+            sums[k] = sum((w * roots[k * r % n] for r, w in buckets), 0j)
+        result.append(sums[k])
+    return result
+
+
+def gauss_sums(q: QuadraticForm, scales: Iterable[int]) -> list[complex]:
+    """Theta(G, k q) = |G|^{-1/2} sum_g e^{2 pi i k q(g)} for each k in ``scales``,
+    from one histogram of q's numerators."""
+    norm = math.sqrt(q.group.order)
+    return [total / norm for total in root_sums(Counter(q.values), q.den, scales)]
+
+
 def gauss_sum(q: QuadraticForm) -> complex:
     """Theta(G, q) = |G|^{-1/2} sum_g e^{2 pi i q(g)}."""
-    den = q.den
-    total = sum(cmath.exp(2j * math.pi * (v / den)) for v in q.values)
-    return total / math.sqrt(q.group.order)
+    return gauss_sums(q, (1,))[0]
 
 
 def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
@@ -191,6 +218,9 @@ def form_to_json(q: QuadraticForm) -> dict:
 
 
 def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> QuadraticForm:
+    """Read a form; ``ValueError`` for any JSON that is not a valid form."""
+    if not isinstance(data, dict):
+        raise ValueError("a form must be a JSON object")
     if group is None:
         if "group" not in data:
             raise ValueError("form spec needs a group")
@@ -198,17 +228,32 @@ def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> Quadr
     elif "group" in data and group_from_json(data["group"]) != group:
         raise ValueError("form group does not match the ambient group")
     if "table" in data:
+        table = data["table"]
+        if not isinstance(table, list) or not all(
+            isinstance(entry, (int, float, str)) and not isinstance(entry, bool)
+            for entry in table
+        ):
+            raise ValueError("a form table must be a list of numbers or fraction strings")
         den = 2 * group.exponent
-        numerators = [Fraction(entry) * den for entry in data["table"]]
+        try:
+            numerators = [Fraction(entry) * den for entry in table]
+        except (ZeroDivisionError, OverflowError) as exc:  # "1/0", Infinity
+            raise ValueError(f"bad form table entry: {exc}") from exc
         if any(a.denominator != 1 for a in numerators):
             raise ValueError(f"table values must be multiples of 1/{den}")
         return QuadraticForm(group, tuple(int(a) for a in numerators))
+    monomial = data.get("monomial", [])
+    if not isinstance(monomial, list) or not all(
+        isinstance(entry, dict) and all(is_json_int(entry.get(key)) for key in ("factor", "coeff"))
+        for entry in monomial
+    ):
+        raise ValueError('a monomial form must be a list of {"factor": int, "coeff": int}')
     coeffs = [0] * group.rank
-    for entry in data.get("monomial", ()):
-        factor = int(entry["factor"])
+    for entry in monomial:
+        factor = entry["factor"]
         if not 0 <= factor < group.rank:
             raise ValueError(f"no cyclic factor {factor} in {list(group.cyclic_factors)}")
-        coeffs[factor] += int(entry["coeff"])
+        coeffs[factor] += entry["coeff"]
     return monomial_form(group, coeffs)
 
 

@@ -34,8 +34,9 @@ from .indicators import (
     DEFAULT_TOL,
     FAMILIES,
     CategorySpec,
+    center_vector,
     closed_form_nu,
-    nu_from_center,
+    closed_vector,
 )
 from .qforms import half_form, jacobi_symbol, monomial_form
 
@@ -350,24 +351,19 @@ class RowReport:
 def verify_row(row: TableRow, tol: float = DEFAULT_TOL) -> RowReport:
     """Evaluate every claim by both routes and compare at the tolerance."""
     spec = row.spec
-    presentation = spec.center()
-    target = spec.rho_label()
-    checks: list[ClaimCheck] = []
-
-    def check_value(k: int, text: str, expected: complex) -> None:
-        closed = closed_form_nu(spec, k)
-        center = nu_from_center(presentation, target, k)
-        deviation = max(abs(closed - expected), abs(center - expected))
-        checks.append(
-            ClaimCheck(k, text, expected, closed, center, deviation, deviation < tol)
-        )
-
+    cases: list[tuple[int, str, complex]] = []  # (k, text, expected)
     for claim in row.claims:
         if isinstance(claim, ValueClaim):
-            check_value(claim.k, claim.text, claim.expected())
+            cases.append((claim.k, claim.text, claim.expected()))
         else:
-            for k in claim.sample_ks:
-                check_value(k, f"{claim.text} at k={k}", claim.expected(k))
+            cases += [(k, f"{claim.text} at k={k}", claim.expected(k)) for k in claim.sample_ks]
+    ks = [k for k, _, _ in cases]
+    closed_values = closed_vector(spec, ks)
+    center_values = center_vector(spec.center(), spec.rho_label(), ks)
+    checks = []
+    for (k, text, expected), closed, center in zip(cases, closed_values, center_values):
+        deviation = max(abs(closed - expected), abs(center - expected))
+        checks.append(ClaimCheck(k, text, expected, closed, center, deviation, deviation < tol))
     all_pass = all(c.passed for c in checks)
     max_dev = max(c.deviation for c in checks)
     return RowReport(row, tuple(checks), spec.provenance, all_pass, max_dev)

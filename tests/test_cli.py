@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fsind.cli import main
+from fsind.cli import MAX_KMAX, main
+from fsind.indicators import CategorySpec
 
 Z3 = '{"cyclic_factors":[3]}'
 FORM1 = '{"monomial":[{"factor":0,"coeff":1}]}'
@@ -76,6 +77,18 @@ def test_indicators_kmax_auto(capsys):
     assert len(payload["values"]) == payload["period"] == 21
 
 
+@pytest.mark.parametrize("kmax", ["0", str(MAX_KMAX + 1), "100000000"])
+def test_indicators_kmax_out_of_range_is_a_usage_error(capsys, monkeypatch, kmax):
+    def no_center(spec):
+        raise AssertionError("center built before kmax was checked")
+
+    monkeypatch.setattr(CategorySpec, "center", no_center)
+    code, out, err = run(capsys, "indicators", "--spec", NG2_SPEC, "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert "kmax" in err
+
+
 def test_indicators_invalid_family(capsys):
     bad = NG2_SPEC.replace("NG2", "NG9")
     code, _, err = run(capsys, "indicators", "--spec", bad)
@@ -110,6 +123,11 @@ NG2_SPEC_Q_ON_FACTOR_1 = json.dumps(
         ("gauss", "--group", Z5, "--form", '{"table":["0","1/7","1/3","1/3","1/7"]}'),
         # multiples of 1/10, but dq(1, 2) != 2 dq(1, 1): not a quadratic form
         ("gauss", "--group", Z5, "--form", '{"table":["0","1/10","3/10","3/10","1/10"]}'),
+        # JSON of the wrong shape: a monomial entry that is not an object,
+        # a table entry that is not a number, a group that is not a factor list
+        ("gauss", "--group", Z5, "--form", '{"monomial":[1]}'),
+        ("gauss", "--group", Z5, "--form", '{"table":[0,null,0,0,0]}'),
+        ("gauss", "--group", '{"cyclic_factors":[null]}', "--form", FORM1),
     ],
 )
 def test_bad_forms_are_usage_errors(capsys, argv):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,6 +104,38 @@ def test_golden_cli_output(name, exit_codes):
 def test_golden_set_is_complete(exit_codes):
     assert set(exit_codes) == set(CASES)
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that finds fsind and these tests."""
+    root = GOLDEN.parent.parent
+    path = [str(root / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_cli_import_loads_no_numpy():
+    result = _run_python("import fsind.cli, sys; assert 'numpy' not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+def test_golden_cli_output_without_numpy():
+    """Every golden case runs with numpy unimportable: no CLI path needs it."""
+    code = """
+import sys
+sys.modules["numpy"] = None
+from test_golden_cli import CASES, GOLDEN, run_case
+import json
+codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+for name, argv in sorted(CASES.items()):
+    code, out = run_case(argv)
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert (code, out) == (codes[name], expected), name
+"""
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
 
 
 def _record() -> None:

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from fsind.center import center_ng1_exceptional7, center_ng2
 from fsind.indicators import (
     CategorySpec,
     build_agl,
+    center_vector,
     closed_form_nu,
+    closed_vector,
     conjugate_spec,
     factor_prime_power,
     indicator_vector,
@@ -137,11 +140,40 @@ def test_agl_matches_ng1_closed_form():
 
 def test_indicator_vector_periodicity_is_exact():
     for spec in (_row_spec("ng3", 1), _row_spec("hi3", 1)):
+        pres, target = spec.center(), spec.rho_label()
+        period = spec.period()
+        ks = range(1, 2 * period + 1)
+        for values in (center_vector(pres, target, ks), closed_vector(spec, ks)):
+            assert values[:period] == values[period:]  # identical floats
         vec = indicator_vector(spec)
-        pres = spec.center()
-        for k in range(1, vec.period + 1):
-            again = nu_from_center(pres, spec.rho_label(), k + vec.period)
-            assert again == vec.value(k)  # identical floats: phases are exact
+        assert vec.values == tuple(center_vector(pres, target, ks)[:period])
+        for k in range(1, period + 1):
+            again = nu_from_center(pres, target, k + period)
+            assert again == nu_from_center(pres, target, k)  # phases are exact
+
+
+def _seeded_ng2_specs(group, gp, count, seed):
+    """NG2 specs whose coefficients are units modulo each cyclic factor."""
+    rng = random.Random(seed)
+
+    def form(g):
+        units = [[c for c in range(1, n) if math.gcd(c, n) == 1] for n in g.cyclic_factors]
+        return monomial_form(g, [rng.choice(u) for u in units])
+
+    return [CategorySpec("NG2", group, q=form(group), gp=gp, qp=form(gp)) for _ in range(count)]
+
+
+def test_center_vector_matches_scalar_reference():
+    specs = [row.spec for row in builtin_rows()]
+    specs += _seeded_ng2_specs(cyclic(21), cyclic(25), 2, seed=21)
+    specs += _seeded_ng2_specs(FiniteAbelianGroup((3, 7)), FiniteAbelianGroup((5, 5)), 2, seed=37)
+    for spec in specs:
+        pres, target = spec.center(), spec.rho_label()
+        ks = range(1, spec.period() + 1)
+        for k, value in zip(ks, center_vector(pres, target, ks)):
+            assert abs(value - nu_from_center(pres, target, k)) < 1e-12, (spec.describe(), k)
+    with pytest.raises(ValueError):
+        center_vector(specs[0].center(), "nonsense", (1,))
 
 
 def test_conjugate_spec_gives_conjugate_indicators():

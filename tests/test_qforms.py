@@ -12,6 +12,7 @@ from fsind.qforms import (
     form_from_json,
     form_to_json,
     gauss_sum,
+    gauss_sums,
     half_form,
     jacobi_symbol,
     monomial_form,
@@ -19,9 +20,19 @@ from fsind.qforms import (
     qz,
 )
 
+from fsind.indicators import closed_vector, theta_count
+from fsind.tables import builtin_rows
+
 from conftest import ABELIAN_GROUPS_LE_13, cyclic_metric_form, metric_group_catalog
 
 TOL = 1e-9
+ROUTE_TOL = 1e-12  # histogram sums against direct loops: same terms, other order
+
+
+def direct_gauss_sum(q: QuadraticForm) -> complex:
+    """Reference Theta(G, q): one exponential per element, in element order."""
+    total = sum(cmath.exp(2j * math.pi * (v / q.den)) for v in q.values)
+    return total / math.sqrt(q.group.order)
 
 
 def boundary_is_biadditive(group, value) -> bool:
@@ -84,6 +95,37 @@ def test_gauss_sum_examples():
     assert abs(gauss_sum(monomial_form(cyclic(1), (0,))) - 1) < TOL
     assert abs(gauss_sum(Q3) - 1j) < TOL
     assert abs(gauss_sum(Q7) - 1j) < TOL
+
+
+def test_gauss_sums_match_direct_loop():
+    forms = metric_group_catalog(30) + [
+        monomial_form(cyclic(9), (3,)),  # degenerate
+        monomial_form(FiniteAbelianGroup((2, 4)), (1, 3)),
+        monomial_form(FiniteAbelianGroup((3, 3)), (0, 0)),
+    ]
+    for q in forms:
+        scales = range(-2, 2 * q.den + 3)
+        sums = gauss_sums(q, scales)
+        for k, theta in zip(scales, sums):
+            assert abs(theta - direct_gauss_sum(q.scaled(k))) < ROUTE_TOL, (q.group, k)
+        assert sums[2 : 2 + q.den] == sums[2 + q.den : 2 + 2 * q.den]  # exactly periodic
+        assert gauss_sum(q) == sums[3]
+
+
+def test_closed_vectors_match_direct_gauss_loop():
+    for row in builtin_rows():
+        spec = row.spec
+        ks = range(1, spec.period() + 1)
+        for k, value in zip(ks, closed_vector(spec, ks)):
+            if spec.family == "NG2":
+                product = direct_gauss_sum(spec.q.scaled(2 * k)) * direct_gauss_sum(
+                    spec.qp.scaled(2 * k)
+                )
+            else:
+                m = (spec.h.order - 1) // 2
+                product = direct_gauss_sum(spec.qpp.scaled(k * m))
+            expected = theta_count(spec.group, k) / 2 + product / 2
+            assert abs(value - expected) < ROUTE_TOL, (row.table_id, row.row_id, k)
 
 
 def test_orthogonal_sum_multiplicativity_examples():
