@@ -35,7 +35,7 @@ from .tables import TABLE_IDS, emit_report, format_real, verify_tables
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
-MAX_KMAX = 100_000  # bounds the time and memory of one indicators run
+MAX_KMAX = 100_000  # bounds the time and memory of one indicators or agl run
 
 
 class CliError(Exception):
@@ -48,8 +48,11 @@ def _dump(payload) -> str:
 
 def _load_json_arg(text: str):
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {text[1:]}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -95,12 +98,17 @@ def cmd_gauss(args) -> int:
     return 0
 
 
+def _check_kmax(kmax: int) -> None:
+    if not 1 <= kmax <= MAX_KMAX:
+        raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
+
+
 def cmd_indicators(args) -> int:
     tol = _tolerance(args)
     spec = spec_from_json(_load_json_arg(args.spec))
     kmax = None if args.kmax == "auto" else int(args.kmax)
-    if kmax is not None and not 1 <= kmax <= MAX_KMAX:
-        raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
+    if kmax is not None:
+        _check_kmax(kmax)
     period = spec.period()
     ks = range(1, (kmax or period) + 1)
     if args.path in ("center", "both"):
@@ -144,9 +152,10 @@ def cmd_verify_tables(args) -> int:
 
 def cmd_rigidity(args) -> int:
     tol = _tolerance(args)
-    specs = [spec_from_json(entry) for entry in _load_json_arg(args.specs)]
-    if not specs:
-        raise CliError("need at least one spec")
+    data = _load_json_arg(args.specs)
+    if not isinstance(data, list) or not data:
+        raise CliError("--specs must be a JSON list of at least one spec")
+    specs = [spec_from_json(entry) for entry in data]
     report = rigidity_report(specs, specs[0].base_ring(), tol)
     payload = {
         "period": report.period,
@@ -169,6 +178,7 @@ def cmd_rigidity(args) -> int:
 
 def cmd_agl(args) -> int:
     tol = _tolerance(args)
+    _check_kmax(args.kmax)
     agl = build_agl(args.q)
     if args.q == 2:
         print(

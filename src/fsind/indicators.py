@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -36,6 +36,7 @@ from .abelian import (
     factor_prime_power,
     group_from_json,
     group_to_json,
+    is_json_int,
 )
 from .center import (
     CenterPresentation,
@@ -64,6 +65,7 @@ from .qforms import (
 )
 
 DEFAULT_TOL = 1e-9
+CACHE_SIZE = 32  # entries per spec- or q-keyed cache
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +277,25 @@ class ParamKind:
     conjugate: Callable
 
 
-INT = ParamKind(int, lambda data, _: int(data), str, lambda value: value)
+def _int_from_json(data, _) -> int:
+    if not is_json_int(data):
+        raise ValueError(f"expected an integer, got {data!r}")
+    return data
+
+
+def _phase_from_json(data, _) -> Fraction:
+    if not (is_json_int(data) or isinstance(data, str)):
+        raise ValueError(f"expected an integer or a fraction string, got {data!r}")
+    try:
+        return Fraction(data)
+    except ZeroDivisionError as exc:  # "1/0"
+        raise ValueError(f"bad phase {data!r}: {exc}") from exc
+
+
+INT = ParamKind(int, _int_from_json, str, lambda value: value)
 PHASE = ParamKind(
     lambda value: f"{value.numerator}/{value.denominator}",
-    lambda data, _: Fraction(data),
+    _phase_from_json,
     str,
     lambda value: -value % 1,
 )
@@ -366,7 +383,7 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _build_center(spec: CategorySpec) -> CenterPresentation:
     return FAMILIES[spec.family].center(spec)
 
@@ -511,61 +528,29 @@ def ng1_equivalence_classes(order: int) -> list[CategorySpec]:
 
 @dataclass(frozen=True)
 class AGLGroup:
-    """AGL_1(F_q) = F_q x| F_q^*, elements (a, b) with (a,b)(c,d) = (a+bc, bd)."""
+    """AGL_1(F_q) = F_q x| F_q^*, elements (a, b) with (a,b)(c,d) = (a+bc, bd).
+
+    A field element is the integer 0..q-1 whose base-p digits are its
+    polynomial coefficients, constant term lowest, so 0 is zero and 1 is one;
+    ``add`` and ``times`` are the q x q addition and multiplication tables.
+    """
 
     q: int
     p: int
-    ell: int
-    modulus: tuple[int, ...]  # lower coefficients of the monic defining polynomial
-    field_elements: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    add: tuple[tuple[int, ...], ...]
+    times: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, int], ...]
 
     @property
     def order(self) -> int:
         return self.q * (self.q - 1)
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.ell
-
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.ell - 1)
-
-    def field_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def field_mul(self, a, b):
-        prod = [0] * (2 * self.ell - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the defining polynomial
-        for i in range(len(prod) - 1, self.ell - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.ell):
-                    prod[i - self.ell + j] = (prod[i - self.ell + j] - c * self.modulus[j]) % self.p
-        return tuple(prod[: self.ell])
-
     def mul(self, x, y):
         (a, b), (c, d) = x, y
-        return (self.field_add(a, self.field_mul(b, c)), self.field_mul(b, d))
+        return (self.add[a][self.times[b][c]], self.times[b][d])
 
     def identity_element(self):
-        return (self.zero, self.one)
-
-    def power(self, x, k: int):
-        result = self.identity_element()
-        base = x
-        while k > 0:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return (0, 1)
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -593,44 +578,72 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_agl(q: int) -> AGLGroup:
     """Explicit AGL_1(F_q) for a prime power q <= 64."""
     if q > 64:
         raise ValueError("q is capped at 64")
     p, ell = factor_prime_power(q)
-    modulus: tuple[int, ...]
-    if ell == 1:
-        modulus = (0, 1)
-    else:
-        for lower in itertools.product(range(p), repeat=ell):
-            candidate = list(lower) + [1]
-            if _is_irreducible(candidate, p):
-                modulus = tuple(candidate[:-1] + [1])
-                break
-        else:  # pragma: no cover - every F_p admits irreducibles of any degree
-            raise AssertionError("no irreducible polynomial found")
-    field_elements = tuple(itertools.product(range(p), repeat=ell))
-    zero = (0,) * ell
-    elements = tuple(
-        (a, b) for a in field_elements for b in field_elements if b != zero
+    modulus = next(  # monic, irreducible; x itself when ell = 1
+        [*lower, 1]
+        for lower in itertools.product(range(p), repeat=ell)
+        if _is_irreducible([*lower, 1], p)
     )
-    return AGLGroup(q, p, ell, tuple(modulus[:ell]), field_elements, elements)
+    digits = [[n // p**i % p for i in range(ell)] for n in range(q)]
+
+    def number(poly: list[int]) -> int:
+        return sum(c * p**i for i, c in enumerate(poly))
+
+    def product(u: list[int], v: list[int]) -> list[int]:
+        prod = [0] * (2 * ell - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] += x * y
+        return _poly_mod([c % p for c in prod], modulus, p)
+
+    add = tuple(tuple(number([(x + y) % p for x, y in zip(u, v)]) for v in digits) for u in digits)
+    times = tuple(tuple(number(product(u, v)) for v in digits) for u in digits)
+    elements = tuple((a, b) for a in range(q) for b in range(1, q))
+    return AGLGroup(q, p, add, times, elements)
 
 
 def agl_rho_character(agl: AGLGroup, x) -> int:
     """The degree q-1 irreducible character, integer valued."""
     a, b = x
-    if b != agl.one:
+    if b != 1:
         return 0
-    return agl.q - 1 if a == agl.zero else -1
+    return agl.q - 1 if a == 0 else -1
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _agl_period_vector(q: int) -> tuple[Fraction, ...]:
+    """(1/|Gamma|) sum_gamma rho(gamma^k) for k = 0 .. exponent - 1, exactly.
+
+    Each element's powers e, x, x^2, ... are walked by group multiplication
+    until they return to e; the exponent is the lcm of those cycle lengths.
+    """
+    agl = build_agl(q)
+    e = agl.identity_element()
+    cycles: Counter[tuple[int, ...]] = Counter()  # rho along one cycle -> its elements
+    for x in agl.elements:
+        values, power = [agl_rho_character(agl, e)], x
+        while power != e:
+            values.append(agl_rho_character(agl, power))
+            power = agl.mul(power, x)
+        cycles[tuple(values)] += 1
+    period = math.lcm(*map(len, cycles))
+    return tuple(
+        Fraction(sum(n * values[k % len(values)] for values, n in cycles.items()), agl.order)
+        for k in range(period)
+    )
 
 
 def nu_agl_bruteforce(q: int, k: int) -> Fraction:
     """Classical indicator sum (1/|Gamma|) sum_gamma rho(gamma^k), exactly."""
-    agl = build_agl(q)
-    total = sum(agl_rho_character(agl, agl.power(x, k)) for x in agl.elements)
-    return Fraction(total, agl.order)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    vector = _agl_period_vector(q)
+    return vector[k % len(vector)]
 
 
 def nu_agl_closed_exact(q: int, k: int) -> int:
@@ -654,8 +667,10 @@ def spec_to_json(spec: CategorySpec) -> dict:
 
 def spec_from_json(data: dict) -> CategorySpec:
     """Parse a spec; only a family with one allowed group may omit ``group``."""
+    if not isinstance(data, dict):
+        raise ValueError("a spec must be a JSON object")
     name = data["family"]
-    if name not in FAMILIES:
+    if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     family = FAMILIES[name]
     if "group" in data:
@@ -669,5 +684,8 @@ def spec_from_json(data: dict) -> CategorySpec:
     values = {"group": group}
     for par in family.params:
         values[par.name] = par.kind.from_json(data[par.name], values.get(par.on))
-    labels = tuple(sorted((str(k), str(v)) for k, v in data.get("labels", {}).items()))
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict):
+        raise ValueError("spec labels must be a JSON object")
+    labels = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
     return CategorySpec(name, labels=labels, **values)

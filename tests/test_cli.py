@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fsind import cli
 from fsind.cli import MAX_KMAX, main
 from fsind.indicators import CategorySpec
 
@@ -87,6 +88,49 @@ def test_indicators_kmax_out_of_range_is_a_usage_error(capsys, monkeypatch, kmax
     assert code == 2
     assert out == ""
     assert "kmax" in err
+
+
+NG1_Z3 = {"family": "NG1", "group": {"cyclic_factors": [3]}, "p": 2, "zeta1": "0"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "[1]",
+        json.dumps({**NG1_Z3, "p": None}),
+        json.dumps({**NG1_Z3, "zeta1": None}),
+        # an integer parameter given as a string or a float, a phase as a float
+        # or a zero denominator, labels or family of the wrong shape
+        json.dumps({**NG1_Z3, "p": "2"}),
+        json.dumps({**NG1_Z3, "p": 2.0}),
+        json.dumps({**NG1_Z3, "zeta1": 0.25}),
+        json.dumps({**NG1_Z3, "zeta1": "1/0"}),
+        json.dumps({**NG1_Z3, "labels": [1]}),
+        json.dumps({**NG1_Z3, "family": []}),
+    ],
+    ids=["list", "p-null", "zeta1-null", "p-string", "p-float", "zeta1-float",
+         "zeta1-zero-den", "labels-list", "family-list"],
+)
+def test_malformed_specs_are_usage_errors(capsys, spec):
+    code, out, err = run(capsys, "indicators", "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("specs", ["5", "{}", "[]"])
+def test_rigidity_specs_must_be_a_nonempty_list(capsys, specs):
+    code, out, err = run(capsys, "rigidity", "--specs", specs)
+    assert code == 2
+    assert out == ""
+    assert "list" in err
+
+
+def test_unreadable_spec_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "indicators", "--spec", f"@{tmp_path / 'missing.json'}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read")
 
 
 def test_indicators_invalid_family(capsys):
@@ -229,6 +273,18 @@ def test_agl_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "agl", "--q", "6")
     assert code == 2
     assert "prime power" in err
+
+
+@pytest.mark.parametrize("kmax", ["0", "-4", str(MAX_KMAX + 1)])
+def test_agl_kmax_out_of_range_is_a_usage_error(capsys, monkeypatch, kmax):
+    def no_group(q):
+        raise AssertionError("group built before kmax was checked")
+
+    monkeypatch.setattr(cli, "build_agl", no_group)
+    code, out, err = run(capsys, "agl", "--q", "5", "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert "kmax" in err
 
 
 def test_agl_degenerate_q2_warns(capsys):

@@ -74,6 +74,8 @@ CASES = {
         "--form", '{"table":["0","1/5","4/5","4/5","1/5"]}', "--scale", "2",
     ],
     "rigidity_hi": ["rigidity", "--specs", HI_PAIR],
+    # the largest q, over more than one period (lcm(2, 63) = 126) of the power map
+    "agl_q64_period": ["agl", "--q", "64", "--kmax", "130"],
     # usage errors: exit code 2, nothing on stdout
     "agl_not_prime_power": ["agl", "--q", "6"],
     "agl_over_cap": ["agl", "--q", "128"],

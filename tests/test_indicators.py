@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -8,7 +9,11 @@ import pytest
 from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.center import center_ng1_exceptional7, center_ng2
 from fsind.indicators import (
+    CACHE_SIZE,
     CategorySpec,
+    _agl_period_vector,
+    _build_center,
+    agl_rho_character,
     build_agl,
     center_vector,
     closed_form_nu,
@@ -104,6 +109,40 @@ def test_nu_hi_closed_examples():
     assert abs(closed_form_nu(spec, 1)) < TOL
 
 
+def _element_order(agl, x) -> int:
+    """The least n >= 1 with x^n = e, by repeated multiplication (at most |AGL|)."""
+    power = x
+    for n in range(1, agl.order + 1):
+        if power == agl.identity_element():
+            return n
+        power = agl.mul(power, x)
+    raise AssertionError(f"{x} has no order dividing {agl.order}")
+
+
+def _power(agl, x, k: int):
+    """x^k by square-and-multiply: the reference for the one-period walk."""
+    result, base = agl.identity_element(), x
+    while k:
+        if k & 1:
+            result = agl.mul(result, base)
+        base, k = agl.mul(base, base), k >> 1
+    return result
+
+
+def _prime_powers(limit: int) -> list[int]:
+    qs = []
+    for q in range(2, limit + 1):
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        qs.append(q)
+    return qs
+
+
+AGL_QS = _prime_powers(64)
+
+
 def test_build_agl_small_groups():
     s3 = build_agl(3)
     assert s3.order == 6
@@ -111,8 +150,7 @@ def test_build_agl_small_groups():
     assert s3.mul(x, y) != s3.mul(y, x)  # nonabelian, so it is S_3
     a4 = build_agl(4)
     assert a4.order == 12
-    e = a4.identity_element()
-    orders = [min(k for k in range(1, 13) if a4.power(x, k) == e) for x in a4.elements]
+    orders = [_element_order(a4, x) for x in a4.elements]
     assert max(orders) == 3  # A_4 has no 6-cycle
     assert build_agl(2).order == 2
     with pytest.raises(ValueError):
@@ -136,6 +174,62 @@ def test_agl_matches_ng1_closed_form():
             assert nu_agl_bruteforce(q, k) == nu_agl_closed_exact(q, k)
             closed = nu_ng1_closed(group, p, Fraction(0), k)
             assert abs(closed - nu_agl_closed_exact(q, k)) < TOL
+
+
+@pytest.mark.parametrize("q", AGL_QS)
+def test_agl_tables_are_a_field(q):
+    agl = build_agl(q)
+    add, times = agl.add, agl.times
+    field, units = list(range(q)), list(range(1, q))
+    for a in field:
+        assert add[0][a] == a and times[1][a] == a and times[0][a] == 0
+        assert sorted(add[a]) == field
+        if a:
+            assert sorted(times[a][1:]) == units
+        for b in field:
+            assert add[a][b] == add[b][a] and times[a][b] == times[b][a]
+    if q <= 27:
+        for a, b, c in itertools.product(field, repeat=3):
+            assert times[a][add[b][c]] == add[times[a][b]][times[a][c]]
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert times[times[a][b]][c] == times[a][times[b][c]]
+
+    def powers(g: int) -> set[int]:
+        power, seen = g, set()
+        for _ in units:
+            seen.add(power)
+            power = times[power][g]
+        return seen
+
+    assert any(powers(g) == set(units) for g in units)  # F_q^* is cyclic
+
+
+@pytest.mark.parametrize("q", AGL_QS)
+def test_agl_bruteforce_matches_closed_form_over_two_periods(q):
+    p, _ = factor_prime_power(q)
+    period = math.lcm(p, q - 1)  # the exponent of AGL_1(F_q)
+    for k in range(2 * period + 1):
+        assert nu_agl_bruteforce(q, k) == nu_agl_closed_exact(q, k), k
+
+
+def test_agl_period_walk_matches_square_and_multiply():
+    for q in _prime_powers(27):
+        agl = build_agl(q)
+        for k in range(61):
+            total = sum(agl_rho_character(agl, _power(agl, x, k)) for x in agl.elements)
+            assert nu_agl_bruteforce(q, k) == Fraction(total, agl.order), (q, k)
+    with pytest.raises(ValueError):
+        nu_agl_bruteforce(5, -1)
+
+
+def test_spec_and_agl_caches_are_bounded():
+    for cached in (_build_center, build_agl, _agl_period_vector):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    spec = _row_spec("ng3", 1)
+    _build_center.cache_clear()
+    spec.period()
+    spec.center()
+    assert _build_center.cache_info().hits == 1
 
 
 def test_indicator_vector_periodicity_is_exact():
