@@ -38,11 +38,8 @@ from .indicators import (
     ng1_equivalence_classes,
     nu_agl_bruteforce,
     nu_from_center,
-    nu_hi_closed,
     nu_ng1_closed,
     nu_ng1x_closed,
-    nu_ng2_closed,
-    nu_ng2_jacobi,
     rigidity_report,
 )
 from .qforms import (
@@ -93,11 +90,8 @@ __all__ = [
     "ng1_equivalence_classes",
     "nu_agl_bruteforce",
     "nu_from_center",
-    "nu_hi_closed",
     "nu_ng1_closed",
     "nu_ng1x_closed",
-    "nu_ng2_closed",
-    "nu_ng2_jacobi",
     "orthogonal_sum",
     "rigidity_report",
     "verify_ring",

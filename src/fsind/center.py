@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power, format_element
 from .fusion import (
@@ -38,9 +37,6 @@ from .fusion import (
     near_group_rho_dim,
 )
 from .qforms import QuadraticForm, phase_to_complex, qz
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -229,25 +225,19 @@ def center_hi(
     return CenterPresentation(ring, tuple(objects), 2.0 * n + d * n * n, provenance)
 
 
-def weil_modular_data(q: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
+def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:
     """(S, T) of the pointed modular category attached to a metric group.
 
     S = |G|^{-1/2} (conj <g,h>)_{g,h} and T = diag(e^{2 pi i q(g)}), in
-    element order.
+    element order, as nested lists.
     """
-    import numpy as np
-
     if not q.is_nondegenerate():
         raise ValueError("Weil modular data requires a non-degenerate form")
-    group = q.group
-    elems = group.elements()
-    n = group.order
-    S = np.empty((n, n), dtype=complex)
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            S[i, j] = q.bicharacter(g, h).conjugate()
-    S /= math.sqrt(n)
-    T = np.diag([phase_to_complex(q.value(g)) for g in elems])
+    elems = q.group.elements()
+    root = math.sqrt(len(elems))
+    S = [[q.bicharacter(g, h).conjugate() / root for h in elems] for g in elems]
+    phases = [phase_to_complex(q.value(g)) for g in elems]
+    T = [[phase if i == j else 0j for j in range(len(elems))] for i, phase in enumerate(phases)]
     return S, T
 
 

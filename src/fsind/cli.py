@@ -156,7 +156,7 @@ def cmd_rigidity(args) -> int:
     if not isinstance(data, list) or not data:
         raise CliError("--specs must be a JSON list of at least one spec")
     specs = [spec_from_json(entry) for entry in data]
-    report = rigidity_report(specs, specs[0].base_ring(), tol)
+    report = rigidity_report(specs, tol)
     payload = {
         "period": report.period,
         "distinguished": report.distinguished,

@@ -8,15 +8,12 @@ element.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .abelian import FiniteAbelianGroup, GroupElement, format_element
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FP_TOL = 1e-9
 FP_MAX_ITER = 10**5
@@ -48,11 +45,6 @@ class FusionRing:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def n_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.N, dtype=np.int64)
 
 
 def make_near_group_ring(group: FiniteAbelianGroup, m: int) -> FusionRing:
@@ -105,78 +97,80 @@ def verify_ring(ring: FusionRing) -> list[str]:
     """Check unit, associativity, duality and the dual involution.
 
     Returns a list of violation descriptions; an empty list means the ring
-    satisfies all axioms.
+    satisfies all axioms.  Associativity sums over non-zero constants only.
     """
-    import numpy as np
-
     problems: list[str] = []
-    N = ring.n_array()
+    N = ring.N
     rank = ring.rank
     u = ring.unit
-    eye = np.eye(rank, dtype=np.int64)
-    if not np.array_equal(N[u], eye):
+    eye = tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))
+    if N[u] != eye:
         problems.append("unit: N[unit][j][k] != delta_jk")
-    if not np.array_equal(N[:, u, :], eye):
+    if tuple(plane[u] for plane in N) != eye:
         problems.append("unit: N[j][unit][k] != delta_jk")
-    left = np.einsum("ijm,mkl->ijkl", N, N)
-    right = np.einsum("jkm,iml->ijkl", N, N)
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)
-        i, j, k, l = (int(x) for x in bad[0])
+    nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in plane] for plane in N]
+    bad: list[tuple[int, int, int, int]] = []  # in lexicographic order
+    for i, j, k in itertools.product(range(rank), repeat=3):
+        # (b_i b_j) b_k - b_i (b_j b_k), coefficient of b_l
+        diff: defaultdict[int, int] = defaultdict(int)
+        for m, a in nonzero[i][j]:
+            for l, b in nonzero[m][k]:
+                diff[l] += a * b
+        for m, a in nonzero[j][k]:
+            for l, b in nonzero[i][m]:
+                diff[l] -= a * b
+        bad.extend((i, j, k, l) for l in sorted(diff) if diff[l])
+    if bad:
+        i, j, k, l = bad[0]
         problems.append(
             f"associativity violated at (i,j,k,l)=({i},{j},{k},{l}) "
             f"[{len(bad)} quadruples total]"
         )
-    expected = np.zeros((rank, rank), dtype=np.int64)
-    for i, di in enumerate(ring.dual):
-        expected[i, di] = 1
-    if not np.array_equal(N[:, :, u], expected):
+    expected = tuple(tuple(int(j == di) for j in range(rank)) for di in ring.dual)
+    if tuple(tuple(row[u] for row in plane) for plane in N) != expected:
         problems.append("duality: N[i][j][unit] != delta_{j, dual(i)}")
     if ring.dual[u] != u or any(ring.dual[ring.dual[i]] != i for i in range(rank)):
         problems.append("dual is not an involution fixing the unit")
-    if (N < 0).any():
+    if any(c < 0 for plane in N for row in plane for c in row):
         problems.append("negative structure constant")
     return problems
 
 
-def fp_dims(ring: FusionRing, tol: float = FP_TOL, max_iter: int = FP_MAX_ITER) -> list[float]:
+def fp_dims(ring: FusionRing) -> list[float]:
     """Frobenius-Perron dimensions via power iteration.
 
     Iterates the matrix of left multiplication by sum_i b_i and normalizes the
     Perron vector so the unit has dimension 1.
     """
-    import numpy as np
-
-    N = ring.n_array()
-    M = N.sum(axis=0).T.astype(float)  # M[k][j] = sum_i N[i][j][k]
-    v = np.ones(ring.rank)
+    rank = ring.rank
+    # M[k][j] = sum_i N[i][j][k]
+    M = [[float(sum(plane[j][k] for plane in ring.N)) for j in range(rank)] for k in range(rank)]
+    v = [1.0] * rank
     # the step criterion lags the fixed-point error, so iterate well past tol
-    step_tol = tol * 1e-4
-    for _ in range(max_iter):
-        w = M @ v
-        norm = w.max()
+    step_tol = FP_TOL * 1e-4
+    for _ in range(FP_MAX_ITER):
+        w = [sum(a * x for a, x in zip(row, v)) for row in M]
+        norm = max(w)
         if norm <= 0:
             raise ArithmeticError("power iteration collapsed; invalid ring")
-        w /= norm
-        if np.abs(w - v).max() < step_tol:
+        w = [x / norm for x in w]
+        if max(abs(a - b) for a, b in zip(w, v)) < step_tol:
             v = w
             break
         v = w
     else:
         raise ArithmeticError("power iteration did not converge; invalid ring")
-    dims = v / v[ring.unit]
-    if (dims < 1 - 1e-6).any():
+    dims = [x / v[ring.unit] for x in v]
+    if any(d < 1 - 1e-6 for d in dims):
         raise ArithmeticError("Frobenius-Perron dimensions below 1; invalid ring")
-    return [float(d) for d in dims]
+    return dims
 
 
-@lru_cache(maxsize=None)
 def near_group_rho_dim(order: int, m: int) -> float:
     """Positive root of d^2 = m d + |G|, the exact FP dimension of rho."""
     return (m + math.sqrt(m * m + 4 * order)) / 2
 
 
-@lru_cache(maxsize=None)
 def hi_rho_dim(order: int) -> float:
     """Positive root of d^2 = 1 + |G| d for the HI ring."""
     return (order + math.sqrt(order * order + 4)) / 2

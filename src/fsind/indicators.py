@@ -4,8 +4,8 @@ Three independent evaluation routes are provided and cross-checked:
 
 * :func:`center_vector` sums twists over a center presentation
   (:func:`nu_from_center` is its one-k, per-object reference),
-* :func:`closed_vector`, the per-family closed forms (``nu_ng1_closed``,
-  ``nu_ng2_closed``, ... are their one-k cases),
+* :func:`closed_vector`, the per-family closed forms (:func:`closed_form_nu`
+  is its one-k case),
 * :func:`nu_agl_bruteforce`, the classical character-theoretic indicator of
   the affine group AGL_1(F_q), computed in exact rational arithmetic.
 
@@ -58,7 +58,6 @@ from .qforms import (
     form_from_json,
     form_to_json,
     gauss_sums,
-    jacobi_symbol,
     phase_to_complex,
     qz,
     root_sums,
@@ -182,14 +181,9 @@ def center_vector(
     return [total / presentation.global_qdim for total in root_sums(weights, period, ks)]
 
 
-def theta_count(group: FiniteAbelianGroup, k: int) -> int:
-    """theta_k^G(e), the number of solutions of k*g = e."""
-    return group.power_count(k, group.identity)
-
-
 def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) -> complex:
     """(theta_k(e) - 1) + conj(zeta1)^k [p | k] for the m = |G| - 1 family."""
-    value = complex(theta_count(group, k) - 1)
+    value = complex(group.power_count(k, group.identity) - 1)
     if k % p == 0:
         value += phase_to_complex((-k * qz(zeta1)) % 1)
     return value
@@ -197,21 +191,11 @@ def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) ->
 
 def nu_ng1x_closed(k: int) -> complex:
     """The |G| = 7, s = -1 closed form."""
-    value = theta_count(cyclic(7), k) - 1
+    group = cyclic(7)
+    value = group.power_count(k, group.identity) - 1
     if k % 2 == 0:
         value += (-1) ** (k // 2)
     return complex(value)
-
-
-def nu_ng2_closed(
-    group: FiniteAbelianGroup,
-    q: QuadraticForm,
-    gp: FiniteAbelianGroup,
-    qp: QuadraticForm,
-    k: int,
-) -> complex:
-    """theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2 for the m = |G| family."""
-    return ng2_closed_vector(group, q, gp, qp, (k,))[0]
 
 
 def ng2_closed_vector(
@@ -221,31 +205,17 @@ def ng2_closed_vector(
     qp: QuadraticForm,
     ks: Iterable[int],
 ) -> list[complex]:
-    """:func:`nu_ng2_closed` for each k in ``ks``, from one Gauss-sum vector per form."""
+    """theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2 for each k in ``ks``, the
+    m = |G| family, from one Gauss-sum vector per form."""
     if gp.order != group.order + 4:
         raise ValueError("|G'| must equal |G| + 4")
     ks = list(ks)
     scales = [2 * k for k in ks]
     products = (a * b for a, b in zip(gauss_sums(q, scales), gauss_sums(qp, scales)))
-    return [theta_count(group, k) / 2 + product / 2 for k, product in zip(ks, products)]
-
-
-def nu_ng2_jacobi(group: FiniteAbelianGroup, gp: FiniteAbelianGroup, k: int) -> float:
-    """(1 - (k / |G||G'|)) / 2, valid for gcd(k, |G||G'|) = 1."""
-    modulus = group.order * gp.order
-    if math.gcd(k, modulus) != 1:
-        raise ValueError(f"k = {k} is not coprime to {modulus}")
-    return (1 - jacobi_symbol(k, modulus)) / 2
-
-
-def nu_hi_closed(
-    group: FiniteAbelianGroup,
-    h_group: FiniteAbelianGroup,
-    qpp: QuadraticForm,
-    k: int,
-) -> complex:
-    """theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1."""
-    return hi_closed_vector(group, h_group, qpp, (k,))[0]
+    return [
+        group.power_count(k, group.identity) / 2 + product / 2
+        for k, product in zip(ks, products)
+    ]
 
 
 def hi_closed_vector(
@@ -254,13 +224,14 @@ def hi_closed_vector(
     qpp: QuadraticForm,
     ks: Iterable[int],
 ) -> list[complex]:
-    """:func:`nu_hi_closed` for each k in ``ks``, from one Gauss-sum vector."""
+    """theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1 for each k in ``ks``,
+    from one Gauss-sum vector."""
     if h_group.order != group.order**2 + 4:
         raise ValueError("|H| must equal |G|^2 + 4")
     ks = list(ks)
     m = (h_group.order - 1) // 2
     sums = gauss_sums(qpp, [k * m for k in ks])
-    return [theta_count(group, k) / 2 + gauss / 2 for k, gauss in zip(ks, sums)]
+    return [group.power_count(k, group.identity) / 2 + gauss / 2 for k, gauss in zip(ks, sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +416,11 @@ class RigidityReport:
         return all(len(c) == 1 for c in self.classes)
 
 
-def rigidity_report(
-    specs, ring: FusionRing, tol: float = DEFAULT_TOL
-) -> RigidityReport:
+def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     """Partition specs by pointwise equality of full-period indicator vectors.
 
-    All specs must share the given Grothendieck ring; the comparison period is
-    the lcm of the individual periods.
+    All specs must share the first one's Grothendieck ring; the comparison
+    period is the lcm of the individual periods.
 
     The known inseparable pairs (the two |G| = 13 near-group pairs and the
     Haagerup-Izumi pairs) also share their centers' modular data; it is an
@@ -459,9 +428,13 @@ def rigidity_report(
     Grothendieck ring can ever be separated by indicators.
     """
     specs = list(specs)
-    for spec in specs:
-        if spec.base_ring() != ring:
-            raise ValueError(f"{spec.describe()} does not have the given ring")
+    if specs:
+        ring = specs[0].base_ring()
+        for spec in specs[1:]:
+            if spec.base_ring() != ring:
+                raise ValueError(
+                    f"{spec.describe()} does not have the ring of {specs[0].describe()}"
+                )
     period = math.lcm(*(spec.period() for spec in specs)) if specs else 1
     vectors = [indicator_vector(spec) for spec in specs]
 
@@ -669,6 +642,8 @@ def spec_from_json(data: dict) -> CategorySpec:
     """Parse a spec; only a family with one allowed group may omit ``group``."""
     if not isinstance(data, dict):
         raise ValueError("a spec must be a JSON object")
+    if "family" not in data:
+        raise ValueError("a spec needs family")
     name = data["family"]
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")

@@ -15,7 +15,7 @@ show in the suite:
   conjugation, and every other claim must reproduce.
 * criterion 5 (nu_1 = 0) stays red: the four sign '-' Haagerup-Izumi rows
   yield nu_1(rho) = 1.  This is a program fault.  ``center_hi`` and
-  ``nu_hi_closed`` always use the Frobenius-Perron root
+  ``hi_closed_vector`` always use the Frobenius-Perron root
   d = (n + sqrt(n^2 + 4))/2, while for these twists (q'' in the non-residue
   class) only the other root, (n - sqrt(n^2 + 4))/2, gives a center with
   nu_1 = 0.  The fix changes reference outputs of the benchmark, so it has
@@ -147,7 +147,7 @@ def test_criterion_4a_rigidity_of_small_near_groups():
     failures = []
     for order in (1, 3, 7):
         specs = ng1_equivalence_classes(order)
-        report = rigidity_report(specs, specs[0].base_ring(), TOL)
+        report = rigidity_report(specs, TOL)
         if report.classes != ((0,), (1,)):
             failures.append(f"|G|={order}: classes {report.classes}")
         if (0, 1, 2) not in report.separators:
@@ -156,7 +156,7 @@ def test_criterion_4a_rigidity_of_small_near_groups():
         if abs(nu2[0] - 1) >= TOL or abs(nu2[1] + 1) >= TOL:
             failures.append(f"|G|={order}: nu_2 = {nu2}, expected +1/-1")
     specs2 = ng1_equivalence_classes(2)
-    report2 = rigidity_report(specs2, specs2[0].base_ring(), TOL)
+    report2 = rigidity_report(specs2, TOL)
     if len(report2.classes) != 3:
         failures.append(f"|G|=2: classes {report2.classes}")
     if any(k != 3 for _, _, k in report2.separators):
@@ -177,7 +177,7 @@ def test_criterion_4b_pairs_without_rigidity():
     rows = {(r.table_id, r.row_id): r.spec for r in builtin_rows()}
     for table_id in ("ng13", "hi3", "hi5"):
         specs = [rows[(table_id, i)] for i in (1, 2, 3, 4)]
-        report = rigidity_report(specs, specs[0].base_ring(), TOL)
+        report = rigidity_report(specs, TOL)
         if report.classes != ((0, 1), (2, 3)):
             failures.append(f"{table_id}: classes {report.classes}")
         if report.distinguished:
@@ -349,7 +349,7 @@ def test_criterion_5_weil_unitarity_for_table_forms():
             if key in seen:
                 continue
             seen.add(key)
-            S, T = weil_modular_data(form)
+            S, T = map(np.array, weil_modular_data(form))
             n = form.group.order
             s_dev = np.abs(S @ S.conj().T - np.eye(n)).max()
             t_dev = np.abs(np.abs(np.diag(T)) - 1).max()
@@ -402,7 +402,7 @@ def test_criterion_6_degenerate_coverage():
 
     # near-group center over the trivial group on the NG1 side
     specs = ng1_equivalence_classes(1)
-    report = rigidity_report(specs, specs[0].base_ring(), TOL)
+    report = rigidity_report(specs, TOL)
     if report.classes != ((0,), (1,)):
         failures.append(f"NG1 |G|=1 classes {report.classes}")
     _report("6 degenerate-coverage", failures, started)

@@ -130,11 +130,11 @@ def test_qdims_match_forgetful_multiplicities(pres):
 
 
 def test_weil_modular_data_examples():
-    S, T = weil_modular_data(Q3)
+    S, T = map(np.array, weil_modular_data(Q3))
     expected_diag = [1, np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 3)]
     assert np.allclose(np.diag(T), expected_diag, atol=TOL)
     assert np.allclose(S, S.T, atol=TOL)
-    S5, T5 = weil_modular_data(monomial_form(cyclic(5), (2,)))
+    S5, T5 = map(np.array, weil_modular_data(monomial_form(cyclic(5), (2,))))
     assert np.abs(S5 @ S5.conj().T - np.eye(5)).max() < TOL
     assert np.abs(np.abs(np.diag(T5)) - 1).max() < TOL
     with pytest.raises(ValueError):

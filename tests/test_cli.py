@@ -150,6 +150,13 @@ def test_indicators_missing_group_is_a_usage_error(capsys):
     assert "group" in err
 
 
+def test_indicators_missing_family_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "indicators", "--spec", '{"group":{"cyclic_factors":[3]}}')
+    assert code == 2
+    assert out == ""
+    assert "needs family" in err
+
+
 Z5 = '{"cyclic_factors":[5]}'
 NG2_SPEC_Q_ON_FACTOR_1 = json.dumps(
     {**json.loads(NG2_SPEC), "q": {"monomial": [{"factor": 1, "coeff": 1}]}}

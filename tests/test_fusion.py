@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
@@ -14,7 +15,55 @@ from fsind.fusion import (
     verify_ring,
 )
 
+from conftest import ABELIAN_GROUPS_LE_13
+
 TOL = 1e-9
+
+
+def _sweep_rings() -> list[FusionRing]:
+    """NG(G, m) for m in {0, |G| - 1, |G|} and HI(G), for every |G| <= 13."""
+    rings = []
+    for factors in ABELIAN_GROUPS_LE_13:
+        group = FiniteAbelianGroup(factors)
+        n = group.order
+        rings += [make_near_group_ring(group, m) for m in sorted({0, n - 1, n})]
+        rings.append(make_hi_ring(group))
+    return rings
+
+
+SWEEP = _sweep_rings()
+
+
+def _verify_ring_einsum(ring: FusionRing) -> list[str]:
+    """Dense numpy reference for verify_ring: both sides of associativity by einsum."""
+    problems: list[str] = []
+    N = np.array(ring.N, dtype=np.int64)
+    rank = ring.rank
+    u = ring.unit
+    eye = np.eye(rank, dtype=np.int64)
+    if not np.array_equal(N[u], eye):
+        problems.append("unit: N[unit][j][k] != delta_jk")
+    if not np.array_equal(N[:, u, :], eye):
+        problems.append("unit: N[j][unit][k] != delta_jk")
+    left = np.einsum("ijm,mkl->ijkl", N, N)
+    right = np.einsum("jkm,iml->ijkl", N, N)
+    if not np.array_equal(left, right):
+        bad = np.argwhere(left != right)
+        i, j, k, l = (int(x) for x in bad[0])
+        problems.append(
+            f"associativity violated at (i,j,k,l)=({i},{j},{k},{l}) "
+            f"[{len(bad)} quadruples total]"
+        )
+    expected = np.zeros((rank, rank), dtype=np.int64)
+    for i, di in enumerate(ring.dual):
+        expected[i, di] = 1
+    if not np.array_equal(N[:, :, u], expected):
+        problems.append("duality: N[i][j][unit] != delta_{j, dual(i)}")
+    if ring.dual[u] != u or any(ring.dual[ring.dual[i]] != i for i in range(rank)):
+        problems.append("dual is not an involution fixing the unit")
+    if (N < 0).any():
+        problems.append("negative structure constant")
+    return problems
 
 
 def test_rep_s3_ring():
@@ -73,6 +122,49 @@ def test_verify_ring_catches_tampering():
     tensor[3][3][1] += 1  # rho^2 gains an extra copy of a non-identity element
     bad = FusionRing(base.labels, base.unit, base.dual, _freeze(tensor))
     assert any("associativity" in problem for problem in verify_ring(bad))
+
+
+def test_verify_ring_matches_einsum_reference_on_sweep():
+    assert len(SWEEP) == 71
+    for ring in SWEEP:
+        assert verify_ring(ring) == _verify_ring_einsum(ring) == [], ring.labels
+
+
+def _tampered(constants=(), dual=None) -> FusionRing:
+    """NG(Z/3, 3) with structure constants (i, j, k, value) and the dual replaced."""
+    base = make_near_group_ring(cyclic(3), 3)
+    tensor = [list(map(list, plane)) for plane in base.N]
+    for i, j, k, value in constants:
+        tensor[i][j][k] = value
+    return FusionRing(base.labels, base.unit, dual or base.dual, _freeze(tensor))
+
+
+@pytest.mark.parametrize(
+    "ring,kind",
+    [
+        (_tampered([(0, 1, 2, 1)]), "unit: N[unit]"),
+        (_tampered([(1, 0, 2, 1)]), "unit: N[j][unit]"),
+        (_tampered([(3, 3, 1, 2)]), "associativity"),
+        (_tampered(dual=(0, 1, 2, 3)), "duality"),
+        (_tampered(dual=(0, 2, 3, 1)), "involution"),
+        (_tampered([(3, 3, 3, -1)]), "negative"),
+    ],
+    ids=["unit-left", "unit-right", "associativity", "duality", "involution", "negative"],
+)
+def test_verify_ring_matches_einsum_reference_on_tampered_rings(ring, kind):
+    problems = verify_ring(ring)
+    assert problems == _verify_ring_einsum(ring)
+    assert any(kind in problem for problem in problems)
+
+
+def test_fp_dims_match_eig_perron_vector():
+    # relative: normalizing the unit to 1 scales the power iteration's error
+    # by about d^2, to 1.2e-11 absolute on NG(Z/13, 13)
+    for ring in SWEEP:
+        values, vectors = np.linalg.eig(np.array(ring.N).sum(axis=0).T.astype(float))
+        perron = np.abs(vectors[:, np.argmax(values.real)].real)
+        expected = perron / perron[ring.unit]
+        assert np.abs(np.array(fp_dims(ring)) / expected - 1).max() < 1e-12, ring.labels
 
 
 @pytest.mark.parametrize("n,m,expected", [(3, 2, 3.0), (3, 3, (3 + math.sqrt(21)) / 2)])

@@ -140,6 +140,32 @@ for name, argv in sorted(CASES.items()):
     assert result.returncode == 0, result.stderr
 
 
+def test_ring_checks_and_weil_data_without_numpy():
+    """verify_ring, fp_dims and weil_modular_data run with numpy unimportable."""
+    code = """
+import sys
+sys.modules["numpy"] = None
+from fsind.abelian import cyclic
+from fsind.center import weil_modular_data
+from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_ring
+from fsind.qforms import monomial_form
+for ring, d in ((make_near_group_ring(cyclic(3), 3), (3 + 21 ** 0.5) / 2),
+                (make_hi_ring(cyclic(5)), (5 + 29 ** 0.5) / 2)):
+    assert verify_ring(ring) == [], ring.labels
+    dims = fp_dims(ring)
+    assert abs(dims[ring.unit] - 1) < 1e-9 and abs(max(dims) - d) < 1e-9, dims
+S, T = weil_modular_data(monomial_form(cyclic(7), (1,)))
+assert len(S) == len(T) == 7 and all(len(row) == 7 for row in S + T)
+for i in range(7):
+    for j in range(7):
+        dot = sum(S[i][l] * S[j][l].conjugate() for l in range(7))
+        assert abs(dot - (i == j)) < 1e-9
+        assert abs(abs(T[i][j]) - (i == j)) < 1e-9
+"""
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}

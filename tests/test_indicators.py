@@ -25,17 +25,14 @@ from fsind.indicators import (
     nu_agl_bruteforce,
     nu_agl_closed_exact,
     nu_from_center,
-    nu_hi_closed,
     nu_ng1_closed,
     nu_ng1x_closed,
-    nu_ng2_closed,
-    nu_ng2_jacobi,
     rigidity_report,
     spec_from_json,
     spec_to_json,
 )
 from fsind.qforms import QuadraticForm, jacobi_symbol, monomial_form
-from fsind.tables import builtin_rows
+from fsind.tables import JacobiLawClaim, builtin_rows
 
 TOL = 1e-9
 
@@ -65,12 +62,11 @@ def test_ng1x_center_matches_closed_form():
         assert abs(nu_from_center(pres, "rho", k) - nu_ng1x_closed(k)) < TOL
 
 
-def test_nu_ng2_closed_table_values():
+def test_ng2_closed_table_values():
     spec5 = _row_spec("ng5", 1)
-    assert abs(nu_ng2_closed(spec5.group, spec5.q, spec5.gp, spec5.qp, 5)
-               - (5 + math.sqrt(5)) / 2) < TOL
+    assert abs(closed_form_nu(spec5, 5) - (5 + math.sqrt(5)) / 2) < TOL
     spec9 = _row_spec("ng9", 1)
-    assert abs(nu_ng2_closed(spec9.group, spec9.q, spec9.gp, spec9.qp, 9) - 3) < TOL
+    assert abs(closed_form_nu(spec9, 9) - 3) < TOL
     for table_id, row_id in (("ng3", 1), ("ng5", 3), ("ng13", 2)):
         spec = _row_spec(table_id, row_id)
         assert abs(closed_form_nu(spec, 1)) < TOL
@@ -88,24 +84,25 @@ def test_nu_from_center_direct_convention_example():
         nu_from_center(pres, "nonsense", 1)
 
 
-def test_nu_ng2_jacobi():
-    assert abs(nu_ng2_jacobi(cyclic(3), cyclic(7), 2) - 1) < TOL
-    assert abs(nu_ng2_jacobi(cyclic(3), cyclic(7), 22)) < TOL  # 22 = 1 mod 21
+def test_ng2_jacobi_law():
+    """The generic-k law (1 - (k / |G||G'|))/2 of the m = |G| tables."""
+    law21 = JacobiLawClaim("(1-(k/21))/2", -1, 21, ())
+    assert abs(law21.expected(2) - 1) < TOL
+    assert abs(law21.expected(22)) < TOL  # 22 = 1 mod 21
+    law45 = JacobiLawClaim("(1-(k/45))/2", -1, 45, ())
     expected = (1 - jacobi_symbol(2, 45)) / 2
-    assert abs(nu_ng2_jacobi(cyclic(5), cyclic(9), 2) - expected) < TOL
+    assert abs(law45.expected(2) - expected) < TOL
     spec = _row_spec("ng5", 1)
-    assert abs(nu_ng2_jacobi(cyclic(5), cyclic(9), 2) - closed_form_nu(spec, 2)) < TOL
-    with pytest.raises(ValueError):
-        nu_ng2_jacobi(cyclic(3), cyclic(7), 6)
+    assert abs(law45.expected(2) - closed_form_nu(spec, 2)) < TOL
 
 
-def test_nu_hi_closed_examples():
+def test_hi_closed_examples():
     spec = _row_spec("hi3", 1)
     for k in (2, 5, 7, 11):
         expected = (1 - jacobi_symbol(k, 13)) / 2
-        assert abs(nu_hi_closed(spec.group, spec.h, spec.qpp, k) - expected) < TOL
+        assert abs(closed_form_nu(spec, k) - expected) < TOL
     spec5 = _row_spec("hi5", 3)
-    assert abs(nu_hi_closed(spec5.group, spec5.h, spec5.qpp, 5) - 3) < TOL
+    assert abs(closed_form_nu(spec5, 5) - 3) < TOL
     assert abs(closed_form_nu(spec, 1)) < TOL
 
 
@@ -283,22 +280,25 @@ def test_conjugate_spec_gives_conjugate_indicators():
 
 def test_rigidity_examples():
     specs = ng1_equivalence_classes(3)
-    report = rigidity_report(specs, specs[0].base_ring())
+    report = rigidity_report(specs)
     assert report.classes == ((0,), (1,))
     assert report.separators == ((0, 1, 2),)
     nu2 = [indicator_vector(s).value(2) for s in specs]
     assert abs(nu2[0] - 1) < TOL and abs(nu2[1] + 1) < TOL
 
-    single = rigidity_report(specs[:1], specs[0].base_ring())
+    single = rigidity_report(specs[:1])
     assert single.classes == ((0,),)
 
-    with pytest.raises(ValueError):
-        rigidity_report(specs, ng1_equivalence_classes(2)[0].base_ring())
+    empty = rigidity_report([])
+    assert (empty.period, empty.classes, empty.separators) == (1, (), ())
+
+    with pytest.raises(ValueError, match="ring"):
+        rigidity_report([specs[0], ng1_equivalence_classes(2)[0]])
 
 
 def test_rigidity_hi_pairs():
     rows = [r.spec for r in builtin_rows() if r.table_id == "hi3"]
-    report = rigidity_report(rows, rows[0].base_ring())
+    report = rigidity_report(rows)
     assert report.classes == ((0, 1), (2, 3))
     # the printed columns first differ at k = 3; the nu_1 anomaly of the
     # sign '-' rows already separates them at k = 1

@@ -20,7 +20,7 @@ from fsind.qforms import (
     qz,
 )
 
-from fsind.indicators import closed_vector, theta_count
+from fsind.indicators import closed_vector
 from fsind.tables import builtin_rows
 
 from conftest import ABELIAN_GROUPS_LE_13, cyclic_metric_form, metric_group_catalog
@@ -124,7 +124,7 @@ def test_closed_vectors_match_direct_gauss_loop():
             else:
                 m = (spec.h.order - 1) // 2
                 product = direct_gauss_sum(spec.qpp.scaled(k * m))
-            expected = theta_count(spec.group, k) / 2 + product / 2
+            expected = spec.group.power_count(k, spec.group.identity) / 2 + product / 2
             assert abs(value - expected) < ROUTE_TOL, (row.table_id, row.row_id, k)
 
 
