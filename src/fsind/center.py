@@ -1,11 +1,15 @@
 """Modular-data summaries of Drinfel'd centers.
 
-A :class:`CenterPresentation` lists the simple objects of the center of a
-category together with their exact twist phases, quantum dimensions and the
-multiplicities of their images under the forgetful functor.  That is exactly
-the data consumed by the indicator summation formula
+A :class:`CenterPresentation` is modular data only: the simple objects of the
+center of a category together with their exact twist phases, quantum
+dimensions and the multiplicities of their images under the forgetful
+functor.  That is exactly the data consumed by the indicator summation formula
 
-    nu_k(X) = (1/qdim C) * sum_V  theta_V^k * qdim(V) * dim Hom(F(V), X).
+    nu_k(X) = (1/qdim C) * sum_V  theta_V^k * qdim(V) * dim Hom(F(V), X),
+
+which never reads the fusion ring of C.  The ring, and every check on the
+category's shape, belong to :class:`fsind.indicators.CategorySpec`; the
+builders below take the groups and forms it has checked.
 
 Twists are stored as exact rational phases (all of them are roots of unity),
 which keeps the periodicity of nu_k in k exact.
@@ -26,16 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power, format_element
-from .fusion import (
-    RHO_LABEL,
-    FusionRing,
-    group_label,
-    grho_label,
-    hi_rho_dim,
-    make_hi_ring,
-    make_near_group_ring,
-    near_group_rho_dim,
-)
+from .fusion import RHO_LABEL, group_label, grho_label, hi_rho_dim, near_group_rho_dim
 from .qforms import QuadraticForm, phase_to_complex, qz
 
 
@@ -49,7 +44,6 @@ class CenterObject:
 
 @dataclass(frozen=True)
 class CenterPresentation:
-    base_ring: FusionRing
     objects: tuple[CenterObject, ...]
     global_qdim: float
     provenance: tuple[str, ...] = ()
@@ -80,7 +74,6 @@ def center_ng1(
     if prime != p:
         raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {p}")
     zeta1 = qz(zeta1)
-    ring = make_near_group_ring(group, n - 1)
     d_rho = float(n)
     elems = group.elements()
     objects: list[CenterObject] = []
@@ -105,7 +98,7 @@ def center_ng1(
         objects.append(
             CenterObject("C:f=" + format_element(f), twist, d_rho, {RHO_LABEL: 1})
         )
-    return CenterPresentation(ring, tuple(objects), n * (n + 1.0), provenance)
+    return CenterPresentation(tuple(objects), n * (n + 1.0), provenance)
 
 
 def center_ng1_exceptional7(provenance: tuple[str, ...] = ()) -> CenterPresentation:
@@ -115,7 +108,7 @@ def center_ng1_exceptional7(provenance: tuple[str, ...] = ()) -> CenterPresentat
     kept = tuple(obj for obj in base.objects if not obj.label.startswith("C:"))
     e1 = CenterObject("E1", Fraction(1, 4), 14.0, {RHO_LABEL: 2})
     e2 = CenterObject("E2", Fraction(3, 4), 14.0, {RHO_LABEL: 2})
-    return CenterPresentation(base.base_ring, kept + (e1, e2), base.global_qdim, provenance)
+    return CenterPresentation(kept + (e1, e2), base.global_qdim, provenance)
 
 
 def center_ng2(
@@ -128,18 +121,9 @@ def center_ng2(
     """Center data for the near-group family with m = |G|, |G| odd.
 
     The second metric group (G', q') has order |G| + 4 and supplies the
-    E-object twists.
+    E-object twists; q and q' are non-degenerate forms on G and G'.
     """
     n = group.order
-    if n % 2 == 0:
-        raise ValueError("this family requires |G| odd")
-    if gp.order != n + 4:
-        raise ValueError(f"|G'| must be |G| + 4 = {n + 4}, got {gp.order}")
-    if q.group != group or qp.group != gp:
-        raise ValueError("forms must live on the given groups")
-    if not q.is_nondegenerate() or not qp.is_nondegenerate():
-        raise ValueError("both quadratic forms must be non-degenerate")
-    ring = make_near_group_ring(group, n)
     d = near_group_rho_dim(n, n)
     elems = group.elements()
     objects: list[CenterObject] = []
@@ -171,7 +155,7 @@ def center_ng2(
                     f"E:{format_element(g)},{format_element(x)}", twist, d, {RHO_LABEL: 1}
                 )
             )
-    return CenterPresentation(ring, tuple(objects), n * (2.0 + d), provenance)
+    return CenterPresentation(tuple(objects), n * (2.0 + d), provenance)
 
 
 def center_hi(
@@ -183,18 +167,9 @@ def center_hi(
     """Center data for a Haagerup-Izumi category with |G| odd.
 
     The metric group (H, q'') has order |G|^2 + 4 = 2m + 1 and the D-object
-    twists are m * q''(x) on unordered pairs {x, -x}.
+    twists are m * q''(x) on unordered pairs {x, -x}; q'' is non-degenerate.
     """
     n = group.order
-    if n % 2 == 0:
-        raise ValueError("this family requires |G| odd")
-    if h_group.order != n * n + 4:
-        raise ValueError(f"|H| must be |G|^2 + 4 = {n * n + 4}, got {h_group.order}")
-    if qpp.group != h_group:
-        raise ValueError("q'' must live on H")
-    if not qpp.is_nondegenerate():
-        raise ValueError("q'' must be non-degenerate")
-    ring = make_hi_ring(group)
     d = hi_rho_dim(n)
     m = (h_group.order - 1) // 2
     elems = group.elements()
@@ -222,7 +197,7 @@ def center_hi(
     for x in _pair_representatives(h_group):
         twist = (m * qpp.value(x)) % 1
         objects.append(CenterObject("D:" + format_element(x), twist, n * d, dict(all_grho)))
-    return CenterPresentation(ring, tuple(objects), 2.0 * n + d * n * n, provenance)
+    return CenterPresentation(tuple(objects), 2.0 * n + d * n * n, provenance)
 
 
 def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:

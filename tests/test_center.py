@@ -12,7 +12,8 @@ from fsind.center import (
     indicator_period,
     weil_modular_data,
 )
-from fsind.fusion import fp_dims
+from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
+from fsind.indicators import CategorySpec
 from fsind.qforms import monomial_form, phase_to_complex
 from fsind.tables import load_hi_spec, load_ng2_spec
 
@@ -82,14 +83,28 @@ def test_center_ng2_count_formula_g5():
 
 
 def test_center_ng2_validation():
-    with pytest.raises(ValueError):
-        center_ng2(
-            cyclic(2), monomial_form(cyclic(2), (0,)), cyclic(6), monomial_form(cyclic(6), (0,))
+    # the spec owns these checks; the center builder takes checked data
+    with pytest.raises(ValueError, match="odd"):
+        CategorySpec(
+            "NG2", cyclic(2),
+            q=monomial_form(cyclic(2), (0,)), gp=cyclic(6), qp=monomial_form(cyclic(6), (0,)),
         )
-    with pytest.raises(ValueError):
-        center_ng2(cyclic(3), Q3, cyclic(9), monomial_form(cyclic(9), (1,)))
-    with pytest.raises(ValueError):
-        center_ng2(cyclic(3), Q3, cyclic(7), monomial_form(cyclic(7), (0,)))
+    with pytest.raises(ValueError, match=r"\|Gp\| must be 7"):
+        CategorySpec("NG2", cyclic(3), q=Q3, gp=cyclic(9), qp=monomial_form(cyclic(9), (1,)))
+    with pytest.raises(ValueError, match="qp must be non-degenerate"):
+        CategorySpec("NG2", cyclic(3), q=Q3, gp=cyclic(7), qp=monomial_form(cyclic(7), (0,)))
+
+
+def test_spec_checks_each_form_on_its_group():
+    # G' = Z/3 x Z/3 has the order |G| + 4 = 9 of Z/9, but q' lives on Z/9
+    q5 = monomial_form(cyclic(5), (1,))
+    with pytest.raises(ValueError, match="qp must live on gp"):
+        CategorySpec("NG2", cyclic(5), q=q5, gp=FiniteAbelianGroup((3, 3)),
+                     qp=monomial_form(cyclic(9), (1,)))
+    with pytest.raises(ValueError, match="q must live on group"):
+        CategorySpec("NG2", cyclic(5), q=monomial_form(cyclic(9), (1,)), gp=cyclic(9), qp=q5)
+    with pytest.raises(ValueError, match="qpp must be non-degenerate"):
+        CategorySpec("HI", cyclic(3), h=cyclic(13), qpp=monomial_form(cyclic(13), (0,)))
 
 
 def test_center_hi_counts_and_mults():
@@ -110,18 +125,21 @@ def test_center_hi_yang_lee_has_four_objects():
 
 
 @pytest.mark.parametrize(
-    "pres",
+    "pres,ring",
     [
-        center_ng1(cyclic(2), 3, Fraction(0)),
-        center_ng1_exceptional7(),
-        center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG),
-        center_hi(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,))),
+        (center_ng1(cyclic(2), 3, Fraction(0)), make_near_group_ring(cyclic(2), 1)),
+        (center_ng1_exceptional7(), make_near_group_ring(cyclic(7), 6)),
+        (center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG), make_near_group_ring(cyclic(3), 3)),
+        (
+            center_hi(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,))),
+            make_hi_ring(cyclic(3)),
+        ),
     ],
     ids=["ng1", "ng1x7", "ng2", "hi"],
 )
-def test_qdims_match_forgetful_multiplicities(pres):
-    dims = fp_dims(pres.base_ring)
-    labels = pres.base_ring.labels
+def test_qdims_match_forgetful_multiplicities(pres, ring):
+    dims = fp_dims(ring)
+    labels = ring.labels
     total = sum(d * d for d in dims)
     assert abs(total - pres.global_qdim) < 1e-7
     for obj in pres.objects:

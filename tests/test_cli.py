@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from fsind import cli
+from fsind import cli, fusion
 from fsind.cli import MAX_KMAX, main
-from fsind.indicators import CategorySpec
+from fsind.indicators import CategorySpec, _build_center
 
 Z3 = '{"cyclic_factors":[3]}'
 FORM1 = '{"monomial":[{"factor":0,"coeff":1}]}'
@@ -186,6 +186,29 @@ def test_bad_forms_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_degenerate_form_is_a_usage_error(capsys):
+    spec = json.loads(NG2_SPEC)
+    spec["qp"] = {"monomial": [{"factor": 0, "coeff": 0}]}
+    code, out, err = run(capsys, "indicators", "--spec", json.dumps(spec))
+    assert code == 2
+    assert out == ""
+    assert err == "error: qp must be non-degenerate\n"
+
+
+def test_only_rigidity_builds_rings(capsys, monkeypatch):
+    """A center presentation holds no ring; only the rigidity check builds one."""
+    calls = []
+    freeze = fusion._freeze
+    monkeypatch.setattr(fusion, "_freeze", lambda N: calls.append(1) or freeze(N))
+    _build_center.cache_clear()
+    assert run(capsys, "indicators", "--path", "both", "--spec", NG2_SPEC)[0] == 0
+    assert run(capsys, "verify-tables", "--table", "ng7")[0] == 0
+    assert calls == []
+    specs = [{**NG1_Z3, "zeta1": zeta1} for zeta1 in ("0", "1/4")]
+    assert run(capsys, "rigidity", "--specs", json.dumps(specs))[0] == 0
+    assert len(calls) == len(specs)
 
 
 def test_verify_tables_passing_table(capsys):

@@ -158,13 +158,23 @@ def test_verify_ring_matches_einsum_reference_on_tampered_rings(ring, kind):
 
 
 def test_fp_dims_match_eig_perron_vector():
-    # relative: normalizing the unit to 1 scales the power iteration's error
-    # by about d^2, to 1.2e-11 absolute on NG(Z/13, 13)
+    # relative, because fp_dims stops on the relative step of its dims
     for ring in SWEEP:
         values, vectors = np.linalg.eig(np.array(ring.N).sum(axis=0).T.astype(float))
         perron = np.abs(vectors[:, np.argmax(values.real)].real)
         expected = perron / perron[ring.unit]
         assert np.abs(np.array(fp_dims(ring)) / expected - 1).max() < 1e-12, ring.labels
+
+
+def test_fp_dims_match_exact_rho_dims():
+    for ring in SWEEP:
+        if "rho" in ring.labels:
+            n, rho = ring.rank - 1, ring.index("rho")
+            expected = near_group_rho_dim(n, ring.N[rho][rho][rho])
+        else:
+            n = ring.rank // 2
+            rho, expected = n, hi_rho_dim(n)
+        assert abs(fp_dims(ring)[rho] / expected - 1) < 1e-12, ring.labels
 
 
 @pytest.mark.parametrize("n,m,expected", [(3, 2, 3.0), (3, 3, (3 + math.sqrt(21)) / 2)])
