@@ -7,8 +7,10 @@ functor.  That is exactly the data consumed by the indicator summation formula
 
     nu_k(X) = (1/qdim C) * sum_V  theta_V^k * qdim(V) * dim Hom(F(V), X),
 
-which never reads the fusion ring of C.  The ring, and every check on the
-category's shape, belong to :class:`fsind.indicators.CategorySpec`; the
+which never reads the fusion ring of C.  A presentation holds that data and
+nothing else.  The ring is only named, by the family of a
+:class:`fsind.indicators.CategorySpec`; the spec also keeps the table
+loader's notes and makes every check on the category's shape, and the
 builders below take the groups and forms it has checked.
 
 Twists are stored as exact rational phases (all of them are roots of unity),
@@ -46,7 +48,6 @@ class CenterObject:
 class CenterPresentation:
     objects: tuple[CenterObject, ...]
     global_qdim: float
-    provenance: tuple[str, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -58,9 +59,7 @@ def indicator_period(presentation: CenterPresentation) -> int:
     return math.lcm(*(obj.twist.denominator for obj in presentation.objects))
 
 
-def center_ng1(
-    group: FiniteAbelianGroup, p: int, zeta1: Fraction, provenance: tuple[str, ...] = ()
-) -> CenterPresentation:
+def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPresentation:
     """Center data for the near-group family with m = |G| - 1.
 
     Requires G cyclic with |G| + 1 a power of the prime p (G is then the
@@ -98,17 +97,17 @@ def center_ng1(
         objects.append(
             CenterObject("C:f=" + format_element(f), twist, d_rho, {RHO_LABEL: 1})
         )
-    return CenterPresentation(tuple(objects), n * (n + 1.0), provenance)
+    return CenterPresentation(tuple(objects), n * (n + 1.0))
 
 
-def center_ng1_exceptional7(provenance: tuple[str, ...] = ()) -> CenterPresentation:
+def center_ng1_exceptional7() -> CenterPresentation:
     """The exceptional |G| = 7 center: C-objects replaced by E_1, E_2."""
     group = cyclic(7)
     base = center_ng1(group, 2, Fraction(0))
     kept = tuple(obj for obj in base.objects if not obj.label.startswith("C:"))
     e1 = CenterObject("E1", Fraction(1, 4), 14.0, {RHO_LABEL: 2})
     e2 = CenterObject("E2", Fraction(3, 4), 14.0, {RHO_LABEL: 2})
-    return CenterPresentation(kept + (e1, e2), base.global_qdim, provenance)
+    return CenterPresentation(kept + (e1, e2), base.global_qdim)
 
 
 def center_ng2(
@@ -116,7 +115,6 @@ def center_ng2(
     q: QuadraticForm,
     gp: FiniteAbelianGroup,
     qp: QuadraticForm,
-    provenance: tuple[str, ...] = (),
 ) -> CenterPresentation:
     """Center data for the near-group family with m = |G|, |G| odd.
 
@@ -155,14 +153,11 @@ def center_ng2(
                     f"E:{format_element(g)},{format_element(x)}", twist, d, {RHO_LABEL: 1}
                 )
             )
-    return CenterPresentation(tuple(objects), n * (2.0 + d), provenance)
+    return CenterPresentation(tuple(objects), n * (2.0 + d))
 
 
 def center_hi(
-    group: FiniteAbelianGroup,
-    h_group: FiniteAbelianGroup,
-    qpp: QuadraticForm,
-    provenance: tuple[str, ...] = (),
+    group: FiniteAbelianGroup, h_group: FiniteAbelianGroup, qpp: QuadraticForm
 ) -> CenterPresentation:
     """Center data for a Haagerup-Izumi category with |G| odd.
 
@@ -197,7 +192,7 @@ def center_hi(
     for x in _pair_representatives(h_group):
         twist = (m * qpp.value(x)) % 1
         objects.append(CenterObject("D:" + format_element(x), twist, n * d, dict(all_grho)))
-    return CenterPresentation(tuple(objects), 2.0 * n + d * n * n, provenance)
+    return CenterPresentation(tuple(objects), 2.0 * n + d * n * n)
 
 
 def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:

@@ -47,15 +47,10 @@ from .center import (
     center_ng2,
     indicator_period,
 )
-from .fusion import (
-    RHO_LABEL,
-    FusionRing,
-    grho_label,
-    make_hi_ring,
-    make_near_group_ring,
-)
+from .fusion import RHO_LABEL, grho_label
 from .qforms import (
     QuadraticForm,
+    describe_form,
     form_from_json,
     form_to_json,
     gauss_sums,
@@ -80,7 +75,9 @@ class CategorySpec:
     class with s = -1), NG2 (near group, m = |G|), HI (Haagerup-Izumi); the
     fields each family uses are listed in :data:`FAMILIES`.
     ``labels`` carries opaque equivalence-class tags (signs, roots of unity,
-    matrix names); they never enter any numeric formula.
+    matrix names); they never enter any numeric formula.  ``provenance`` holds
+    the table loader's notes, which ``indicators`` prints.  The Grothendieck
+    ring is fixed by the family and G, so it is only named, by ``Family.ring``.
 
     The only place a category's shape is checked: a known family with all
     its parameters, the family's group if it fixes one, |G| odd where
@@ -123,9 +120,6 @@ class CategorySpec:
             if par.kind is FORM and not value.is_nondegenerate():
                 raise ValueError(f"{par.name} must be non-degenerate")
 
-    def base_ring(self) -> FusionRing:
-        return FAMILIES[self.family].ring(self.group)
-
     def rho_label(self) -> str:
         return FAMILIES[self.family].rho_label(self.group)
 
@@ -143,17 +137,6 @@ class CategorySpec:
         tags = ",".join(f"{k}={v}" for k, v in self.labels)
         suffix = f";{tags}" if tags else ""
         return f"{self.family}({','.join(parts)}{suffix})"
-
-
-def _describe_form(q: QuadraticForm) -> str:
-    data = form_to_json(q)
-    if "monomial" in data:
-        coeffs = {e["factor"]: e["coeff"] for e in data["monomial"]}
-        parts = [
-            f"{coeffs.get(i, 0)}/{n}" for i, n in enumerate(q.group.cyclic_factors)
-        ]
-        return "[" + ",".join(parts) + "]"
-    return "<table>"
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +261,7 @@ PHASE = ParamKind(
     lambda value: -value % 1,
 )
 GROUP = ParamKind(group_to_json, lambda data, _: group_from_json(data), str, lambda value: value)
-FORM = ParamKind(form_to_json, form_from_json, _describe_form, QuadraticForm.negated)
+FORM = ParamKind(form_to_json, form_from_json, describe_form, QuadraticForm.negated)
 
 
 @dataclass(frozen=True)
@@ -300,7 +283,7 @@ class Param:
 class Family:
     name: str
     params: tuple[Param, ...]
-    ring: Callable[[FiniteAbelianGroup], FusionRing]
+    ring: str  # the Grothendieck ring's name; with G it fixes the ring
     rho_label: Callable[[FiniteAbelianGroup], str]
     center: Callable[[CategorySpec], CenterPresentation]
     closed: Callable[[CategorySpec, Iterable[int]], list[complex]]  # nu_k(rho) for each k
@@ -318,17 +301,17 @@ FAMILIES: dict[str, Family] = {
         Family(
             "NG1",
             (Param("p", INT), Param("zeta1", PHASE)),
-            ring=lambda group: make_near_group_ring(group, group.order - 1),
+            ring="NG(G,|G|-1)",
             rho_label=lambda group: RHO_LABEL,
-            center=lambda s: center_ng1(s.group, s.p, s.zeta1, s.provenance),
+            center=lambda s: center_ng1(s.group, s.p, s.zeta1),
             closed=lambda s, ks: [nu_ng1_closed(s.group, s.p, s.zeta1, k) for k in ks],
         ),
         Family(
             "NG1X",
             (),
-            ring=lambda group: make_near_group_ring(group, group.order - 1),
+            ring="NG(G,|G|-1)",
             rho_label=lambda group: RHO_LABEL,
-            center=lambda s: center_ng1_exceptional7(s.provenance),
+            center=lambda s: center_ng1_exceptional7(),
             closed=lambda s, ks: [nu_ng1x_closed(k) for k in ks],
             group=cyclic(7),
         ),
@@ -339,9 +322,9 @@ FAMILIES: dict[str, Family] = {
                 Param("gp", GROUP, "Gp", order=lambda n: n + 4),
                 Param("qp", FORM, on="gp"),
             ),
-            ring=lambda group: make_near_group_ring(group, group.order),
+            ring="NG(G,|G|)",
             rho_label=lambda group: RHO_LABEL,
-            center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp, s.provenance),
+            center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp),
             closed=lambda s, ks: ng2_closed_vector(s.group, s.q, s.gp, s.qp, ks),
             odd=True,
         ),
@@ -351,9 +334,9 @@ FAMILIES: dict[str, Family] = {
                 Param("h", GROUP, "H", order=lambda n: n * n + 4),
                 Param("qpp", FORM, on="h"),
             ),
-            ring=make_hi_ring,
+            ring="HI(G)",
             rho_label=lambda group: grho_label(group.identity),
-            center=lambda s: center_hi(s.group, s.h, s.qpp, s.provenance),
+            center=lambda s: center_hi(s.group, s.h, s.qpp),
             closed=lambda s, ks: hi_closed_vector(s.group, s.h, s.qpp, ks),
             odd=True,
         ),
@@ -426,8 +409,9 @@ class RigidityReport:
 def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     """Partition specs by pointwise equality of full-period indicator vectors.
 
-    All specs must share the first one's Grothendieck ring; the comparison
-    period is the lcm of the individual periods.
+    All specs must share the first one's Grothendieck ring, which the family's
+    ring name and G fix (no ring is built); the comparison period is the lcm
+    of the individual periods.
 
     The known inseparable pairs (the two |G| = 13 near-group pairs and the
     Haagerup-Izumi pairs) also share their centers' modular data; it is an
@@ -435,13 +419,10 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     Grothendieck ring can ever be separated by indicators.
     """
     specs = list(specs)
-    if specs:
-        ring = specs[0].base_ring()
-        for spec in specs[1:]:
-            if spec.base_ring() != ring:
-                raise ValueError(
-                    f"{spec.describe()} does not have the ring of {specs[0].describe()}"
-                )
+    rings = [(FAMILIES[spec.family].ring, spec.group) for spec in specs]
+    for spec, ring in zip(specs, rings):
+        if ring != rings[0]:
+            raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
     period = math.lcm(*(spec.period() for spec in specs)) if specs else 1
     vectors = [indicator_vector(spec) for spec in specs]
 

@@ -257,6 +257,14 @@ def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> Quadr
     return monomial_form(group, coeffs)
 
 
+def describe_form(q: QuadraticForm) -> str:
+    """``[c_1/n_1,...]`` for a monomial form, ``<table>`` for any other."""
+    coeffs = _monomial_coefficients(q)
+    if coeffs is None:
+        return "<table>"
+    return "[" + ",".join(f"{c}/{n}" for c, n in zip(coeffs, q.group.cyclic_factors)) + "]"
+
+
 def _monomial_coefficients(q: QuadraticForm) -> tuple[int, ...] | None:
     """Recover per-factor coefficients if q is monomial, else None."""
     group = q.group

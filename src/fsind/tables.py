@@ -84,7 +84,6 @@ class TableRow:
     printed_category: str
     printed_center_group: str
     claims: tuple
-    source: str
     notes: tuple[str, ...] = ()
 
 
@@ -92,19 +91,19 @@ class TableRow:
 # Loading helpers
 
 
-def _calibrate(spec: CategorySpec, loaded: str, form: str, tol: float) -> CategorySpec:
+def _calibrate(spec: CategorySpec, loaded: str, form: str) -> CategorySpec:
     """The nu_1(rho) = 0 oracle; on failure, retry with the last form negated.
 
     ``loaded`` names what the "as loaded" note refers to and ``form`` the
     printed name of the family's last form; the outcome is appended to the
     spec's provenance.
     """
-    if abs(2 * closed_form_nu(spec, 1)) < tol:
+    if abs(2 * closed_form_nu(spec, 1)) < DEFAULT_TOL:
         note = f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
     else:
         last = FAMILIES[spec.family].params[-1].name
         flipped = replace(spec, **{last: getattr(spec, last).negated()})
-        if abs(2 * closed_form_nu(flipped, 1)) < tol:
+        if abs(2 * closed_form_nu(flipped, 1)) < DEFAULT_TOL:
             spec = flipped
             note = f"orientation: replaced {form} by -{form} (nu_1 oracle)"
         else:
@@ -113,12 +112,7 @@ def _calibrate(spec: CategorySpec, loaded: str, form: str, tol: float) -> Catego
 
 
 def load_ng2_spec(
-    group: FiniteAbelianGroup,
-    q_coeffs,
-    gp: FiniteAbelianGroup,
-    qp_coeffs,
-    labels=(),
-    tol: float = DEFAULT_TOL,
+    group: FiniteAbelianGroup, q_coeffs, gp: FiniteAbelianGroup, qp_coeffs, labels=()
 ) -> CategorySpec:
     """Build an m = |G| spec from printed (doubled-convention) coefficients."""
     spec = CategorySpec(
@@ -130,21 +124,17 @@ def load_ng2_spec(
         labels=tuple(labels),
         provenance=("forms loaded as printed/2 (twist convention bridge)",),
     )
-    return _calibrate(spec, "forms", "q'", tol)
+    return _calibrate(spec, "forms", "q'")
 
 
 def load_hi_spec(
-    group: FiniteAbelianGroup,
-    h_group: FiniteAbelianGroup,
-    qpp_coeffs,
-    labels=(),
-    tol: float = DEFAULT_TOL,
+    group: FiniteAbelianGroup, h_group: FiniteAbelianGroup, qpp_coeffs, labels=()
 ) -> CategorySpec:
     """Build a Haagerup-Izumi spec from printed coefficients (used directly)."""
     spec = CategorySpec(
         "HI", group, h=h_group, qpp=monomial_form(h_group, qpp_coeffs), labels=tuple(labels)
     )
-    return _calibrate(spec, "q''", "q''", tol)
+    return _calibrate(spec, "q''", "q''")
 
 
 def _v(k: int, text: str, a: int, b: int, d: int) -> ValueClaim:
@@ -162,15 +152,9 @@ def builtin_rows() -> tuple[TableRow, ...]:
 
     def ng(table_id, row_id, n_or_factors, q_coeffs, gp_factors, qp_coeffs, c_label,
            b_label, claims, notes=()):
-        group = (
-            cyclic(n_or_factors)
-            if isinstance(n_or_factors, int)
-            else FiniteAbelianGroup(tuple(n_or_factors))
-        )
-        gp = (
-            cyclic(gp_factors)
-            if isinstance(gp_factors, int)
-            else FiniteAbelianGroup(tuple(gp_factors))
+        group, gp = (
+            cyclic(n) if isinstance(n, int) else FiniteAbelianGroup(tuple(n))
+            for n in (n_or_factors, gp_factors)
         )
         labels = (("b", b_label), ("c", c_label))
         spec = load_ng2_spec(group, q_coeffs, gp, qp_coeffs, labels)
@@ -183,7 +167,6 @@ def builtin_rows() -> tuple[TableRow, ...]:
                 printed_category=_print_ng(group, q_coeffs, b_label, c_label),
                 printed_center_group=_print_metric(gp, qp_coeffs),
                 claims=tuple(claims),
-                source=f"near-group m=|G| table, |G|={group.order}, row {row_id}",
                 notes=tuple(notes),
             )
         )
@@ -203,7 +186,6 @@ def builtin_rows() -> tuple[TableRow, ...]:
                 printed_category=f"HI(Z{n},{sign},{omega},{a_label})",
                 printed_center_group=_print_metric(h_group, qpp_coeffs),
                 claims=tuple(claims),
-                source=f"Haagerup-Izumi table, |G|={n}, row {row_id}",
                 notes=tuple(notes),
             )
         )

@@ -8,8 +8,10 @@ import pytest
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.center import center_ng1_exceptional7, center_ng2
+from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.indicators import (
     CACHE_SIZE,
+    FAMILIES,
     CategorySpec,
     _agl_period_vector,
     _build_center,
@@ -32,7 +34,7 @@ from fsind.indicators import (
     spec_to_json,
 )
 from fsind.qforms import QuadraticForm, jacobi_symbol, monomial_form
-from fsind.tables import JacobiLawClaim, builtin_rows
+from fsind.tables import JacobiLawClaim, builtin_rows, load_hi_spec, load_ng2_spec
 
 TOL = 1e-9
 
@@ -307,6 +309,39 @@ def test_rigidity_hi_pairs():
     vec_minus = indicator_vector(rows[2])
     assert abs(vec_plus.value(3) - 1) < TOL
     assert abs(vec_minus.value(3) - 2) < TOL
+
+
+def test_ring_name_agrees_with_ring_equality():
+    """rigidity compares (ring name, G); that is equality of the built rings."""
+    built = {
+        "NG1": lambda g: make_near_group_ring(g, g.order - 1),
+        "NG1X": lambda g: make_near_group_ring(g, g.order - 1),
+        "NG2": lambda g: make_near_group_ring(g, g.order),
+        "HI": make_hi_ring,
+    }
+    specs = [row.spec for row in builtin_rows()]
+    specs += [spec for n in (1, 2, 3, 7) for spec in ng1_equivalence_classes(n)]
+    specs += [
+        load_ng2_spec(cyclic(1), (0,), cyclic(5), (2,)),
+        load_ng2_spec(cyclic(3), (1,), cyclic(7), (1,)),
+        load_hi_spec(cyclic(1), cyclic(5), (1,)),
+    ]
+    keys = [(FAMILIES[s.family].ring, s.group) for s in specs]
+    rings = [built[s.family](s.group) for s in specs]
+    equal_pairs = same_order_unequal_pairs = 0
+    for (key_a, ring_a), (key_b, ring_b) in itertools.combinations(zip(keys, rings), 2):
+        assert (key_a == key_b) == (ring_a == ring_b), (key_a, key_b)
+        equal_pairs += key_a == key_b
+        same_order_unequal_pairs += key_a[1].order == key_b[1].order and ring_a != ring_b
+    assert equal_pairs and same_order_unequal_pairs
+    # one ring name, but Z/21 and Z3xZ7 are different groups
+    z21, z3x7 = (
+        CategorySpec("NG2", g, q=monomial_form(g, (1,) * g.rank), gp=cyclic(25),
+                     qp=monomial_form(cyclic(25), (1,)))
+        for g in (cyclic(21), FiniteAbelianGroup((3, 7)))
+    )
+    with pytest.raises(ValueError, match="does not have the ring of"):
+        rigidity_report([z21, z3x7])
 
 
 def test_ng1_equivalence_classes_validation():
