@@ -55,7 +55,7 @@ def _load_json_arg(text: str):
             raise CliError(f"cannot read {text[1:]}: {exc.strerror}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise CliError(f"invalid JSON: {exc}") from exc
 
 
@@ -103,6 +103,12 @@ def _check_kmax(kmax: int) -> None:
         raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
 
 
+ROUTES = {  # indicators --path: route -> nu_k(rho) for each k
+    "center": lambda spec, ks: center_vector(spec.center(), spec.rho_label(), ks),
+    "closed": closed_vector,
+}
+
+
 def cmd_indicators(args) -> int:
     tol = _tolerance(args)
     spec = spec_from_json(_load_json_arg(args.spec))
@@ -111,24 +117,18 @@ def cmd_indicators(args) -> int:
         _check_kmax(kmax)
     period = spec.period()
     ks = range(1, (kmax or period) + 1)
-    if args.path in ("center", "both"):
-        center = center_vector(spec.center(), spec.rho_label(), ks)
-    if args.path in ("closed", "both"):
-        closed = closed_vector(spec, ks)
+    routes = ("center", "closed") if args.path == "both" else (args.path,)
+    vectors = {route: ROUTES[route](spec, ks) for route in routes}
     values = []
-    for k in ks:
+    for i, k in enumerate(ks):
         entry: dict = {"k": k}
-        if args.path in ("center", "both"):
-            z = center[k - 1]
-            entry["re"], entry["im"] = format_real(z.real, tol), format_real(z.imag, tol)
-        if args.path in ("closed", "both"):
-            w = closed[k - 1]
-            if args.path == "closed":
-                entry["re"], entry["im"] = format_real(w.real, tol), format_real(w.imag, tol)
-            else:
-                entry["re_closed"] = format_real(w.real, tol)
-                entry["im_closed"] = format_real(w.imag, tol)
-                entry["deviation"] = format_real(abs(z - w), tol)
+        for route, vector in vectors.items():
+            key = "_closed" if route == "closed" and len(routes) == 2 else ""
+            entry["re" + key] = format_real(vector[i].real, tol)
+            entry["im" + key] = format_real(vector[i].imag, tol)
+        if len(routes) == 2:
+            deviation = abs(vectors["center"][i] - vectors["closed"][i])
+            entry["deviation"] = format_real(deviation, tol)
         values.append(entry)
     payload = {
         "spec": spec.describe(),

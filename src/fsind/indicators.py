@@ -60,7 +60,7 @@ from .qforms import (
 )
 
 DEFAULT_TOL = 1e-9
-CACHE_SIZE = 32  # entries per spec- or q-keyed cache
+CACHE_SIZE = 32  # entries per q-keyed AGL cache
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,11 @@ class CategorySpec:
         return FAMILIES[self.family].rho_label(self.group)
 
     def center(self) -> CenterPresentation:
-        return _build_center(self)
+        """The center's modular data, built on the first call and kept on this
+        instance (outside the fields, so equality and hashing ignore it)."""
+        if "_center" not in self.__dict__:
+            object.__setattr__(self, "_center", FAMILIES[self.family].center(self))
+        return self._center
 
     def period(self) -> int:
         return indicator_period(self.center())
@@ -181,15 +185,6 @@ def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) ->
     if k % p == 0:
         value += phase_to_complex((-k * qz(zeta1)) % 1)
     return value
-
-
-def nu_ng1x_closed(k: int) -> complex:
-    """The |G| = 7, s = -1 closed form."""
-    group = cyclic(7)
-    value = group.power_count(k, group.identity) - 1
-    if k % 2 == 0:
-        value += (-1) ** (k // 2)
-    return complex(value)
 
 
 def ng2_closed_vector(
@@ -312,7 +307,8 @@ FAMILIES: dict[str, Family] = {
             ring="NG(G,|G|-1)",
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1_exceptional7(),
-            closed=lambda s, ks: [nu_ng1x_closed(k) for k in ks],
+            # NG1's formula at p = 2, zeta1 = 1/4; the center keeps E1, E2
+            closed=lambda s, ks: [nu_ng1_closed(s.group, 2, Fraction(1, 4), k) for k in ks],
             group=cyclic(7),
         ),
         Family(
@@ -342,11 +338,6 @@ FAMILIES: dict[str, Family] = {
         ),
     )
 }
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _build_center(spec: CategorySpec) -> CenterPresentation:
-    return FAMILIES[spec.family].center(spec)
 
 
 def closed_form_nu(spec: CategorySpec, k: int) -> complex:
@@ -423,32 +414,29 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     for spec, ring in zip(specs, rings):
         if ring != rings[0]:
             raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
-    period = math.lcm(*(spec.period() for spec in specs)) if specs else 1
-    vectors = [indicator_vector(spec) for spec in specs]
-
-    def first_separator(i: int, j: int) -> int | None:
-        for k in range(1, period + 1):
-            if abs(vectors[i].value(k) - vectors[j].value(k)) > tol:
-                return k
-        return None
-
-    classes: list[list[int]] = []
-    for i in range(len(specs)):
-        for cls in classes:
-            if first_separator(i, cls[0]) is None:
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    separators = []
-    for a, b in itertools.combinations(range(len(specs)), 2):
-        k = first_separator(a, b)
+    centers = [spec.center() for spec in specs]
+    period = math.lcm(*map(indicator_period, centers))
+    ks = range(1, period + 1)
+    vectors = [
+        center_vector(center, spec.rho_label(), ks) for spec, center in zip(specs, centers)
+    ]
+    separators = {}  # (i, j) with i < j -> smallest separating k
+    for i, j in itertools.combinations(range(len(specs)), 2):
+        pairs = zip(ks, vectors[i], vectors[j])
+        k = next((k for k, a, b in pairs if abs(a - b) > tol), None)
         if k is not None:
-            separators.append((a, b, k))
+            separators[i, j] = k
+    classes: list[list[int]] = []
+    for j in range(len(specs)):
+        home = next((cls for cls in classes if (cls[0], j) not in separators), None)
+        if home is None:
+            classes.append([j])
+        else:
+            home.append(j)
     return RigidityReport(
         period,
         tuple(tuple(c) for c in classes),
-        tuple(separators),
+        tuple((i, j, k) for (i, j), k in separators.items()),
         tuple(spec.describe() for spec in specs),
     )
 

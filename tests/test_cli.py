@@ -1,10 +1,16 @@
+import contextlib
+import functools
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsind import cli, fusion
+from fsind import cli, fusion, indicators, tables
 from fsind.cli import MAX_KMAX, main
-from fsind.indicators import CategorySpec, _build_center
+from fsind.indicators import CategorySpec
 
 Z3 = '{"cyclic_factors":[3]}'
 FORM1 = '{"monomial":[{"factor":0,"coeff":1}]}'
@@ -107,9 +113,10 @@ NG1_Z3 = {"family": "NG1", "group": {"cyclic_factors": [3]}, "p": 2, "zeta1": "0
         json.dumps({**NG1_Z3, "zeta1": "1/0"}),
         json.dumps({**NG1_Z3, "labels": [1]}),
         json.dumps({**NG1_Z3, "family": []}),
+        "[" * 100_000,  # nested deeper than the JSON decoder recurses
     ],
     ids=["list", "p-null", "zeta1-null", "p-string", "p-float", "zeta1-float",
-         "zeta1-zero-den", "labels-list", "family-list"],
+         "zeta1-zero-den", "labels-list", "family-list", "deep-nesting"],
 )
 def test_malformed_specs_are_usage_errors(capsys, spec):
     code, out, err = run(capsys, "indicators", "--spec", spec)
@@ -202,12 +209,35 @@ def test_no_command_builds_a_ring(capsys, monkeypatch):
     calls = []
     freeze = fusion._freeze
     monkeypatch.setattr(fusion, "_freeze", lambda N: calls.append(1) or freeze(N))
-    _build_center.cache_clear()
     assert run(capsys, "indicators", "--path", "both", "--spec", NG2_SPEC)[0] == 0
     assert run(capsys, "verify-tables", "--table", "ng7")[0] == 0
     specs = [{**NG1_Z3, "zeta1": zeta1} for zeta1 in ("0", "1/4")]
     assert run(capsys, "rigidity", "--specs", json.dumps(specs))[0] == 0
     assert calls == []
+
+
+def test_each_command_builds_each_center_once(capsys, monkeypatch):
+    """A spec keeps its center, so a command builds one center per spec."""
+    builds = []
+    for name in ("center_ng1", "center_ng1_exceptional7", "center_ng2", "center_hi"):
+        build = getattr(indicators, name)
+        monkeypatch.setattr(
+            indicators, name, lambda *args, build=build: builds.append(1) or build(*args)
+        )
+    # fresh table rows, whose specs have not built their centers yet
+    monkeypatch.setattr(tables, "builtin_rows", functools.cache(tables.builtin_rows.__wrapped__))
+
+    def count(*argv):
+        builds.clear()
+        assert run(capsys, *argv)[0] == 0
+        return len(builds)
+
+    assert count("indicators", "--path", "both", "--spec", NG2_SPEC) == 1
+    assert count("verify-tables", "--table", "ng7") == 2
+    # 33 specs: past the 32 entries of a spec-keyed cache, which built 66
+    spec = json.loads(NG2_SPEC.replace("[3]", "[21]").replace("[7]", "[25]"))
+    specs = [{**spec, "labels": {"copy": str(i)}} for i in range(33)]
+    assert count("rigidity", "--specs", json.dumps(specs)) == 33
 
 
 def test_verify_tables_passing_table(capsys):
@@ -353,3 +383,116 @@ def test_byte_identical_reruns(capsys):
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["gauss"]) == 2
+
+
+# Generated command lines, within fixed size bounds: every group of order
+# <= 30, every zeta1 denominator <= 30, --kmax <= 60, q <= 32.
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(), st.text("01/-x", max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2), st.dictionaries(st.sampled_from("ab"), st.none()),
+)
+group_json = st.one_of(
+    st.lists(st.integers(-1, 30), max_size=3)
+    .filter(lambda factors: abs(math.prod(factors)) <= 30)
+    .map(lambda factors: {"cyclic_factors": factors}),
+    junk,
+)
+form_json = st.one_of(
+    st.lists(
+        st.fixed_dictionaries(
+            {"factor": st.one_of(st.integers(-1, 3), junk),
+             "coeff": st.one_of(st.integers(-40, 40), junk)}
+        ),
+        max_size=3,
+    ).map(lambda monomial: {"monomial": monomial}),
+    st.lists(
+        st.one_of(st.fractions(max_denominator=60).map(str), st.integers(-3, 3), junk),
+        max_size=30,
+    ).map(lambda table: {"table": table}),
+    junk,
+)
+VALID_SPECS = [
+    NG1_Z3,
+    {"family": "NG1X"},
+    json.loads(NG2_SPEC),
+    {"family": "HI", "group": {"cyclic_factors": [3]}, "h": {"cyclic_factors": [13]},
+     "qpp": {"monomial": [{"factor": 0, "coeff": 1}]}},
+]
+SPEC_VALUES = {
+    "family": st.one_of(st.sampled_from(["NG1", "NG1X", "NG2", "HI", "NG9"]), junk),
+    "group": group_json,
+    "p": st.one_of(st.integers(-1, 31), junk),
+    "zeta1": st.one_of(st.fractions(max_denominator=30).map(str), st.integers(-3, 3), junk),
+    "q": form_json,
+    "gp": group_json,
+    "qp": form_json,
+    "h": group_json,
+    "qpp": form_json,
+    "labels": st.one_of(st.dictionaries(st.sampled_from("ab"), st.sampled_from("+-")), junk),
+}
+
+
+@st.composite
+def spec_json(draw):
+    """A bundled-style spec with up to two keys replaced, dropped or added."""
+    spec = dict(draw(st.sampled_from(VALID_SPECS)))
+    for key in draw(st.lists(st.sampled_from(sorted(SPEC_VALUES)), max_size=2)):
+        if draw(st.booleans()):
+            spec[key] = draw(SPEC_VALUES[key])
+        else:
+            spec.pop(key, None)
+    return spec
+
+
+@st.composite
+def group_and_form(draw):
+    """A group and a monomial form on it, either of them possibly replaced."""
+    factors = draw(
+        st.lists(st.integers(1, 30), min_size=1, max_size=3)
+        .filter(lambda factors: math.prod(factors) <= 30)
+    )
+    monomial = [{"factor": i, "coeff": draw(st.integers(-40, 40))} for i in range(len(factors))]
+    group = draw(st.one_of(st.just({"cyclic_factors": factors}), group_json))
+    form = draw(st.one_of(st.just({"monomial": monomial}), form_json))
+    return json.dumps(group), json.dumps(form)
+
+
+def json_arg(values):
+    """JSON text of a drawn value, or that text cut short."""
+    return st.tuples(values, st.integers(0, 4)).map(
+        lambda pair: json.dumps(pair[0])[: None if pair[1] else -1]
+    )
+
+
+kmax_arg = st.one_of(st.integers(-5, 60).map(str), st.sampled_from(["auto", "x", "1.5", ""]))
+argvs = st.one_of(
+    st.tuples(group_and_form(), st.integers(-40, 40)).map(
+        lambda args: ("gauss", "--group", args[0][0], "--form", args[0][1],
+                      "--scale", str(args[1]))
+    ),
+    st.tuples(st.just("indicators"), st.just("--spec"), json_arg(spec_json()),
+              st.just("--kmax"), kmax_arg,
+              st.just("--path"), st.sampled_from(["center", "closed", "both", "all"])),
+    st.tuples(st.just("verify-tables"), st.just("--table"),
+              st.sampled_from(["ng3", "ng7", "hi3", "hi5", "ng99"]),
+              st.just("--format"), st.sampled_from(["json", "csv", "markdown", "xml"])),
+    st.tuples(st.just("rigidity"), st.just("--specs"), json_arg(st.one_of(
+        st.lists(spec_json(), max_size=3),
+        st.lists(st.fractions(max_denominator=30).map(str), min_size=1, max_size=3).map(
+            lambda phases: [{**NG1_Z3, "zeta1": zeta1} for zeta1 in phases]
+        ),
+        junk,
+    ))),
+    st.tuples(st.just("agl"), st.just("--q"), st.integers(-3, 32).map(str),
+              st.just("--kmax"), kmax_arg),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argvs, st.sampled_from([[], ["--tolerance", "1e-6"], ["--tolerance", "2"]]))
+def test_cli_exits_0_1_or_2_and_never_raises(argv, tolerance):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*tolerance, *argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

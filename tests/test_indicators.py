@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.center import center_ng1_exceptional7, center_ng2
@@ -14,7 +17,6 @@ from fsind.indicators import (
     FAMILIES,
     CategorySpec,
     _agl_period_vector,
-    _build_center,
     agl_rho_character,
     build_agl,
     center_vector,
@@ -28,7 +30,6 @@ from fsind.indicators import (
     nu_agl_closed_exact,
     nu_from_center,
     nu_ng1_closed,
-    nu_ng1x_closed,
     rigidity_report,
     spec_from_json,
     spec_to_json,
@@ -52,16 +53,19 @@ def test_nu_ng1_closed_examples():
         assert abs(nu_ng1_closed(cyclic(n), p, Fraction(0), 1)) < TOL
 
 
+NG1X = CategorySpec("NG1X", cyclic(7))
+
+
 def test_nu_ng1x_closed_examples():
-    assert abs(nu_ng1x_closed(2) - (-1)) < TOL
-    assert abs(nu_ng1x_closed(7) - 6) < TOL
-    assert abs(nu_ng1x_closed(1)) < TOL
+    assert abs(closed_form_nu(NG1X, 2) - (-1)) < TOL
+    assert abs(closed_form_nu(NG1X, 7) - 6) < TOL
+    assert abs(closed_form_nu(NG1X, 1)) < TOL
 
 
 def test_ng1x_center_matches_closed_form():
     pres = center_ng1_exceptional7()
     for k in range(1, 29):
-        assert abs(nu_from_center(pres, "rho", k) - nu_ng1x_closed(k)) < TOL
+        assert abs(nu_from_center(pres, "rho", k) - closed_form_nu(NG1X, k)) < TOL
 
 
 def test_ng2_closed_table_values():
@@ -221,14 +225,9 @@ def test_agl_period_walk_matches_square_and_multiply():
         nu_agl_bruteforce(5, -1)
 
 
-def test_spec_and_agl_caches_are_bounded():
-    for cached in (_build_center, build_agl, _agl_period_vector):
+def test_agl_caches_are_bounded():
+    for cached in (build_agl, _agl_period_vector):
         assert cached.cache_info().maxsize == CACHE_SIZE
-    spec = _row_spec("ng3", 1)
-    _build_center.cache_clear()
-    spec.period()
-    spec.center()
-    assert _build_center.cache_info().hits == 1
 
 
 def test_indicator_vector_periodicity_is_exact():
@@ -377,6 +376,61 @@ def test_spec_json_round_trip():
         assert back.group == spec.group
         for k in (1, 2, 3):
             assert abs(closed_form_nu(back, k) - closed_form_nu(spec, k)) < TOL
+
+
+# odd groups, one tuple of cyclic factors each, with two presentations of Z/15
+ODD_GROUPS = [(1,), (3,), (5,), (7,), (9,), (3, 3), (11,), (13,), (15,), (3, 5), (17,)]
+
+
+def unit_forms(factors):
+    """Monomial forms with a unit coefficient on each cyclic factor."""
+    group = FiniteAbelianGroup(factors)
+    units = [st.sampled_from([a for a in range(n) if math.gcd(a, n) == 1]) for n in factors]
+    return st.tuples(*units).map(lambda coeffs: monomial_form(group, coeffs))
+
+
+@st.composite
+def ng2_specs(draw):
+    g = draw(st.sampled_from([f for f in ODD_GROUPS if math.prod(f) <= 13]))
+    gp = draw(st.sampled_from([f for f in ODD_GROUPS if math.prod(f) == math.prod(g) + 4]))
+    q, qp = draw(unit_forms(g)), draw(unit_forms(gp))
+    return CategorySpec("NG2", FiniteAbelianGroup(g), q=q, gp=FiniteAbelianGroup(gp), qp=qp)
+
+
+@st.composite
+def hi_specs(draw):
+    n = draw(st.sampled_from([1, 3]))
+    return CategorySpec("HI", cyclic(n), h=cyclic(n * n + 4), qpp=draw(unit_forms((n * n + 4,))))
+
+
+ng1_specs = st.builds(
+    lambda n, zeta1: CategorySpec(
+        "NG1", cyclic(n), p=factor_prime_power(n + 1)[0], zeta1=zeta1
+    ),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 8]),
+    st.fractions(max_denominator=30),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(ng2_specs(), hi_specs()))
+def test_center_and_closed_routes_agree_over_a_period(spec):
+    ks = range(1, spec.period() + 1)
+    center = center_vector(spec.center(), spec.rho_label(), ks)
+    for k, z, w in zip(ks, center, closed_vector(spec, ks)):
+        assert abs(z - w) < TOL, (spec.describe(), k)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.one_of(ng1_specs, st.just(CategorySpec("NG1X", cyclic(7))), ng2_specs(), hi_specs()),
+    st.dictionaries(st.text("ab+-", max_size=3), st.text("ab+-", max_size=3), max_size=2),
+    st.lists(st.text("ab+-", max_size=5), max_size=2),
+)
+def test_spec_json_round_trip_property(spec, labels, provenance):
+    spec = replace(spec, labels=tuple(sorted(labels.items())), provenance=tuple(provenance))
+    back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    assert back == replace(spec, provenance=())
 
 
 def test_spec_validation():
