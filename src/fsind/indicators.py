@@ -183,7 +183,9 @@ def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) ->
     """(theta_k(e) - 1) + conj(zeta1)^k [p | k] for the m = |G| - 1 family."""
     value = complex(group.power_count(k, group.identity) - 1)
     if k % p == 0:
-        value += phase_to_complex((-k * qz(zeta1)) % 1)
+        phase = (-k * qz(zeta1)) % 1
+        # exact at phase 1/2, where e^{pi i} carries 1.2e-16 imaginary noise
+        value += -1 if phase == Fraction(1, 2) else phase_to_complex(phase)
     return value
 
 
@@ -414,16 +416,14 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     for spec, ring in zip(specs, rings):
         if ring != rings[0]:
             raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
-    centers = [spec.center() for spec in specs]
-    period = math.lcm(*map(indicator_period, centers))
-    ks = range(1, period + 1)
-    vectors = [
-        center_vector(center, spec.rho_label(), ks) for spec, center in zip(specs, centers)
-    ]
+    vectors = [indicator_vector(spec) for spec in specs]
+    period = math.lcm(*(vector.period for vector in vectors))
     separators = {}  # (i, j) with i < j -> smallest separating k
-    for i, j in itertools.combinations(range(len(specs)), 2):
-        pairs = zip(ks, vectors[i], vectors[j])
-        k = next((k for k, a, b in pairs if abs(a - b) > tol), None)
+    for (i, u), (j, v) in itertools.combinations(enumerate(vectors), 2):
+        # both are periodic in k, so they agree everywhere iff they agree
+        # up to the lcm of their own periods
+        ks = range(1, math.lcm(u.period, v.period) + 1)
+        k = next((k for k in ks if abs(u.value(k) - v.value(k)) > tol), None)
         if k is not None:
             separators[i, j] = k
     classes: list[list[int]] = []

@@ -68,6 +68,13 @@ def test_ng1x_center_matches_closed_form():
         assert abs(nu_from_center(pres, "rho", k) - closed_form_nu(NG1X, k)) < TOL
 
 
+
+def test_ng1x_closed_form_is_exact():
+    # every value is an integer: conj(i)^k = (-1)^(k/2) carries no rounding
+    for k in range(1, 29):
+        value = closed_form_nu(NG1X, k)
+        assert value.imag == 0 and value.real == round(value.real)
+
 def test_ng2_closed_table_values():
     spec5 = _row_spec("ng5", 1)
     assert abs(closed_form_nu(spec5, 5) - (5 + math.sqrt(5)) / 2) < TOL
@@ -296,6 +303,17 @@ def test_rigidity_examples():
     with pytest.raises(ValueError, match="ring"):
         rigidity_report([specs[0], ng1_equivalence_classes(2)[0]])
 
+
+
+def test_rigidity_coprime_periods_stops_at_first_separator():
+    # periods 59,838 and 59,802 have an lcm near 6e8; the report must not
+    # tabulate either vector past its own period
+    specs = [CategorySpec("NG1", cyclic(3), p=2, zeta1=Fraction(1, d)) for d in (9973, 9967)]
+    report = rigidity_report(specs)
+    assert report.period == math.lcm(*(indicator_vector(s).period for s in specs))
+    assert report.period > 10**8
+    assert report.classes == ((0,), (1,))
+    assert report.separators == ((0, 1, 2),)
 
 def test_rigidity_hi_pairs():
     rows = [r.spec for r in builtin_rows() if r.table_id == "hi3"]
