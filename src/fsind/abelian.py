@@ -52,6 +52,22 @@ class FiniteAbelianGroup:
         return math.lcm(*self.cyclic_factors) if self.cyclic_factors else 1
 
     @property
+    def key(self) -> tuple[int, ...]:
+        """Sorted prime-power invariants, 1s dropped: equal exactly on isomorphic groups."""
+        powers = []
+        for n in self.cyclic_factors:
+            p = 2
+            while n > 1:
+                p = p if p * p <= n else n  # no divisor up to sqrt(n) left: n is prime
+                power = 1
+                while n % p == 0:
+                    n, power = n // p, power * p
+                if power > 1:
+                    powers.append(power)
+                p += 1
+        return tuple(sorted(powers))
+
+    @property
     def identity(self) -> GroupElement:
         return (0,) * self.rank
 

@@ -14,7 +14,7 @@ loader's notes and makes every check on the category's shape, and the
 builders below take the groups and forms it has checked.
 
 Twists are stored as exact rational phases (all of them are roots of unity),
-which keeps the periodicity of nu_k in k exact.
+which keeps the periodicity of nu_k in k exact; quantum dimensions are exact too.
 
 Conventions.  For the m = |G| family the builder takes the quadratic form q
 with bicharacter diagonal <g, g> = e^{2 pi i * 2 q(g)}; twists are
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power, format_element
-from .fusion import RHO_LABEL, group_label, grho_label, hi_rho_dim, near_group_rho_dim
+from .fusion import RHO_LABEL, group_label, grho_label
 from .qforms import QuadraticForm, phase_to_complex, qz
 
 
@@ -40,30 +40,50 @@ from .qforms import QuadraticForm, phase_to_complex, qz
 class CenterObject:
     label: str
     twist: Fraction  # theta_X = e^{2 pi i twist}
-    qdim: float
+    qdim: tuple[int, int]  # (a, b): qdim(X) = a + b * d
     mult: dict  # base simple label -> multiplicity of F(X)
 
 
 @dataclass(frozen=True)
 class CenterPresentation:
     objects: tuple[CenterObject, ...]
-    global_qdim: float
+    d: float  # the Frobenius-Perron dimension of rho, at which every (a, b) is read
+    dim: tuple[int, int]  # dim C = A + B * d, so qdim(Z(C)) = (dim C)^2
 
     @property
     def rank(self) -> int:
         return len(self.objects)
 
+    @property
+    def period(self) -> int:
+        """lcm of the twist denominators (the order of the T-matrix)."""
+        return math.lcm(*(obj.twist.denominator for obj in self.objects))
 
-def indicator_period(presentation: CenterPresentation) -> int:
-    """lcm of the twist denominators (the order of the T-matrix)."""
-    return math.lcm(*(obj.twist.denominator for obj in presentation.objects))
+    def at_d(self, pair: tuple[int, int]) -> float:
+        return pair[0] + pair[1] * self.d
+
+
+def twist_histogram(presentation: CenterPresentation, target: str) -> dict:
+    """Each twist -> qdim(V) * [F(V) : target] summed over its objects V, as a
+    pair (a, b).  Over one d and dim C, equal histograms are exactly equal
+    nu_k(target) at every k."""
+    histogram: dict[Fraction, tuple[int, int]] = {}
+    for obj in presentation.objects:
+        mult = obj.mult.get(target, 0)
+        if mult:
+            a, b = histogram.get(obj.twist, (0, 0))
+            histogram[obj.twist] = (a + obj.qdim[0] * mult, b + obj.qdim[1] * mult)
+    if not histogram:
+        raise ValueError(f"unknown base simple {target!r}")
+    return histogram
 
 
 def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPresentation:
     """Center data for the near-group family with m = |G| - 1.
 
     Requires G cyclic with |G| + 1 a power of the prime p (G is then the
-    multiplicative group of the field with |G| + 1 elements).  ``zeta1`` is
+    multiplicative group of the field with |G| + 1 elements).  Here d = |G|,
+    so every dimension is an integer, written with b = 0.  ``zeta1`` is
     the exact phase of the half-braiding scalar entering the C-object twists.
     """
     n = group.order
@@ -73,12 +93,12 @@ def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPres
     if prime != p:
         raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {p}")
     zeta1 = qz(zeta1)
-    d_rho = float(n)
     elems = group.elements()
-    objects: list[CenterObject] = []
-    for g in elems:
-        objects.append(CenterObject("A:" + format_element(g), Fraction(0), 1.0, {group_label(g): 1}))
-    objects.append(CenterObject("Sigma", Fraction(0), float(n), {group_label(x): 1 for x in elems}))
+    objects = [
+        CenterObject("A:" + format_element(g), Fraction(0), (1, 0), {group_label(g): 1})
+        for g in elems
+    ]
+    objects.append(CenterObject("Sigma", Fraction(0), (n, 0), {group_label(x): 1 for x in elems}))
     for g in elems:
         for j in range(1, n):  # nontrivial characters of the cyclic group
             twist = (-group.character_value((j,), g)) % 1
@@ -86,7 +106,7 @@ def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPres
                 CenterObject(
                     f"B:{format_element(g)},w{j}",
                     twist,
-                    n + 1.0,
+                    (n + 1, 0),
                     {RHO_LABEL: 1, group_label(g): 1},
                 )
             )
@@ -95,9 +115,9 @@ def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPres
     for f in FiniteAbelianGroup((prime,) * ell).elements():
         twist = (-(zeta1 + Fraction(f[0], prime))) % 1
         objects.append(
-            CenterObject("C:f=" + format_element(f), twist, d_rho, {RHO_LABEL: 1})
+            CenterObject("C:f=" + format_element(f), twist, (n, 0), {RHO_LABEL: 1})
         )
-    return CenterPresentation(tuple(objects), n * (n + 1.0))
+    return CenterPresentation(tuple(objects), n, (n * (n + 1), 0))
 
 
 def center_ng1_exceptional7() -> CenterPresentation:
@@ -105,9 +125,9 @@ def center_ng1_exceptional7() -> CenterPresentation:
     group = cyclic(7)
     base = center_ng1(group, 2, Fraction(0))
     kept = tuple(obj for obj in base.objects if not obj.label.startswith("C:"))
-    e1 = CenterObject("E1", Fraction(1, 4), 14.0, {RHO_LABEL: 2})
-    e2 = CenterObject("E2", Fraction(3, 4), 14.0, {RHO_LABEL: 2})
-    return CenterPresentation(kept + (e1, e2), base.global_qdim)
+    e1 = CenterObject("E1", Fraction(1, 4), (14, 0), {RHO_LABEL: 2})
+    e2 = CenterObject("E2", Fraction(3, 4), (14, 0), {RHO_LABEL: 2})
+    return CenterPresentation(kept + (e1, e2), base.d, base.dim)
 
 
 def center_ng2(
@@ -122,17 +142,16 @@ def center_ng2(
     E-object twists; q and q' are non-degenerate forms on G and G'.
     """
     n = group.order
-    d = near_group_rho_dim(n, n)
     elems = group.elements()
     objects: list[CenterObject] = []
     for g in elems:
         twist = (2 * q.value(g)) % 1
-        objects.append(CenterObject("A:" + format_element(g), twist, 1.0, {group_label(g): 1}))
+        objects.append(CenterObject("A:" + format_element(g), twist, (1, 0), {group_label(g): 1}))
     for g in elems:
         twist = (2 * q.value(g)) % 1
         objects.append(
             CenterObject(
-                "B:" + format_element(g), twist, 1.0 + d, {RHO_LABEL: 1, group_label(g): 1}
+                "B:" + format_element(g), twist, (1, 1), {RHO_LABEL: 1, group_label(g): 1}
             )
         )
     for i, g in enumerate(elems):
@@ -141,7 +160,7 @@ def center_ng2(
                 CenterObject(
                     f"C:{format_element(g)},{format_element(h)}",
                     q.boundary(g, h),
-                    2.0 + d,
+                    (2, 1),
                     {RHO_LABEL: 1, group_label(g): 1, group_label(h): 1},
                 )
             )
@@ -150,10 +169,10 @@ def center_ng2(
             twist = (2 * q.value(g) + 2 * qp.value(x)) % 1
             objects.append(
                 CenterObject(
-                    f"E:{format_element(g)},{format_element(x)}", twist, d, {RHO_LABEL: 1}
+                    f"E:{format_element(g)},{format_element(x)}", twist, (0, 1), {RHO_LABEL: 1}
                 )
             )
-    return CenterPresentation(tuple(objects), n * (2.0 + d))
+    return CenterPresentation(tuple(objects), (n + math.sqrt(n * n + 4 * n)) / 2, (2 * n, n))
 
 
 def center_hi(
@@ -165,18 +184,17 @@ def center_hi(
     twists are m * q''(x) on unordered pairs {x, -x}; q'' is non-degenerate.
     """
     n = group.order
-    d = hi_rho_dim(n)
     m = (h_group.order - 1) // 2
     elems = group.elements()
     unit_label = group_label(group.identity)
     all_grho = {grho_label(g): 1 for g in elems}
     objects: list[CenterObject] = []
-    objects.append(CenterObject("unit", Fraction(0), 1.0, {unit_label: 1}))
-    objects.append(CenterObject("B", Fraction(0), 1.0 + n * d, {unit_label: 1, **all_grho}))
+    objects.append(CenterObject("unit", Fraction(0), (1, 0), {unit_label: 1}))
+    objects.append(CenterObject("B", Fraction(0), (1, n), {unit_label: 1, **all_grho}))
     n_pairs = (n - 1) // 2
     for j in range(1, n_pairs + 1):  # characters psi mod conjugation, psi != trivial
         objects.append(
-            CenterObject(f"A:psi{j}", Fraction(0), 2.0 + n * d, {unit_label: 2, **all_grho})
+            CenterObject(f"A:psi{j}", Fraction(0), (2, n), {unit_label: 2, **all_grho})
         )
     for h in _pair_representatives(group):
         for j, phi in enumerate(elems):  # all characters phi of G
@@ -185,14 +203,14 @@ def center_hi(
                 CenterObject(
                     f"C:{format_element(h)},phi{j}",
                     twist,
-                    2.0 + n * d,
+                    (2, n),
                     {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho},
                 )
             )
     for x in _pair_representatives(h_group):
         twist = (m * qpp.value(x)) % 1
-        objects.append(CenterObject("D:" + format_element(x), twist, n * d, dict(all_grho)))
-    return CenterPresentation(tuple(objects), 2.0 * n + d * n * n)
+        objects.append(CenterObject("D:" + format_element(x), twist, (0, n), dict(all_grho)))
+    return CenterPresentation(tuple(objects), (n + math.sqrt(n * n + 4)) / 2, (2 * n, n * n))
 
 
 def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:

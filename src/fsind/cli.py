@@ -7,7 +7,8 @@ byte-identical bytes.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
 error.  The environment variable ``FI_TOLERANCE`` overrides the default
-comparison tolerance (must lie in (0, 1e-3]).
+comparison tolerance (must lie in (0, 1e-3]); ``rigidity`` decides classes
+exactly and uses it only as the threshold of each ``smallest_k``.
 """
 
 from __future__ import annotations
@@ -157,16 +158,17 @@ def cmd_rigidity(args) -> int:
         raise CliError("--specs must be a JSON list of at least one spec")
     specs = [spec_from_json(entry) for entry in data]
     report = rigidity_report(specs, tol)
+    names = [spec.describe() for spec in specs]
     payload = {
         "period": report.period,
         "distinguished": report.distinguished,
         "classes": [
-            [report.descriptions[i] for i in cls] for cls in report.classes
+            [names[i] for i in cls] for cls in report.classes
         ],
         "separators": [
             {
-                "first": report.descriptions[i],
-                "second": report.descriptions[j],
+                "first": names[i],
+                "second": names[j],
                 "smallest_k": k,
             }
             for i, j, k in report.separators

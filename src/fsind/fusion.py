@@ -9,7 +9,6 @@ element.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -165,16 +164,6 @@ def fp_dims(ring: FusionRing) -> list[float]:
     if any(d < 1 - 1e-6 for d in v):
         raise ArithmeticError("Frobenius-Perron dimensions below 1; invalid ring")
     return v
-
-
-def near_group_rho_dim(order: int, m: int) -> float:
-    """Positive root of d^2 = m d + |G|, the exact FP dimension of rho."""
-    return (m + math.sqrt(m * m + 4 * order)) / 2
-
-
-def hi_rho_dim(order: int) -> float:
-    """Positive root of d^2 = 1 + |G| d for the HI ring."""
-    return (order + math.sqrt(order * order + 4)) / 2
 
 
 def _freeze(N) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -14,10 +14,10 @@ the center route on its twist histogram and the closed route on the
 histograms of its forms' values; they share nothing else.
 
 A :class:`CategorySpec` pins down one monoidal-equivalence class; its full
-indicator vector over one period is the invariant used for rigidity
-comparisons.  Everything that differs between the four families (their
-parameters, ring, rho, center and closed form) is one :class:`Family` record
-in the table :data:`FAMILIES`.
+indicator vector over one period is the invariant rigidity compares, decided
+exactly by the twist histogram it is the Fourier transform of.  Everything
+that differs between the four families (their parameters, ring, rho, center
+and closed form) is one :class:`Family` record in the table :data:`FAMILIES`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,7 +45,7 @@ from .center import (
     center_ng1,
     center_ng1_exceptional7,
     center_ng2,
-    indicator_period,
+    twist_histogram,
 )
 from .fusion import RHO_LABEL, grho_label
 from .qforms import (
@@ -131,7 +131,7 @@ class CategorySpec:
         return self._center
 
     def period(self) -> int:
-        return indicator_period(self.center())
+        return self.center().period
 
     def describe(self) -> str:
         parts = [str(self.group)] + [
@@ -158,25 +158,23 @@ def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> com
     total = 0j
     for obj in objects:
         num, den = obj.twist.numerator, obj.twist.denominator
-        total += cmath.exp(2j * math.pi * (k * num % den / den)) * obj.qdim * obj.mult[target]
-    return total / presentation.global_qdim
+        qdim = presentation.at_d(obj.qdim)
+        total += cmath.exp(2j * math.pi * (k * num % den / den)) * qdim * obj.mult[target]
+    return total / presentation.at_d(presentation.dim)
 
 
 def center_vector(
     presentation: CenterPresentation, target: str, ks: Iterable[int]
 ) -> list[complex]:
-    """nu_k(target) for each k in ``ks`` by the center formula, from one histogram:
-    qdim * mult of each object bucketed by its twist numerator over the period."""
-    period = indicator_period(presentation)
-    weights: dict[int, float] = defaultdict(float)
-    for obj in presentation.objects:
-        mult = obj.mult.get(target, 0)
-        if mult:
-            twist = obj.twist
-            weights[twist.numerator * (period // twist.denominator)] += obj.qdim * mult
-    if not weights:
-        raise ValueError(f"unknown base simple {target!r}")
-    return [total / presentation.global_qdim for total in root_sums(weights, period, ks)]
+    """nu_k(target) for each k in ``ks`` by the center formula, from the exact
+    twist histogram read at d and keyed by twist numerator over the period."""
+    period = presentation.period
+    weights = {
+        twist.numerator * (period // twist.denominator): presentation.at_d(pair)
+        for twist, pair in twist_histogram(presentation, target).items()
+    }
+    dim = presentation.at_d(presentation.dim)
+    return [total / dim for total in root_sums(weights, period, ks)]
 
 
 def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) -> complex:
@@ -366,7 +364,6 @@ def conjugate_spec(spec: CategorySpec) -> CategorySpec:
 
 @dataclass(frozen=True)
 class IndicatorVector:
-    spec: CategorySpec
     period: int
     values: tuple[complex, ...]  # values[k - 1] = nu_k(rho), k = 1..period
 
@@ -375,16 +372,15 @@ class IndicatorVector:
 
 
 def indicator_vector(spec: CategorySpec, path: str = "center") -> IndicatorVector:
-    presentation = spec.center()
-    period = indicator_period(presentation)
+    period = spec.period()
     ks = range(1, period + 1)
     if path == "center":
-        values = center_vector(presentation, spec.rho_label(), ks)
+        values = center_vector(spec.center(), spec.rho_label(), ks)
     elif path == "closed":
         values = closed_vector(spec, ks)
     else:
         raise ValueError(f"unknown path {path!r}")
-    return IndicatorVector(spec, period, tuple(values))
+    return IndicatorVector(period, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -392,7 +388,6 @@ class RigidityReport:
     period: int
     classes: tuple[tuple[int, ...], ...]  # partition of spec indices
     separators: tuple[tuple[int, int, int], ...]  # (i, j, smallest separating k)
-    descriptions: tuple[str, ...]
 
     @property
     def distinguished(self) -> bool:
@@ -400,11 +395,13 @@ class RigidityReport:
 
 
 def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
-    """Partition specs by pointwise equality of full-period indicator vectors.
+    """Partition specs into classes of equal indicator vectors, decided exactly.
 
-    All specs must share the first one's Grothendieck ring, which the family's
-    ring name and G fix (no ring is built); the comparison period is the lcm
-    of the individual periods.
+    All specs must share the first one's ring: the family's ring name and G up
+    to isomorphism (no ring is built).  Equal vectors are then exactly equal
+    twist histograms of rho.  ``tol`` is only the threshold of the smallest
+    separating k, scanned once per pair of classes on one vector each, up to
+    the lcm of their periods; a pair with no such k raises ``ValueError``.
 
     The known inseparable pairs (the two |G| = 13 near-group pairs and the
     Haagerup-Izumi pairs) also share their centers' modular data; it is an
@@ -412,32 +409,26 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     Grothendieck ring can ever be separated by indicators.
     """
     specs = list(specs)
-    rings = [(FAMILIES[spec.family].ring, spec.group) for spec in specs]
+    rings = [(FAMILIES[spec.family].ring, spec.group.key) for spec in specs]
     for spec, ring in zip(specs, rings):
         if ring != rings[0]:
             raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
-    vectors = [indicator_vector(spec) for spec in specs]
-    period = math.lcm(*(vector.period for vector in vectors))
-    separators = {}  # (i, j) with i < j -> smallest separating k
-    for (i, u), (j, v) in itertools.combinations(enumerate(vectors), 2):
-        # both are periodic in k, so they agree everywhere iff they agree
-        # up to the lcm of their own periods
+    keys = [(twist_histogram(s.center(), s.rho_label()), s.center().dim) for s in specs]
+    first = [keys.index(key) for key in keys]  # the first spec of each spec's class
+    vectors = {i: indicator_vector(specs[i]) for i in sorted(set(first))}
+    smallest = {}  # (i, j) and (j, i) for first specs i < j -> smallest separating k
+    for (i, u), (j, v) in itertools.combinations(vectors.items(), 2):
         ks = range(1, math.lcm(u.period, v.period) + 1)
         k = next((k for k in ks if abs(u.value(k) - v.value(k)) > tol), None)
-        if k is not None:
-            separators[i, j] = k
-    classes: list[list[int]] = []
-    for j in range(len(specs)):
-        home = next((cls for cls in classes if (cls[0], j) not in separators), None)
-        if home is None:
-            classes.append([j])
-        else:
-            home.append(j)
+        if k is None:
+            raise ValueError(f"{specs[i].describe()} and {specs[j].describe()} differ, "
+                             f"but by at most {tol} at every k")
+        smallest[i, j] = smallest[j, i] = k
+    pairs = itertools.combinations(range(len(specs)), 2)
     return RigidityReport(
-        period,
-        tuple(tuple(c) for c in classes),
-        tuple((i, j, k) for (i, j), k in separators.items()),
-        tuple(spec.describe() for spec in specs),
+        math.lcm(*(spec.period() for spec in specs)),
+        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in vectors),
+        tuple((i, j, smallest[first[i], first[j]]) for i, j in pairs if first[i] != first[j]),
     )
 
 

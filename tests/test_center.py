@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +11,12 @@ from fsind.center import (
     center_ng1,
     center_ng1_exceptional7,
     center_ng2,
-    indicator_period,
     weil_modular_data,
 )
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
-from fsind.indicators import CategorySpec
+from fsind.indicators import CategorySpec, ng1_equivalence_classes
 from fsind.qforms import monomial_form, phase_to_complex
-from fsind.tables import load_hi_spec, load_ng2_spec
+from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
 
 TOL = 1e-9
 
@@ -70,7 +71,7 @@ def test_center_ng2_counts_and_twists():
     assert a_e.twist == 0
     b_1 = next(o for o in pres.objects if o.label == "B:(1)")
     assert b_1.twist == Fraction(2, 3)  # 2 q(1)
-    assert indicator_period(pres) == 21
+    assert pres.period == 21
 
 
 def test_center_ng2_count_formula_g5():
@@ -141,10 +142,56 @@ def test_qdims_match_forgetful_multiplicities(pres, ring):
     dims = fp_dims(ring)
     labels = ring.labels
     total = sum(d * d for d in dims)
-    assert abs(total - pres.global_qdim) < 1e-7
+    assert abs(total - pres.at_d(pres.dim)) < 1e-7
     for obj in pres.objects:
         expected = sum(m * dims[labels.index(s)] for s, m in obj.mult.items())
-        assert abs(expected - obj.qdim) < 1e-7, obj.label
+        assert abs(expected - pres.at_d(obj.qdim)) < 1e-7, obj.label
+
+
+# (m, c) with d^2 = m d + c for the root d of each family, given |G|
+ROOT_POLYNOMIAL = {
+    "NG1": lambda n: (n - 1, n),
+    "NG1X": lambda n: (n - 1, n),
+    "NG2": lambda n: (n, n),
+    "HI": lambda n: (n, 1),
+}
+
+
+def _squared(pair, m, c):
+    """(a + b d)^2 as a pair, reduced with d^2 = m d + c."""
+    a, b = pair
+    return (a * a + b * b * c, 2 * a * b + b * b * m)
+
+
+def _identity_specs():
+    specs = [row.spec for row in builtin_rows()]
+    specs += [spec for n in (1, 2, 3, 7) for spec in ng1_equivalence_classes(n)]
+    for g, gp in (((1,), (5,)), ((3,), (7,)), ((5,), (9,)), ((5,), (3, 3)), ((3, 3), (13,))):
+        group, gp = FiniteAbelianGroup(g), FiniteAbelianGroup(gp)
+        for q, qp in itertools.product(_unit_forms(group), _unit_forms(gp)):
+            specs.append(CategorySpec("NG2", group, q=q, gp=gp, qp=qp))
+    for n in (1, 3, 5):
+        h = cyclic(n * n + 4)
+        specs += [CategorySpec("HI", cyclic(n), h=h, qpp=qpp) for qpp in _unit_forms(h)]
+    return specs
+
+
+def _unit_forms(group):
+    units = [[c for c in range(n) if math.gcd(c, n) == 1] for n in group.cyclic_factors]
+    return [monomial_form(group, coeffs) for coeffs in itertools.product(*units)]
+
+
+def test_center_dimension_identity_is_exact():
+    """sum_V qdim(V)^2 = (dim C)^2 in Z[d] for every center builder."""
+    specs = _identity_specs()
+    assert {spec.family for spec in specs} == set(ROOT_POLYNOMIAL)
+    for spec in specs:
+        pres = spec.center()
+        m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
+        assert abs(pres.d**2 - (m * pres.d + c)) < 1e-9 * pres.d**2, spec.describe()
+        squares = [_squared(obj.qdim, m, c) for obj in pres.objects]
+        total = (sum(a for a, _ in squares), sum(b for _, b in squares))
+        assert total == _squared(pres.dim, m, c), spec.describe()
 
 
 def test_weil_modular_data_examples():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,16 +9,21 @@ from fsind.fusion import (
     FusionRing,
     _freeze,
     fp_dims,
-    hi_rho_dim,
     make_hi_ring,
     make_near_group_ring,
-    near_group_rho_dim,
     verify_ring,
 )
+from fsind.indicators import CategorySpec
+from fsind.qforms import monomial_form
 
 from conftest import ABELIAN_GROUPS_LE_13
 
 TOL = 1e-9
+
+
+def _root(m: int, c: int) -> float:
+    """The positive root of d^2 = m d + c."""
+    return (m + math.sqrt(m * m + 4 * c)) / 2
 
 
 def _sweep_rings() -> list[FusionRing]:
@@ -170,10 +176,10 @@ def test_fp_dims_match_exact_rho_dims():
     for ring in SWEEP:
         if "rho" in ring.labels:
             n, rho = ring.rank - 1, ring.index("rho")
-            expected = near_group_rho_dim(n, ring.N[rho][rho][rho])
+            expected = _root(ring.N[rho][rho][rho], n)
         else:
             n = ring.rank // 2
-            rho, expected = n, hi_rho_dim(n)
+            rho, expected = n, _root(n, 1)
         assert abs(fp_dims(ring)[rho] / expected - 1) < 1e-12, ring.labels
 
 
@@ -181,13 +187,20 @@ def test_fp_dims_match_exact_rho_dims():
 def test_fp_dims_against_quadratic_roots(n, m, expected):
     ring = make_near_group_ring(cyclic(n), m)
     assert abs(fp_dims(ring)[ring.index("rho")] - expected) < TOL
-    assert abs(near_group_rho_dim(n, m) - expected) < TOL
+    assert abs(_root(m, n) - expected) < TOL
 
 
 def test_rho_dim_closed_forms():
+    """The centers read their dimensions at the exact rho dimensions."""
     for n in (1, 3, 5, 7):
-        assert abs(near_group_rho_dim(n, n) ** 2 - (n * near_group_rho_dim(n, n) + n)) < 1e-9
-        assert abs(hi_rho_dim(n) ** 2 - (1 + n * hi_rho_dim(n))) < 1e-9
+        group, gp, h = cyclic(n), cyclic(n + 4), cyclic(n * n + 4)
+        ng2 = CategorySpec("NG2", group, q=monomial_form(group, (1,)), gp=gp,
+                           qp=monomial_form(gp, (1,)))
+        hi = CategorySpec("HI", group, h=h, qpp=monomial_form(h, (1,)))
+        assert abs(ng2.center().d - _root(n, n)) < 1e-12
+        assert abs(hi.center().d - _root(n, 1)) < 1e-12
+    ng1 = CategorySpec("NG1", cyclic(3), p=2, zeta1=Fraction(0))
+    assert ng1.center().d == 3 == _root(2, 3)
 
 
 @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2), (5,)])

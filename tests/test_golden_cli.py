@@ -3,10 +3,13 @@
 The cases are the README examples, ``verify-tables`` in all three formats,
 one ``indicators --path both`` per family, and a few usage errors.  Each
 case's stdout is stored in ``tests/golden/<name>.out`` and its exit code in
-``tests/golden/exit_codes.json``.  To record them again (only on a commit
-whose output is trusted):
+``tests/golden/exit_codes.json``.  To record the cases that have no
+``.out`` file yet:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+Every existing golden is left untouched, so a recording changes nothing that
+was trusted before.  To record a case again, delete its ``.out`` file first.
 """
 
 from __future__ import annotations
@@ -49,6 +52,20 @@ HI_SPEC = (
     '"qpp":{"monomial":[{"factor":0,"coeff":1}]}}'
 )
 HI_PAIR = "[" + HI_SPEC + "," + HI_SPEC.replace('"coeff":1', '"coeff":2') + "]"
+# the trivial group written two ways
+TRIVIAL_PAIR = """[
+  {"family":"NG1","group":{"cyclic_factors":[]},"p":2,"zeta1":"0"},
+  {"family":"NG1","group":{"cyclic_factors":[1]},"p":2,"zeta1":"0"}]"""
+# isomorphic groups: g^2/21 on Z/21 is (1, -2) on Z3xZ7; (1, 1) is another class
+NG2_Z25 = '"gp":{"cyclic_factors":[25]},"qp":{"monomial":[{"factor":0,"coeff":1}]}}'
+Z21_Z3XZ7 = (
+    '[{"family":"NG2","group":{"cyclic_factors":[21]},'
+    '"q":{"monomial":[{"factor":0,"coeff":1}]},' + NG2_Z25 + ","
+    '{"family":"NG2","group":{"cyclic_factors":[3,7]},'
+    '"q":{"monomial":[{"factor":0,"coeff":1},{"factor":1,"coeff":-2}]},' + NG2_Z25 + ","
+    '{"family":"NG2","group":{"cyclic_factors":[3,7]},'
+    '"q":{"monomial":[{"factor":0,"coeff":1},{"factor":1,"coeff":1}]},' + NG2_Z25 + "]"
+)
 
 CASES = {
     # README "Command line" examples
@@ -74,6 +91,9 @@ CASES = {
         "--form", '{"table":["0","1/5","4/5","4/5","1/5"]}', "--scale", "2",
     ],
     "rigidity_hi": ["rigidity", "--specs", HI_PAIR],
+    # rigidity compares groups up to isomorphism
+    "rigidity_trivial_group": ["rigidity", "--specs", TRIVIAL_PAIR],
+    "rigidity_z21_z3xz7": ["rigidity", "--specs", Z21_Z3XZ7],
     # the largest q, over more than one period (lcm(2, 63) = 126) of the power map
     "agl_q64_period": ["agl", "--q", "64", "--kmax", "130"],
     # usage errors: exit code 2, nothing on stdout
@@ -167,13 +187,17 @@ for i in range(7):
 
 
 def _record() -> None:
+    """Record each case whose ``.out`` file is missing; leave the others as they are."""
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
+    codes_file = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_file.read_text(encoding="utf-8")) if codes_file.exists() else {}
     for name, argv in sorted(CASES.items()):
-        codes[name], out = run_case(argv)
-        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        out_file = GOLDEN / f"{name}.out"
+        if not out_file.exists():
+            codes[name], out = run_case(argv)
+            out_file.write_text(out, encoding="utf-8")
     text = json.dumps(codes, indent=2, sort_keys=True) + "\n"
-    (GOLDEN / "exit_codes.json").write_text(text, encoding="utf-8")
+    codes_file.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

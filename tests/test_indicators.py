@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
-from fsind.center import center_ng1_exceptional7, center_ng2
-from fsind.fusion import make_hi_ring, make_near_group_ring
+from fsind.center import center_ng1_exceptional7, center_ng2, twist_histogram
+from fsind.fusion import group_label, make_hi_ring, make_near_group_ring
 from fsind.indicators import (
     CACHE_SIZE,
     FAMILIES,
@@ -343,22 +343,100 @@ def test_ring_name_agrees_with_ring_equality():
         load_ng2_spec(cyclic(3), (1,), cyclic(7), (1,)),
         load_hi_spec(cyclic(1), cyclic(5), (1,)),
     ]
-    keys = [(FAMILIES[s.family].ring, s.group) for s in specs]
+    keys = [(FAMILIES[s.family].ring, s.group.key) for s in specs]
     rings = [built[s.family](s.group) for s in specs]
     equal_pairs = same_order_unequal_pairs = 0
     for (key_a, ring_a), (key_b, ring_b) in itertools.combinations(zip(keys, rings), 2):
         assert (key_a == key_b) == (ring_a == ring_b), (key_a, key_b)
         equal_pairs += key_a == key_b
-        same_order_unequal_pairs += key_a[1].order == key_b[1].order and ring_a != ring_b
+        same_order_unequal_pairs += math.prod(key_a[1]) == math.prod(key_b[1]) and ring_a != ring_b
     assert equal_pairs and same_order_unequal_pairs
-    # one ring name, but Z/21 and Z3xZ7 are different groups
-    z21, z3x7 = (
-        CategorySpec("NG2", g, q=monomial_form(g, (1,) * g.rank), gp=cyclic(25),
-                     qp=monomial_form(cyclic(25), (1,)))
-        for g in (cyclic(21), FiniteAbelianGroup((3, 7)))
+    # one ring name over isomorphic groups: the labels of NG(Z/21, 21) differ
+    # from those of NG(Z3xZ7, 21), but the CRT map g -> (g mod 3, g mod 7)
+    # carries one ring onto the other
+    z21, z3x7 = cyclic(21), FiniteAbelianGroup((3, 7))
+    assert z21.key == z3x7.key == (3, 7)
+    ring21, ring37 = make_near_group_ring(z21, 21), make_near_group_ring(z3x7, 21)
+    assert ring21 != ring37
+    relabel = {group_label((g,)): group_label((g % 3, g % 7)) for g in range(21)}
+    perm = [ring37.index(relabel.get(label, label)) for label in ring21.labels]
+    assert sorted(perm) == list(range(ring37.rank))
+    assert ring37.unit == perm[ring21.unit]
+    assert all(ring37.dual[perm[i]] == perm[ring21.dual[i]] for i in range(ring21.rank))
+    for i, j, k in itertools.product(range(ring21.rank), repeat=3):
+        assert ring37.N[perm[i]][perm[j]][perm[k]] == ring21.N[i][j][k]
+    # so rigidity accepts the two groups: g^2/21 is (1, -2) under the CRT map,
+    # since 1/21 = 1/3 - 2/7, and (1, 1) is another class
+    specs = [_ng2_over_z25(z21, (1,)), _ng2_over_z25(z3x7, (1, -2)), _ng2_over_z25(z3x7, (1, 1))]
+    report = rigidity_report(specs)
+    assert report.period == 525
+    assert report.classes == ((0, 1), (2,))
+    assert report.separators == ((0, 2, 1), (1, 2, 1))
+
+
+def _ng2_over_z25(group, coeffs):
+    z25 = cyclic(25)
+    return CategorySpec(
+        "NG2", group, q=monomial_form(group, coeffs), gp=z25, qp=monomial_form(z25, (1,))
     )
-    with pytest.raises(ValueError, match="does not have the ring of"):
-        rigidity_report([z21, z3x7])
+
+
+def test_rigidity_accepts_one_group_written_two_ways():
+    trivial = [
+        CategorySpec("NG1", FiniteAbelianGroup(factors), p=2, zeta1=Fraction(0))
+        for factors in ((), (1,))
+    ]
+    assert rigidity_report(trivial).classes == ((0, 1),)
+    z3 = [
+        CategorySpec("NG2", g, q=monomial_form(g, (0,) * (g.rank - 1) + (1,)), gp=cyclic(7),
+                     qp=monomial_form(cyclic(7), (1,)))
+        for g in (FiniteAbelianGroup((1, 3)), cyclic(3))
+    ]
+    assert rigidity_report(z3).classes == ((0, 1),)
+
+
+def _class_key(spec):
+    center = spec.center()
+    return twist_histogram(center, spec.rho_label()), center.dim
+
+
+def _vectors_agree(first, second) -> bool:
+    """The center vectors agree within TOL at every k up to the lcm of their periods."""
+    u, v = indicator_vector(first), indicator_vector(second)
+    ks = range(1, math.lcm(u.period, v.period) + 1)
+    return all(abs(u.value(k) - v.value(k)) < TOL for k in ks)
+
+
+def _fixed_groups():
+    """The bundled rows grouped by table and G, and the NG1 classes."""
+    groups = {}
+    for row in builtin_rows():
+        groups.setdefault((row.table_id, row.spec.group), []).append(row.spec)
+    return list(groups.values()) + [ng1_equivalence_classes(n) for n in (1, 2, 3, 7)]
+
+
+def test_histogram_verdict_matches_vectors_on_fixed_pairs():
+    pairs = [pair for specs in _fixed_groups() for pair in itertools.combinations(specs, 2)]
+    assert len(pairs) == 36
+    verdicts = []
+    for first, second in pairs:
+        same = _class_key(first) == _class_key(second)
+        assert same == _vectors_agree(first, second), (first.describe(), second.describe())
+        verdicts.append(same)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_rigidity_classes_do_not_depend_on_tolerance():
+    isometric = [_ng2_over_z25(cyclic(21), (c,)) for c in (1, 4)]  # 4 is a square unit
+    for specs in _fixed_groups() + [isometric]:
+        classes = {rigidity_report(specs, tol).classes for tol in (1e-15, 1e-9, 1e-3)}
+        assert len(classes) == 1, [spec.describe() for spec in specs]
+    assert rigidity_report(isometric, 1e-15).classes == ((0, 1),)
+
+
+def test_rigidity_refuses_to_merge_classes_within_tolerance():
+    with pytest.raises(ValueError, match="differ"):
+        rigidity_report(ng1_equivalence_classes(3), tol=10)
 
 
 def test_ng1_equivalence_classes_validation():
@@ -437,6 +515,32 @@ def test_center_and_closed_routes_agree_over_a_period(spec):
     center = center_vector(spec.center(), spec.rho_label(), ks)
     for k, z, w in zip(ks, center, closed_vector(spec, ks)):
         assert abs(z - w) < TOL, (spec.describe(), k)
+
+
+ng1_z3_specs = st.builds(
+    lambda zeta1: CategorySpec("NG1", cyclic(3), p=2, zeta1=zeta1),
+    st.fractions(max_denominator=30),
+)
+
+
+@st.composite
+def same_ring_pairs(draw):
+    """Two specs over one G: NG2 with unit forms, NG1 over Z/3, or HI."""
+    first = draw(st.one_of(ng2_specs(), ng1_z3_specs, hi_specs()))
+    if first.family == "NG1":
+        return first, draw(ng1_z3_specs)
+    if first.family == "HI":
+        return first, replace(first, qpp=draw(unit_forms(first.h.cyclic_factors)))
+    gp = draw(st.sampled_from([f for f in ODD_GROUPS if math.prod(f) == first.gp.order]))
+    q, qp = draw(unit_forms(first.group.cyclic_factors)), draw(unit_forms(gp))
+    return first, replace(first, q=q, gp=FiniteAbelianGroup(gp), qp=qp)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(same_ring_pairs())
+def test_equal_histograms_are_exactly_equal_vectors(pair):
+    first, second = pair
+    assert (_class_key(first) == _class_key(second)) == _vectors_agree(first, second)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
