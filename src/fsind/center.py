@@ -13,16 +13,19 @@ nothing else.  The ring is only named, by the family of a
 loader's notes and makes every check on the category's shape, and the
 builders below take the groups and forms it has checked.
 
-Twists are stored as exact rational phases (all of them are roots of unity),
-which keeps the periodicity of nu_k in k exact; quantum dimensions are exact too.
+Each twist is an integer numerator over the presentation's ``period`` N, the
+order of the T-matrix, so the periodicity of nu_k in k is exact: a builder
+writes its twists over one common denominator and divides out their gcd.
+Objects are tagged by sector, in the element order of the indices below.
 
 Conventions.  For the m = |G| family the builder takes the quadratic form q
 with bicharacter diagonal <g, g> = e^{2 pi i * 2 q(g)}; twists are
 
     A_g, B_g: 2 q(g)        C_{g,h}: dq(g, h)       E_{g,x}: 2 q(g) + 2 q'(x)
 
-with E indexed by g in G and unordered pairs {x, -x}, x != e in G'.  For the
-Haagerup-Izumi family the D-object twists are m * q''(x) with |H| = 2m + 1.
+with C indexed by g < h in G and E by g in G and unordered pairs {x, -x},
+x != e in G'.  For the Haagerup-Izumi family the D-object twists are
+m * q''(x) with |H| = 2m + 1.
 """
 
 from __future__ import annotations
@@ -31,15 +34,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power, format_element
+from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power
 from .fusion import RHO_LABEL, group_label, grho_label
-from .qforms import QuadraticForm, phase_to_complex, qz
+from .qforms import QuadraticForm, phase_to_complex
 
 
 @dataclass(frozen=True)
 class CenterObject:
-    label: str
-    twist: Fraction  # theta_X = e^{2 pi i twist}
+    sector: str  # A, Sigma, B, C, E, E1, E2, unit or D
+    twist: int  # theta_X = e^{2 pi i twist / period}
     qdim: tuple[int, int]  # (a, b): qdim(X) = a + b * d
     mult: dict  # base simple label -> multiplicity of F(X)
 
@@ -47,6 +50,7 @@ class CenterObject:
 @dataclass(frozen=True)
 class CenterPresentation:
     objects: tuple[CenterObject, ...]
+    period: int  # the order of the T-matrix, over which every twist is written
     d: float  # the Frobenius-Perron dimension of rho, at which every (a, b) is read
     dim: tuple[int, int]  # dim C = A + B * d, so qdim(Z(C)) = (dim C)^2
 
@@ -54,20 +58,27 @@ class CenterPresentation:
     def rank(self) -> int:
         return len(self.objects)
 
-    @property
-    def period(self) -> int:
-        """lcm of the twist denominators (the order of the T-matrix)."""
-        return math.lcm(*(obj.twist.denominator for obj in self.objects))
-
     def at_d(self, pair: tuple[int, int]) -> float:
         return pair[0] + pair[1] * self.d
 
 
+def _presentation(rows, den: int, d: float, dim: tuple[int, int]) -> CenterPresentation:
+    """Objects from rows (sector, twist numerator over den, qdim, mult), with
+    den and every numerator divided by their gcd, so the period is exact."""
+    step = math.gcd(den, *(row[1] for row in rows))
+    period = den // step
+    objects = tuple(
+        CenterObject(sector, twist // step % period, qdim, mult)
+        for sector, twist, qdim, mult in rows
+    )
+    return CenterPresentation(objects, period, d, dim)
+
+
 def twist_histogram(presentation: CenterPresentation, target: str) -> dict:
-    """Each twist -> qdim(V) * [F(V) : target] summed over its objects V, as a
-    pair (a, b).  Over one d and dim C, equal histograms are exactly equal
-    nu_k(target) at every k."""
-    histogram: dict[Fraction, tuple[int, int]] = {}
+    """Each twist numerator -> qdim(V) * [F(V) : target] summed over its
+    objects V, as a pair (a, b).  Over one period, d and dim C, equal
+    histograms are exactly equal nu_k(target) at every k."""
+    histogram: dict[int, tuple[int, int]] = {}
     for obj in presentation.objects:
         mult = obj.mult.get(target, 0)
         if mult:
@@ -76,6 +87,23 @@ def twist_histogram(presentation: CenterPresentation, target: str) -> dict:
     if not histogram:
         raise ValueError(f"unknown base simple {target!r}")
     return histogram
+
+
+def _ng1_rows(group: FiniteAbelianGroup, den: int) -> list:
+    """The A, Sigma and B rows of an m = |G| - 1 center, G cyclic, twists over
+    den: B_{g,phi} for g in G and each nontrivial character phi of G."""
+    n = group.order
+    elems = group.elements()
+    labels = [group_label(g) for g in elems]
+    rows = [("A", 0, (1, 0), {label: 1}) for label in labels]
+    rows.append(("Sigma", 0, (n, 0), dict.fromkeys(labels, 1)))
+    for g, label in zip(elems, labels):
+        mult = {RHO_LABEL: 1, label: 1}
+        rows += [
+            ("B", int(-den * group.character_value(phi, g)), (n + 1, 0), mult)
+            for phi in elems[1:]
+        ]
+    return rows
 
 
 def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPresentation:
@@ -87,47 +115,28 @@ def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPres
     the exact phase of the half-braiding scalar entering the C-object twists.
     """
     n = group.order
-    if group.rank > 1 and n > 1:
+    if math.lcm(*group.key) != n:  # cyclic iff the primes of its key are distinct
         raise ValueError("m = |G| - 1 near groups require a cyclic group")
     prime, ell = factor_prime_power(n + 1)
     if prime != p:
         raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {p}")
-    zeta1 = qz(zeta1)
-    elems = group.elements()
-    objects = [
-        CenterObject("A:" + format_element(g), Fraction(0), (1, 0), {group_label(g): 1})
-        for g in elems
-    ]
-    objects.append(CenterObject("Sigma", Fraction(0), (n, 0), {group_label(x): 1 for x in elems}))
-    for g in elems:
-        for j in range(1, n):  # nontrivial characters of the cyclic group
-            twist = (-group.character_value((j,), g)) % 1
-            objects.append(
-                CenterObject(
-                    f"B:{format_element(g)},w{j}",
-                    twist,
-                    (n + 1, 0),
-                    {RHO_LABEL: 1, group_label(g): 1},
-                )
-            )
+    den = math.lcm(n, p, zeta1.denominator)
+    rows = _ng1_rows(group, den)
     # C^psi for psi in the dual of the additive group (Z/p)^ell; psi(1) pairs
     # psi with the multiplicative unit, i.e. with coordinate vector (1,0,...,0).
-    for f in FiniteAbelianGroup((prime,) * ell).elements():
-        twist = (-(zeta1 + Fraction(f[0], prime))) % 1
-        objects.append(
-            CenterObject("C:f=" + format_element(f), twist, (n, 0), {RHO_LABEL: 1})
-        )
-    return CenterPresentation(tuple(objects), n, (n * (n + 1), 0))
+    zeta = int(zeta1 * den)
+    rows += [
+        ("C", -zeta - f[0] * (den // p), (n, 0), {RHO_LABEL: 1})
+        for f in FiniteAbelianGroup((p,) * ell).elements()
+    ]
+    return _presentation(rows, den, n, (n * (n + 1), 0))
 
 
 def center_ng1_exceptional7() -> CenterPresentation:
     """The exceptional |G| = 7 center: C-objects replaced by E_1, E_2."""
-    group = cyclic(7)
-    base = center_ng1(group, 2, Fraction(0))
-    kept = tuple(obj for obj in base.objects if not obj.label.startswith("C:"))
-    e1 = CenterObject("E1", Fraction(1, 4), (14, 0), {RHO_LABEL: 2})
-    e2 = CenterObject("E2", Fraction(3, 4), (14, 0), {RHO_LABEL: 2})
-    return CenterPresentation(kept + (e1, e2), base.d, base.dim)
+    rows = _ng1_rows(cyclic(7), 28)
+    rows += [("E1", 7, (14, 0), {RHO_LABEL: 2}), ("E2", 21, (14, 0), {RHO_LABEL: 2})]
+    return _presentation(rows, 28, 7, (56, 0))
 
 
 def center_ng2(
@@ -142,37 +151,23 @@ def center_ng2(
     E-object twists; q and q' are non-degenerate forms on G and G'.
     """
     n = group.order
+    den = math.lcm(q.den, qp.den)
+    v = [value * (den // q.den) for value in q.values]
+    vp = [value * (den // qp.den) for value in qp.values]
     elems = group.elements()
-    objects: list[CenterObject] = []
-    for g in elems:
-        twist = (2 * q.value(g)) % 1
-        objects.append(CenterObject("A:" + format_element(g), twist, (1, 0), {group_label(g): 1}))
-    for g in elems:
-        twist = (2 * q.value(g)) % 1
-        objects.append(
-            CenterObject(
-                "B:" + format_element(g), twist, (1, 1), {RHO_LABEL: 1, group_label(g): 1}
-            )
-        )
+    labels = [group_label(g) for g in elems]
+    rho = {RHO_LABEL: 1}
+    rows = [("A", 2 * v[i], (1, 0), {label: 1}) for i, label in enumerate(labels)]
+    rows += [("B", 2 * v[i], (1, 1), {RHO_LABEL: 1, label: 1}) for i, label in enumerate(labels)]
     for i, g in enumerate(elems):
-        for h in elems[i + 1 :]:
-            objects.append(
-                CenterObject(
-                    f"C:{format_element(g)},{format_element(h)}",
-                    q.boundary(g, h),
-                    (2, 1),
-                    {RHO_LABEL: 1, group_label(g): 1, group_label(h): 1},
-                )
-            )
-    for g in elems:
-        for x in _pair_representatives(gp):
-            twist = (2 * q.value(g) + 2 * qp.value(x)) % 1
-            objects.append(
-                CenterObject(
-                    f"E:{format_element(g)},{format_element(x)}", twist, (0, 1), {RHO_LABEL: 1}
-                )
-            )
-    return CenterPresentation(tuple(objects), (n + math.sqrt(n * n + 4 * n)) / 2, (2 * n, n))
+        rows += [
+            ("C", v[group.index(group.add(g, elems[j]))] - v[i] - v[j], (2, 1),
+             {RHO_LABEL: 1, labels[i]: 1, labels[j]: 1})
+            for j in range(i + 1, n)
+        ]
+    e_twists = [2 * vp[gp.index(x)] for x in _pair_representatives(gp)]
+    rows += [("E", 2 * v[i] + t, (0, 1), rho) for i in range(n) for t in e_twists]
+    return _presentation(rows, den, (n + math.sqrt(n * n + 4 * n)) / 2, (2 * n, n))
 
 
 def center_hi(
@@ -182,35 +177,25 @@ def center_hi(
 
     The metric group (H, q'') has order |G|^2 + 4 = 2m + 1 and the D-object
     twists are m * q''(x) on unordered pairs {x, -x}; q'' is non-degenerate.
+    C_{h,phi} runs over pairs {h, -h} of G and all characters phi of G.
     """
     n = group.order
     m = (h_group.order - 1) // 2
+    den = math.lcm(group.exponent, qpp.den)
     elems = group.elements()
     unit_label = group_label(group.identity)
     all_grho = {grho_label(g): 1 for g in elems}
-    objects: list[CenterObject] = []
-    objects.append(CenterObject("unit", Fraction(0), (1, 0), {unit_label: 1}))
-    objects.append(CenterObject("B", Fraction(0), (1, n), {unit_label: 1, **all_grho}))
-    n_pairs = (n - 1) // 2
-    for j in range(1, n_pairs + 1):  # characters psi mod conjugation, psi != trivial
-        objects.append(
-            CenterObject(f"A:psi{j}", Fraction(0), (2, n), {unit_label: 2, **all_grho})
-        )
+    rows = [("unit", 0, (1, 0), {unit_label: 1}), ("B", 0, (1, n), {unit_label: 1, **all_grho})]
+    # characters psi != trivial of G, one per pair {psi, conj(psi)}
+    rows += [("A", 0, (2, n), {unit_label: 2, **all_grho})] * ((n - 1) // 2)
     for h in _pair_representatives(group):
-        for j, phi in enumerate(elems):  # all characters phi of G
-            twist = group.character_value(phi, h)
-            objects.append(
-                CenterObject(
-                    f"C:{format_element(h)},phi{j}",
-                    twist,
-                    (2, n),
-                    {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho},
-                )
-            )
-    for x in _pair_representatives(h_group):
-        twist = (m * qpp.value(x)) % 1
-        objects.append(CenterObject("D:" + format_element(x), twist, (0, n), dict(all_grho)))
-    return CenterPresentation(tuple(objects), (n + math.sqrt(n * n + 4)) / 2, (2 * n, n * n))
+        mult = {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho}
+        rows += [("C", int(den * group.character_value(phi, h)), (2, n), mult) for phi in elems]
+    rows += [
+        ("D", m * qpp.values[h_group.index(x)] * (den // qpp.den), (0, n), all_grho)
+        for x in _pair_representatives(h_group)
+    ]
+    return _presentation(rows, den, (n + math.sqrt(n * n + 4)) / 2, (2 * n, n * n))
 
 
 def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:

@@ -23,9 +23,8 @@ from fractions import Fraction
 from .abelian import group_from_json
 from .indicators import (
     DEFAULT_TOL,
+    ROUTES,
     build_agl,
-    center_vector,
-    closed_vector,
     nu_agl_bruteforce,
     nu_agl_closed_exact,
     rigidity_report,
@@ -102,12 +101,6 @@ def cmd_gauss(args) -> int:
 def _check_kmax(kmax: int) -> None:
     if not 1 <= kmax <= MAX_KMAX:
         raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
-
-
-ROUTES = {  # indicators --path: route -> nu_k(rho) for each k
-    "center": lambda spec, ks: center_vector(spec.center(), spec.rho_label(), ks),
-    "closed": closed_vector,
-}
 
 
 def cmd_indicators(args) -> int:
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indicators", help="indicator vector of a category spec")
     p.add_argument("--spec", required=True, help="spec JSON (or @file)")
     p.add_argument("--kmax", default="auto", help="integer or 'auto' (one period)")
-    p.add_argument("--path", choices=("center", "closed", "both"), default="center")
+    p.add_argument("--path", choices=(*ROUTES, "both"), default="center")
     p.set_defaults(func=cmd_indicators)
 
     p = sub.add_parser("verify-tables", help="re-derive every bundled table value")

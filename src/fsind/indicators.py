@@ -155,26 +155,30 @@ def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> com
     objects = [obj for obj in presentation.objects if obj.mult.get(target)]
     if not objects:
         raise ValueError(f"unknown base simple {target!r}")
+    period = presentation.period
     total = 0j
     for obj in objects:
-        num, den = obj.twist.numerator, obj.twist.denominator
         qdim = presentation.at_d(obj.qdim)
-        total += cmath.exp(2j * math.pi * (k * num % den / den)) * qdim * obj.mult[target]
+        phase = k * obj.twist % period / period
+        total += cmath.exp(2j * math.pi * phase) * qdim * obj.mult[target]
     return total / presentation.at_d(presentation.dim)
 
 
 def center_vector(
     presentation: CenterPresentation, target: str, ks: Iterable[int]
 ) -> list[complex]:
-    """nu_k(target) for each k in ``ks`` by the center formula, from the exact
-    twist histogram read at d and keyed by twist numerator over the period."""
-    period = presentation.period
-    weights = {
-        twist.numerator * (period // twist.denominator): presentation.at_d(pair)
-        for twist, pair in twist_histogram(presentation, target).items()
-    }
+    """nu_k(target) for each k in ``ks`` by the center formula."""
+    return histogram_vector(presentation, twist_histogram(presentation, target), ks)
+
+
+def histogram_vector(
+    presentation: CenterPresentation, histogram: dict, ks: Iterable[int]
+) -> list[complex]:
+    """The center formula for each k in ``ks`` from a twist histogram of the
+    presentation, read at d and keyed by twist numerator over the period."""
+    weights = {twist: presentation.at_d(pair) for twist, pair in histogram.items()}
     dim = presentation.at_d(presentation.dim)
-    return [total / dim for total in root_sums(weights, period, ks)]
+    return [total / dim for total in root_sums(weights, presentation.period, ks)]
 
 
 def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) -> complex:
@@ -371,16 +375,17 @@ class IndicatorVector:
         return self.values[(k - 1) % self.period]
 
 
+ROUTES = {  # route -> nu_k(rho) for each k
+    "center": lambda spec, ks: center_vector(spec.center(), spec.rho_label(), ks),
+    "closed": closed_vector,
+}
+
+
 def indicator_vector(spec: CategorySpec, path: str = "center") -> IndicatorVector:
-    period = spec.period()
-    ks = range(1, period + 1)
-    if path == "center":
-        values = center_vector(spec.center(), spec.rho_label(), ks)
-    elif path == "closed":
-        values = closed_vector(spec, ks)
-    else:
+    if path not in ROUTES:
         raise ValueError(f"unknown path {path!r}")
-    return IndicatorVector(period, tuple(values))
+    period = spec.period()
+    return IndicatorVector(period, tuple(ROUTES[path](spec, range(1, period + 1))))
 
 
 @dataclass(frozen=True)
@@ -399,7 +404,7 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
 
     All specs must share the first one's ring: the family's ring name and G up
     to isomorphism (no ring is built).  Equal vectors are then exactly equal
-    twist histograms of rho.  ``tol`` is only the threshold of the smallest
+    twist histograms of rho over equal periods.  ``tol`` is only the threshold of the smallest
     separating k, scanned once per pair of classes on one vector each, up to
     the lcm of their periods; a pair with no such k raises ``ValueError``.
 
@@ -413,9 +418,14 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     for spec, ring in zip(specs, rings):
         if ring != rings[0]:
             raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
-    keys = [(twist_histogram(s.center(), s.rho_label()), s.center().dim) for s in specs]
+    centers = [spec.center() for spec in specs]
+    keys = [(twist_histogram(c, s.rho_label()), c.period, c.dim) for c, s in zip(centers, specs)]
     first = [keys.index(key) for key in keys]  # the first spec of each spec's class
-    vectors = {i: indicator_vector(specs[i]) for i in sorted(set(first))}
+    vectors = {}
+    for i in sorted(set(first)):  # each class's vector from the histogram of its key
+        histogram, period, _ = keys[i]
+        values = histogram_vector(centers[i], histogram, range(1, period + 1))
+        vectors[i] = IndicatorVector(period, tuple(values))
     smallest = {}  # (i, j) and (j, i) for first specs i < j -> smallest separating k
     for (i, u), (j, v) in itertools.combinations(vectors.items(), 2):
         ks = range(1, math.lcm(u.period, v.period) + 1)

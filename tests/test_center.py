@@ -5,16 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fsind.abelian import FiniteAbelianGroup, cyclic
+from fsind.abelian import FiniteAbelianGroup, cyclic, factor_prime_power
 from fsind.center import (
     center_hi,
     center_ng1,
     center_ng1_exceptional7,
     center_ng2,
+    twist_histogram,
     weil_modular_data,
 )
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
-from fsind.indicators import CategorySpec, ng1_equivalence_classes
+from fsind.indicators import CategorySpec, indicator_vector, ng1_equivalence_classes
 from fsind.qforms import monomial_form, phase_to_complex
 from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
 
@@ -24,15 +25,18 @@ Q3 = monomial_form(cyclic(3), (1,))
 Q7NEG = monomial_form(cyclic(7), (-1,))
 
 
+def _twists(pres, sector):
+    """The exact phases of one sector's objects, in builder order."""
+    return [Fraction(o.twist, pres.period) for o in pres.objects if o.sector == sector]
+
+
 def test_center_ng1_object_count_and_twists():
     pres = center_ng1(cyclic(2), 3, Fraction(0))
     assert pres.rank == 2 + 1 + 2 * 1 + 3 == 8
     # B-objects at g = e carry trivial twist for every character
-    for obj in pres.objects:
-        if obj.label.startswith("B:(0)"):
-            assert obj.twist == 0
+    assert _twists(pres, "B")[:1] == [0]
     # C twists collapse to equal values at p | k
-    c_twists = [obj.twist for obj in pres.objects if obj.label.startswith("C:")]
+    c_twists = _twists(pres, "C")
     assert len(c_twists) == 3
     powers = {(3 * t) % 1 for t in c_twists}
     assert powers == {Fraction(0)}
@@ -41,36 +45,54 @@ def test_center_ng1_object_count_and_twists():
 def test_center_ng1_rejects_bad_shapes():
     with pytest.raises(ValueError):
         center_ng1(cyclic(4), 3, Fraction(0))  # |G| + 1 = 5 is not a power of 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="require a cyclic group"):
         center_ng1(FiniteAbelianGroup((2, 2)), 5, Fraction(0))  # not cyclic
     # |G| + 1 = 5 = 5^1 is admissible: Rep(AGL_1(F_5))
     assert center_ng1(cyclic(4), 5, Fraction(0)).rank == 4 + 1 + 4 * 3 + 5
 
 
+@pytest.mark.parametrize(
+    "factors,cyclic_order,p", [((1, 3), 3, 2), ((3, 1), 3, 2), ((3, 5), 15, 2)]
+)
+def test_center_ng1_accepts_cyclic_groups_with_trivial_or_coprime_factors(
+    factors, cyclic_order, p
+):
+    """Z/3 written [1, 3] or [3, 1], and Z/15 = F_16^* written [3, 5]."""
+    for zeta1 in (Fraction(0), Fraction(1, 4)):
+        spec = CategorySpec("NG1", FiniteAbelianGroup(factors), p=p, zeta1=zeta1)
+        reference = CategorySpec("NG1", cyclic(cyclic_order), p=p, zeta1=zeta1)
+        pres, ref = spec.center(), reference.center()
+        assert (pres.rank, pres.period, pres.dim) == (ref.rank, ref.period, ref.dim)
+        assert twist_histogram(pres, "rho") == twist_histogram(ref, "rho")
+        for path in ("center", "closed"):
+            vec, ref_vec = indicator_vector(spec, path), indicator_vector(reference, path)
+            assert vec.period == ref_vec.period
+            assert all(abs(z - w) < 1e-12 for z, w in zip(vec.values, ref_vec.values))
+
+
 def test_center_ng1_exceptional7():
     pres = center_ng1_exceptional7()
     assert pres.rank == 7 + 1 + 7 * 6 + 2 == 52
-    e1 = next(o for o in pres.objects if o.label == "E1")
-    e2 = next(o for o in pres.objects if o.label == "E2")
+    e1 = next(o for o in pres.objects if o.sector == "E1")
+    e2 = next(o for o in pres.objects if o.sector == "E2")
     assert e1.mult == {"rho": 2} and e2.mult == {"rho": 2}
-    assert (e1.twist, e2.twist) == (Fraction(1, 4), Fraction(3, 4))
+    t1, t2 = _twists(pres, "E1") + _twists(pres, "E2")
+    assert (t1, t2) == (Fraction(1, 4), Fraction(3, 4))
     for k in range(1, 9):
-        total = phase_to_complex(k * e1.twist) + phase_to_complex(k * e2.twist)
+        total = phase_to_complex(k * t1) + phase_to_complex(k * t2)
         expected = 1j**k * (1 + (-1) ** k)
         assert abs(total - expected) < TOL
 
 
 def test_center_ng2_counts_and_twists():
     pres = center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG)
-    labels = [obj.label for obj in pres.objects]
-    assert sum(1 for s in labels if s.startswith("A:")) == 3
-    assert sum(1 for s in labels if s.startswith("B:")) == 3
-    assert sum(1 for s in labels if s.startswith("C:")) == 3
-    assert sum(1 for s in labels if s.startswith("E:")) == 9  # |G| (|G|+3) / 2
-    a_e = next(o for o in pres.objects if o.label == "A:(0)")
-    assert a_e.twist == 0
-    b_1 = next(o for o in pres.objects if o.label == "B:(1)")
-    assert b_1.twist == Fraction(2, 3)  # 2 q(1)
+    sectors = [obj.sector for obj in pres.objects]
+    assert sectors.count("A") == 3
+    assert sectors.count("B") == 3
+    assert sectors.count("C") == 3
+    assert sectors.count("E") == 9  # |G| (|G|+3) / 2
+    assert _twists(pres, "A")[0] == 0  # A_(0)
+    assert _twists(pres, "B")[1] == Fraction(2, 3)  # B_(1): 2 q(1)
     assert pres.period == 21
 
 
@@ -78,9 +100,9 @@ def test_center_ng2_count_formula_g5():
     q5 = monomial_form(cyclic(5), (1,))
     q9 = monomial_form(cyclic(9), (1,))
     pres = center_ng2(cyclic(5), q5, cyclic(9), q9)
-    labels = [obj.label for obj in pres.objects]
-    assert sum(1 for s in labels if s.startswith("C:")) == 5 * 4 // 2
-    assert sum(1 for s in labels if s.startswith("E:")) == 5 * 8 // 2
+    sectors = [obj.sector for obj in pres.objects]
+    assert sectors.count("C") == 5 * 4 // 2
+    assert sectors.count("E") == 5 * 8 // 2
 
 
 def test_center_ng2_validation():
@@ -110,11 +132,11 @@ def test_spec_checks_each_form_on_its_group():
 
 def test_center_hi_counts_and_mults():
     pres = center_hi(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,)))
-    labels = [obj.label for obj in pres.objects]
-    assert sum(1 for s in labels if s.startswith("D:")) == 6  # (|G|^2 + 3) / 2
-    assert sum(1 for s in labels if s.startswith("C:")) == 3  # one pair, three chars
-    assert sum(1 for s in labels if s.startswith("A:")) == 1
-    b = next(o for o in pres.objects if o.label == "B")
+    sectors = [obj.sector for obj in pres.objects]
+    assert sectors.count("D") == 6  # (|G|^2 + 3) / 2
+    assert sectors.count("C") == 3  # one pair, three chars
+    assert sectors.count("A") == 1
+    b = next(o for o in pres.objects if o.sector == "B")
     assert b.mult["g:(0)"] == 1 and b.mult["grho:(0)"] == 1
     assert len(b.mult) == 4
 
@@ -122,7 +144,7 @@ def test_center_hi_counts_and_mults():
 def test_center_hi_yang_lee_has_four_objects():
     pres = center_hi(cyclic(1), cyclic(5), monomial_form(cyclic(5), (1,)))
     assert pres.rank == 4
-    assert sorted(o.label.split(":")[0] for o in pres.objects) == ["B", "D", "D", "unit"]
+    assert sorted(o.sector for o in pres.objects) == ["B", "D", "D", "unit"]
 
 
 @pytest.mark.parametrize(
@@ -145,7 +167,7 @@ def test_qdims_match_forgetful_multiplicities(pres, ring):
     assert abs(total - pres.at_d(pres.dim)) < 1e-7
     for obj in pres.objects:
         expected = sum(m * dims[labels.index(s)] for s, m in obj.mult.items())
-        assert abs(expected - pres.at_d(obj.qdim)) < 1e-7, obj.label
+        assert abs(expected - pres.at_d(obj.qdim)) < 1e-7, obj.sector
 
 
 # (m, c) with d^2 = m d + c for the root d of each family, given |G|
@@ -192,6 +214,59 @@ def test_center_dimension_identity_is_exact():
         squares = [_squared(obj.qdim, m, c) for obj in pres.objects]
         total = (sum(a for a, _ in squares), sum(b for _, b in squares))
         assert total == _squared(pres.dim, m, c), spec.describe()
+
+
+def _pairs(group):
+    """One element of each pair {x, -x}, x != e, the lex smaller."""
+    return [x for x in group.elements()[1:] if x <= group.neg(x)]
+
+
+def _expected_twists(spec):
+    """Each sector's twists in builder order, from the Fraction API of
+    qforms and abelian: the formulas of the center module's docstring."""
+    group = spec.group
+    elems = group.elements()
+    if spec.family in ("NG1", "NG1X"):
+        twists = {
+            "A": [0] * len(elems),
+            "Sigma": [0],
+            "B": [-group.character_value(phi, g) for g in elems for phi in elems[1:]],
+        }
+        if spec.family == "NG1X":
+            return twists | {"E1": [Fraction(1, 4)], "E2": [Fraction(3, 4)]}
+        p, ell = factor_prime_power(len(elems) + 1)
+        field = FiniteAbelianGroup((p,) * ell).elements()
+        return twists | {"C": [-(spec.zeta1 + Fraction(f[0], p)) for f in field]}
+    if spec.family == "NG2":
+        q, qp = spec.q, spec.qp
+        return {
+            "A": [2 * q.value(g) for g in elems],
+            "B": [2 * q.value(g) for g in elems],
+            "C": [q.boundary(g, h) for i, g in enumerate(elems) for h in elems[i + 1 :]],
+            "E": [2 * q.value(g) + 2 * qp.value(x) for g in elems for x in _pairs(spec.gp)],
+        }
+    m = (spec.h.order - 1) // 2
+    return {
+        "unit": [0],
+        "B": [0],
+        "A": [0] * ((len(elems) - 1) // 2),
+        "C": [group.character_value(phi, h) for h in _pairs(group) for phi in elems],
+        "D": [m * spec.qpp.value(x) for x in _pairs(spec.h)],
+    }
+
+
+def test_integer_twists_match_exact_phases():
+    """Fraction(twist, period) is each sector's formula, and the period is
+    exactly the T-matrix order: no common factor is left in the numerators."""
+    specs = _identity_specs()
+    assert {spec.family for spec in specs} == {"NG1", "NG1X", "NG2", "HI"}
+    for spec in specs:
+        pres = spec.center()
+        assert math.gcd(pres.period, *(obj.twist for obj in pres.objects)) == 1
+        assert all(0 <= obj.twist < pres.period for obj in pres.objects)
+        sectors = {obj.sector: _twists(pres, obj.sector) for obj in pres.objects}
+        expected = {s: [t % 1 for t in ts] for s, ts in _expected_twists(spec).items() if ts}
+        assert sectors == expected, spec.describe()
 
 
 def test_weil_modular_data_examples():

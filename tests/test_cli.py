@@ -157,6 +157,22 @@ def test_indicators_missing_group_is_a_usage_error(capsys):
     assert "group" in err
 
 
+def _ng1_spec(factors, p=2):
+    return {"family": "NG1", "group": {"cyclic_factors": factors}, "p": p, "zeta1": "1/4"}
+
+
+def test_ng1_over_a_cyclic_group_in_any_presentation(capsys):
+    for factors in ([1, 3], [3, 1], [3, 5]):
+        code, out, _ = run(capsys, "indicators", "--spec", json.dumps(_ng1_spec(factors)))
+        assert code == 0 and json.loads(out)["values"]
+    specs = json.dumps([_ng1_spec([15]), _ng1_spec([3, 5])])
+    code, out, _ = run(capsys, "rigidity", "--specs", specs)
+    assert code == 0 and len(json.loads(out)["classes"]) == 1
+    code, out, err = run(capsys, "indicators", "--spec", json.dumps(_ng1_spec([2, 2], p=5)))
+    assert (code, out) == (2, "")
+    assert err == "error: m = |G| - 1 near groups require a cyclic group\n"
+
+
 def test_indicators_missing_family_is_a_usage_error(capsys):
     code, out, err = run(capsys, "indicators", "--spec", '{"group":{"cyclic_factors":[3]}}')
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsind import cli, indicators
 from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.center import center_ng1_exceptional7, center_ng2, twist_histogram
 from fsind.fusion import group_label, make_hi_ring, make_near_group_ring
@@ -328,6 +329,28 @@ def test_rigidity_hi_pairs():
     assert abs(vec_minus.value(3) - 2) < TOL
 
 
+def test_rigidity_builds_each_class_histogram_once(monkeypatch):
+    calls = []
+    histogram = indicators.twist_histogram
+    monkeypatch.setattr(
+        indicators, "twist_histogram", lambda *args: calls.append(1) or histogram(*args)
+    )
+    rows = [r.spec for r in builtin_rows() if r.table_id == "hi3"]
+    assert rigidity_report(rows).classes == ((0, 1), (2, 3))
+    assert len(calls) == 4  # one per spec; the two class vectors reuse theirs
+
+
+def test_one_route_map_serves_vectors_and_cli():
+    spec = _row_spec("ng3", 1)
+    assert cli.ROUTES is indicators.ROUTES
+    assert set(indicators.ROUTES) == {"center", "closed"}
+    for path, route in indicators.ROUTES.items():
+        vec = indicator_vector(spec, path)
+        assert vec.values == tuple(route(spec, range(1, spec.period() + 1)))
+    with pytest.raises(ValueError, match="unknown path"):
+        indicator_vector(spec, "both")
+
+
 def test_ring_name_agrees_with_ring_equality():
     """rigidity compares (ring name, G); that is equality of the built rings."""
     built = {
@@ -397,7 +420,7 @@ def test_rigidity_accepts_one_group_written_two_ways():
 
 def _class_key(spec):
     center = spec.center()
-    return twist_histogram(center, spec.rho_label()), center.dim
+    return twist_histogram(center, spec.rho_label()), center.period, center.dim
 
 
 def _vectors_agree(first, second) -> bool:
