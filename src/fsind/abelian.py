@@ -54,18 +54,7 @@ class FiniteAbelianGroup:
     @property
     def key(self) -> tuple[int, ...]:
         """Sorted prime-power invariants, 1s dropped: equal exactly on isomorphic groups."""
-        powers = []
-        for n in self.cyclic_factors:
-            p = 2
-            while n > 1:
-                p = p if p * p <= n else n  # no divisor up to sqrt(n) left: n is prime
-                power = 1
-                while n % p == 0:
-                    n, power = n // p, power * p
-                if power > 1:
-                    powers.append(power)
-                p += 1
-        return tuple(sorted(powers))
+        return tuple(sorted(p**e for n in self.cyclic_factors for p, e in prime_factors(n)))
 
     @property
     def identity(self) -> GroupElement:
@@ -87,6 +76,31 @@ class FiniteAbelianGroup:
         for r, n in zip(a, self.cyclic_factors):
             idx = idx * n + r
         return idx
+
+    def _images(self, digit_maps) -> list[int]:
+        """Positions of the images of all elements, in element order, under the
+        per-factor residue maps r -> digit_maps[i][r]."""
+        positions = [0]
+        for n, digit in zip(self.cyclic_factors, digit_maps):
+            positions = [p * n + digit[r] for p in positions for r in range(n)]
+        return positions
+
+    def negation(self) -> list[int]:
+        """negation[x] is the position of -g for the element g at position x."""
+        return self._images([[-r % n for r in range(n)] for n in self.cyclic_factors])
+
+    def shifts(self) -> list[list[int]]:
+        """shifts[j][x] is the position of g + e_j for the element g at position x."""
+        factors = self.cyclic_factors
+        return [
+            self._images([[(r + (i == j)) % n for r in range(n)] for i, n in enumerate(factors)])
+            for j in range(self.rank)
+        ]
+
+    def pairs(self) -> list[int]:
+        """One position per unordered pair {g, -g}, g != e: the smaller one, so an
+        element of order 2 is its own pair."""
+        return [x for x, y in enumerate(self.negation()) if 0 < x <= y]
 
     def power_count(self, k: int, h: GroupElement) -> int:
         """Number of g with k*g = h: per factor, gcd(k, n) solutions if that
@@ -113,18 +127,27 @@ def direct_sum(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> FiniteAbelianG
     return FiniteAbelianGroup(g1.cyclic_factors + g2.cyclic_factors)
 
 
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with n = prod p^e over increasing primes p, by trial division."""
+    factors = []
+    p = 2
+    while n > 1:
+        p = p if p * p <= n else n  # no divisor up to sqrt(n) left: n is prime
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    return factors
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, l) with q = p^l, or raise if q is not a prime power."""
-    if q < 2:
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    rest, ell = q, 0
-    while rest % p == 0:
-        rest //= p
-        ell += 1
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, ell
+    return factors[0]
 
 
 def group_to_json(group: FiniteAbelianGroup) -> dict:

@@ -165,7 +165,7 @@ def center_ng2(
              {RHO_LABEL: 1, labels[i]: 1, labels[j]: 1})
             for j in range(i + 1, n)
         ]
-    e_twists = [2 * vp[gp.index(x)] for x in _pair_representatives(gp)]
+    e_twists = [2 * vp[x] for x in gp.pairs()]
     rows += [("E", 2 * v[i] + t, (0, 1), rho) for i in range(n) for t in e_twists]
     return _presentation(rows, den, (n + math.sqrt(n * n + 4 * n)) / 2, (2 * n, n))
 
@@ -188,12 +188,11 @@ def center_hi(
     rows = [("unit", 0, (1, 0), {unit_label: 1}), ("B", 0, (1, n), {unit_label: 1, **all_grho})]
     # characters psi != trivial of G, one per pair {psi, conj(psi)}
     rows += [("A", 0, (2, n), {unit_label: 2, **all_grho})] * ((n - 1) // 2)
-    for h in _pair_representatives(group):
+    for h in (elems[x] for x in group.pairs()):
         mult = {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho}
         rows += [("C", int(den * group.character_value(phi, h)), (2, n), mult) for phi in elems]
     rows += [
-        ("D", m * qpp.values[h_group.index(x)] * (den // qpp.den), (0, n), all_grho)
-        for x in _pair_representatives(h_group)
+        ("D", m * qpp.values[x] * (den // qpp.den), (0, n), all_grho) for x in h_group.pairs()
     ]
     return _presentation(rows, den, (n + math.sqrt(n * n + 4)) / 2, (2 * n, n * n))
 
@@ -213,13 +212,3 @@ def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[
     T = [[phase if i == j else 0j for j in range(len(elems))] for i, phase in enumerate(phases)]
     return S, T
 
-
-def _pair_representatives(group: FiniteAbelianGroup) -> list:
-    """One representative per unordered pair {x, -x}, x != e (lex smaller)."""
-    reps = []
-    for x in group.elements():
-        if x == group.identity:
-            continue
-        if x <= group.neg(x):
-            reps.append(x)
-    return reps

@@ -20,13 +20,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .abelian import group_from_json
+from .abelian import cyclic, group_from_json
 from .indicators import (
     DEFAULT_TOL,
     ROUTES,
+    CategorySpec,
     build_agl,
+    closed_vector,
     nu_agl_bruteforce,
-    nu_agl_closed_exact,
     rigidity_report,
     spec_from_json,
 )
@@ -182,11 +183,12 @@ def cmd_agl(args) -> int:
         )
     print(f"# AGL_1(F_{args.q}): order {agl.order}, characteristic {agl.p}")
     print("k nu_bruteforce nu_closed deviation")
-    for k in range(1, args.kmax + 1):
-        brute = nu_agl_bruteforce(args.q, k)
-        closed = nu_agl_closed_exact(args.q, k)
-        deviation = abs(float(brute) - closed)
-        print(f"{k} {format_real(float(brute), tol)} {closed} {format_real(deviation, tol)}")
+    # Rep(AGL_1(F_q)) is the near group NG(F_q^*, q - 2) with zeta1 = 0
+    ks = range(1, args.kmax + 1)
+    closed = closed_vector(CategorySpec("NG1", cyclic(args.q - 1), p=agl.p, zeta1=0), ks)
+    for k, value in zip(ks, closed):
+        brute = float(nu_agl_bruteforce(args.q, k))
+        print(k, *(format_real(x, tol) for x in (brute, value.real, abs(brute - value))))
     return 0
 
 
@@ -239,10 +241,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -55,17 +55,16 @@ def make_near_group_ring(group: FiniteAbelianGroup, m: int) -> FusionRing:
     rho = n
     rank = n + 1
     N = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    index = {g: i for i, g in enumerate(elems)}
-    for a in elems:
-        for b in elems:
-            N[index[a]][index[b]][index[group.add(a, b)]] = 1
-        N[index[a]][rho][rho] = 1
-        N[rho][index[a]][rho] = 1
-        N[rho][rho][index[a]] = 1
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            N[i][j][group.index(group.add(a, b))] = 1
+        N[i][rho][rho] = 1
+        N[rho][i][rho] = 1
+        N[rho][rho][i] = 1
     N[rho][rho][rho] = m
     labels = tuple(group_label(g) for g in elems) + (RHO_LABEL,)
-    dual = tuple(index[group.neg(g)] for g in elems) + (rho,)
-    return FusionRing(labels, index[group.identity], dual, _freeze(N))
+    dual = tuple(group.negation()) + (rho,)
+    return FusionRing(labels, 0, dual, _freeze(N))
 
 
 def make_hi_ring(group: FiniteAbelianGroup) -> FusionRing:
@@ -73,23 +72,19 @@ def make_hi_ring(group: FiniteAbelianGroup) -> FusionRing:
     elems = group.elements()
     n = len(elems)
     rank = 2 * n
-    index = {g: i for i, g in enumerate(elems)}
-
-    def rho_idx(g: GroupElement) -> int:
-        return n + index[g]
-
     N = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for a in elems:
-        for b in elems:
-            N[index[a]][index[b]][index[group.add(a, b)]] = 1
-            N[index[a]][rho_idx(b)][rho_idx(group.add(a, b))] = 1
-            N[rho_idx(a)][index[b]][rho_idx(group.add(a, group.neg(b)))] = 1
-            N[rho_idx(a)][rho_idx(b)][index[group.add(a, group.neg(b))]] = 1
-            for c in elems:
-                N[rho_idx(a)][rho_idx(b)][rho_idx(c)] = 1
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            total = group.index(group.add(a, b))
+            difference = group.index(group.add(a, group.neg(b)))
+            N[i][j][total] = 1
+            N[i][n + j][n + total] = 1
+            N[n + i][j][n + difference] = 1
+            N[n + i][n + j][difference] = 1
+            N[n + i][n + j][n:] = [1] * n
     labels = tuple(group_label(g) for g in elems) + tuple(grho_label(g) for g in elems)
-    dual = tuple(index[group.neg(g)] for g in elems) + tuple(rho_idx(g) for g in elems)
-    return FusionRing(labels, index[group.identity], dual, _freeze(N))
+    dual = tuple(group.negation()) + tuple(range(n, rank))
+    return FusionRing(labels, 0, dual, _freeze(N))
 
 
 def verify_ring(ring: FusionRing) -> list[str]:

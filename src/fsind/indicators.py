@@ -104,7 +104,7 @@ class CategorySpec:
         family = FAMILIES[self.family]
         if any(getattr(self, par.name) is None for par in family.params):
             raise ValueError(family.needs)
-        if family.group is not None and self.group != family.group:
+        if family.group is not None and self.group.key != family.group.key:
             raise ValueError(f"{family.name} lives over {family.group}")
         n = self.group.order
         if family.odd and n % 2 == 0:
@@ -203,10 +203,7 @@ def ng2_closed_vector(
     ks = list(ks)
     scales = [2 * k for k in ks]
     products = (a * b for a, b in zip(gauss_sums(q, scales), gauss_sums(qp, scales)))
-    return [
-        group.power_count(k, group.identity) / 2 + product / 2
-        for k, product in zip(ks, products)
-    ]
+    return _half_sums(group, ks, products)
 
 
 def hi_closed_vector(
@@ -219,8 +216,12 @@ def hi_closed_vector(
     from one Gauss-sum vector."""
     ks = list(ks)
     m = (h_group.order - 1) // 2
-    sums = gauss_sums(qpp, [k * m for k in ks])
-    return [group.power_count(k, group.identity) / 2 + gauss / 2 for k, gauss in zip(ks, sums)]
+    return _half_sums(group, ks, gauss_sums(qpp, [k * m for k in ks]))
+
+
+def _half_sums(group: FiniteAbelianGroup, ks: list[int], gauss: Iterable[complex]) -> list[complex]:
+    """theta_k(e)/2 + Gauss/2 for each k in ``ks`` and its Gauss term."""
+    return [group.power_count(k, group.identity) / 2 + term / 2 for k, term in zip(ks, gauss)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def ng1_equivalence_classes(order: int) -> list[CategorySpec]:
     if order not in (1, 2, 3, 7):
         raise ValueError("extra equivalence classes exist only for |G| in {1,2,3,7}")
     group = cyclic(order)
-    p = {1: 2, 2: 3, 3: 2, 7: 2}[order]
+    p = factor_prime_power(order + 1)[0]
     base = CategorySpec(
         "NG1", group, p=p, zeta1=Fraction(0), labels=(("class", "AGL"),)
     )
@@ -594,12 +595,6 @@ def nu_agl_bruteforce(q: int, k: int) -> Fraction:
         raise ValueError("k must be non-negative")
     vector = _agl_period_vector(q)
     return vector[k % len(vector)]
-
-
-def nu_agl_closed_exact(q: int, k: int) -> int:
-    """gcd(k, q-1) - 1 + [p | k], the closed form in exact arithmetic."""
-    p, _ = factor_prime_power(q)
-    return math.gcd(k, q - 1) - 1 + (1 if k % p == 0 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,23 +44,6 @@ def phase_to_complex(a: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(a % 1))
 
 
-def _positions(group: FiniteAbelianGroup, digit_maps) -> list[int]:
-    """Element-order positions of all images under residue maps r -> digit_maps[i][r]."""
-    positions = [0]
-    for n, digit in zip(group.cyclic_factors, digit_maps):
-        positions = [p * n + digit[r] for p in positions for r in range(n)]
-    return positions
-
-
-def _generator_shifts(group: FiniteAbelianGroup) -> list[list[int]]:
-    """shifts[j][x] is the position of g + e_j for the element g at position x."""
-    factors = group.cyclic_factors
-    return [
-        _positions(group, [[(r + (i == j)) % n for r in range(n)] for i, n in enumerate(factors)])
-        for j in range(group.rank)
-    ]
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
     """q: G -> Q/Z as integer numerators over :attr:`den`, in element order;
@@ -77,13 +60,12 @@ class QuadraticForm:
             raise ValueError("value table does not match group order")
         if values[0] != 0:
             raise ValueError("quadratic form must vanish at the identity")
-        negation = _positions(group, [[-r % n for r in range(n)] for n in group.cyclic_factors])
-        if any(values[x] != values[y] for x, y in enumerate(negation)):
+        if any(values[x] != values[y] for x, y in enumerate(group.negation())):
             raise ValueError("q(-g) != q(g)")
         # dq is bi-additive iff dq(e_i, g + e_j) = dq(e_i, g) + dq(e_i, e_j) for
         # all i, j, g: the cocycle identity dq(a + b, c) + dq(a, b) =
         # dq(a, b + c) + dq(b, c) carries additivity from generators to all of G.
-        shifts = _generator_shifts(group)
+        shifts = group.shifts()
         for row in self._generator_boundaries(shifts):
             for shift in shifts:
                 step = row[shift[0]]
@@ -118,7 +100,7 @@ class QuadraticForm:
 
     def radical(self) -> list[GroupElement]:
         """Elements h with dq(., h) identically zero."""
-        rows = self._generator_boundaries(_generator_shifts(self.group))
+        rows = self._generator_boundaries(self.group.shifts())
         return [h for x, h in enumerate(self.group.elements()) if all(row[x] == 0 for row in rows)]
 
     def is_nondegenerate(self) -> bool:
@@ -270,6 +252,6 @@ def _monomial_coefficients(q: QuadraticForm) -> tuple[int, ...] | None:
     group = q.group
     coeffs = tuple(  # from q(e_i) = c_i / n_i
         q.values[shift[0]] * n // q.den % n
-        for shift, n in zip(_generator_shifts(group), group.cyclic_factors)
+        for shift, n in zip(group.shifts(), group.cyclic_factors)
     )
     return coeffs if monomial_form(group, coeffs).values == q.values else None

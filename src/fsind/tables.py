@@ -33,10 +33,9 @@ from .abelian import FiniteAbelianGroup, cyclic
 from .indicators import (
     DEFAULT_TOL,
     FAMILIES,
+    ROUTES,
     CategorySpec,
-    center_vector,
     closed_form_nu,
-    closed_vector,
 )
 from .qforms import half_form, jacobi_symbol, monomial_form
 
@@ -79,7 +78,6 @@ class JacobiLawClaim:
 class TableRow:
     table_id: str
     row_id: int
-    family: str
     spec: CategorySpec
     printed_category: str
     printed_center_group: str
@@ -162,7 +160,6 @@ def builtin_rows() -> tuple[TableRow, ...]:
             TableRow(
                 table_id,
                 row_id,
-                "NG2",
                 spec,
                 printed_category=_print_ng(group, q_coeffs, b_label, c_label),
                 printed_center_group=_print_metric(gp, qp_coeffs),
@@ -181,7 +178,6 @@ def builtin_rows() -> tuple[TableRow, ...]:
             TableRow(
                 table_id,
                 row_id,
-                "HI",
                 spec,
                 printed_category=f"HI(Z{n},{sign},{omega},{a_label})",
                 printed_center_group=_print_metric(h_group, qpp_coeffs),
@@ -325,7 +321,6 @@ class ClaimCheck:
 class RowReport:
     row: TableRow
     checks: tuple[ClaimCheck, ...]
-    calibration: tuple[str, ...]
     all_pass: bool
     max_deviation: float
 
@@ -340,15 +335,14 @@ def verify_row(row: TableRow, tol: float = DEFAULT_TOL) -> RowReport:
         else:
             cases += [(k, f"{claim.text} at k={k}", claim.expected(k)) for k in claim.sample_ks]
     ks = [k for k, _, _ in cases]
-    closed_values = closed_vector(spec, ks)
-    center_values = center_vector(spec.center(), spec.rho_label(), ks)
+    closed_values, center_values = (ROUTES[route](spec, ks) for route in ("closed", "center"))
     checks = []
     for (k, text, expected), closed, center in zip(cases, closed_values, center_values):
         deviation = max(abs(closed - expected), abs(center - expected))
         checks.append(ClaimCheck(k, text, expected, closed, center, deviation, deviation < tol))
     all_pass = all(c.passed for c in checks)
     max_dev = max(c.deviation for c in checks)
-    return RowReport(row, tuple(checks), spec.provenance, all_pass, max_dev)
+    return RowReport(row, tuple(checks), all_pass, max_dev)
 
 
 def verify_tables(table_id: str | None = None, tol: float = DEFAULT_TOL) -> list[RowReport]:
@@ -377,16 +371,16 @@ def _records(reports: list[RowReport]) -> list[dict]:
     for report in reports:
         row = report.row
         calibrated = "no"
-        if any("replaced" in note for note in report.calibration):
+        if any("replaced" in note for note in row.spec.provenance):
             calibrated = "flipped"
-        elif any("failed" in note for note in report.calibration):
+        elif any("failed" in note for note in row.spec.provenance):
             calibrated = "failed"
         for check in report.checks:
             records.append(
                 {
                     "table_id": row.table_id,
                     "row_id": str(row.row_id),
-                    "family": row.family,
+                    "family": row.spec.family,
                     "group": str(row.spec.group),
                     "form": row.printed_category,
                     "k": str(check.k),
@@ -428,7 +422,7 @@ def emit_report(reports: list[RowReport], fmt: str) -> str:
                     "spec": r.row.spec.describe(),
                     "printed_category": r.row.printed_category,
                     "printed_center_group": r.row.printed_center_group,
-                    "calibration": list(r.calibration),
+                    "calibration": list(r.row.spec.provenance),
                     "notes": list(r.row.notes),
                     "all_pass": r.all_pass,
                     "max_deviation": format_real(r.max_deviation, ZERO),

@@ -63,6 +63,17 @@ def test_power_count_identity_is_gcd_product(factors):
         assert g.power_count(k, g.identity) == expected
 
 
+@pytest.mark.parametrize("factors", SWEEP_GROUPS)
+def test_position_maps_agree_with_neg_add_and_index(factors):
+    g = FiniteAbelianGroup(factors)
+    elems = g.elements()
+    assert g.negation() == [g.index(g.neg(a)) for a in elems]
+    basis = [tuple(int(i == j) for i in range(g.rank)) for j in range(g.rank)]
+    assert g.shifts() == [[g.index(g.add(a, e)) for a in elems] for e in basis]
+    expected = [g.index(a) for a in elems if a != g.identity and a <= g.neg(a)]
+    assert g.pairs() == expected
+
+
 @pytest.mark.parametrize("factors", [(1,), (5,), (2, 4), (3, 3)])
 def test_power_map_is_a_function(factors):
     g = FiniteAbelianGroup(factors)

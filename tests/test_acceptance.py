@@ -32,13 +32,14 @@ from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.center import weil_modular_data
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_ring
 from fsind.indicators import (
+    CategorySpec,
     closed_form_nu,
+    closed_vector,
     conjugate_spec,
     factor_prime_power,
     indicator_vector,
     ng1_equivalence_classes,
     nu_agl_bruteforce,
-    nu_agl_closed_exact,
     nu_from_center,
     rigidity_report,
 )
@@ -76,7 +77,7 @@ def test_criterion_1_table_reproduction():
     conjugated_seen = set()
     for row in builtin_rows():
         report = verify_row(row, TOL)
-        flips = sum(1 for note in report.calibration if "replaced" in note)
+        flips = sum(1 for note in row.spec.provenance if "replaced" in note)
         if flips > 1:
             failures.append(f"{row.table_id} row {row.row_id}: {flips} flips")
         for check in report.checks:
@@ -126,18 +127,16 @@ def test_criterion_3_classical_crosscheck():
     failures = []
     for q in (3, 4, 5, 8, 9, 16, 27):
         p, _ = factor_prime_power(q)
-        group = cyclic(q - 1)
-        from fsind.center import center_ng1
-
-        presentation = center_ng1(group, p, Fraction(0))
-        for k in range(1, 31):
+        # Rep(AGL_1(F_q)) is NG(F_q^*, q - 2) with zeta1 = 0, the "AGL" class
+        spec = CategorySpec("NG1", cyclic(q - 1), p=p, zeta1=Fraction(0))
+        ks = range(1, 31)
+        for k, closed in zip(ks, closed_vector(spec, ks)):
             brute = nu_agl_bruteforce(q, k)
-            exact = nu_agl_closed_exact(q, k)
-            if brute != Fraction(exact):
-                failures.append(f"q={q} k={k}: brute {brute} != closed {exact}")
-            center = nu_from_center(presentation, "rho", k)
-            if abs(center - exact) >= TOL:
-                failures.append(f"q={q} k={k}: center {center} vs {exact}")
+            if closed.imag != 0 or closed.real != brute:
+                failures.append(f"q={q} k={k}: brute {brute} != closed {closed}")
+            center = nu_from_center(spec.center(), "rho", k)
+            if abs(center - closed) >= TOL:
+                failures.append(f"q={q} k={k}: center {center} vs {closed}")
     _report("3 classical-crosscheck", failures, started)
 
 
@@ -238,7 +237,7 @@ def test_criterion_5_theta_product_is_minus_one():
     started = time.time()
     failures = []
     for row in builtin_rows():
-        if row.family != "NG2":
+        if row.spec.family != "NG2":
             continue
         spec = row.spec
         product = gauss_sum(spec.q.scaled(2)) * gauss_sum(spec.qp.scaled(2))
@@ -342,7 +341,7 @@ def test_criterion_5_weil_unitarity_for_table_forms():
     for row in builtin_rows():
         spec = row.spec
         forms = (
-            (spec.q, spec.qp) if row.family == "NG2" else (spec.qpp,)
+            (spec.q, spec.qp) if spec.family == "NG2" else (spec.qpp,)
         )
         for form in forms:
             key = (form.group.cyclic_factors, form.values)
@@ -393,11 +392,12 @@ def test_criterion_6_degenerate_coverage():
             break
 
     # AGL at q = 2: rho degenerates to the sign character of Z/2
-    for k in range(1, 11):
+    agl2 = CategorySpec("NG1", cyclic(1), p=2, zeta1=Fraction(0))
+    for k, closed in zip(range(1, 11), closed_vector(agl2, range(1, 11))):
         expected = 1 if k % 2 == 0 else 0
         if nu_agl_bruteforce(2, k) != expected:
             failures.append(f"AGL q=2 k={k}")
-        if nu_agl_closed_exact(2, k) != expected:
+        if closed.imag != 0 or closed.real != expected:
             failures.append(f"AGL closed q=2 k={k}")
 
     # near-group center over the trivial group on the NG1 side

@@ -41,6 +41,7 @@ NG1_PAIR = """[
   {"family":"NG1","group":{"cyclic_factors":[3]},"p":2,"zeta1":"1/4"}]"""
 NG1_SPEC = '{"family":"NG1","group":{"cyclic_factors":[3]},"p":2,"zeta1":"1/4"}'
 NG1X_SPEC = '{"family":"NG1X","labels":{"s":"-1"}}'
+NG1X_Z1XZ7_SPEC = '{"family":"NG1X","group":{"cyclic_factors":[1,7]}}'
 NG1_Z3XZ5_SPEC = '{"family":"NG1","group":{"cyclic_factors":[3,5]},"p":2,"zeta1":"0"}'
 NG2_SPEC = (
     '{"family":"NG2","group":{"cyclic_factors":[3,3]},'
@@ -84,6 +85,8 @@ CASES = {
     # both routes, one spec per family, one full period
     "indicators_ng1": ["indicators", "--path", "both", "--spec", NG1_SPEC],
     "indicators_ng1x": ["indicators", "--path", "both", "--spec", NG1X_SPEC],
+    # NG1X over Z/7 written with a trivial factor
+    "indicators_ng1x_z1xz7": ["indicators", "--path", "both", "--spec", NG1X_Z1XZ7_SPEC],
     # NG1 over Z/15 = F_16^* written as Z3xZ5
     "indicators_ng1_z3xz5": ["indicators", "--path", "both", "--spec", NG1_Z3XZ5_SPEC],
     "indicators_ng2": ["indicators", "--path", "both", "--spec", NG2_SPEC],

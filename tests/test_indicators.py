@@ -28,7 +28,6 @@ from fsind.indicators import (
     indicator_vector,
     ng1_equivalence_classes,
     nu_agl_bruteforce,
-    nu_agl_closed_exact,
     nu_from_center,
     nu_ng1_closed,
     rigidity_report,
@@ -75,6 +74,16 @@ def test_ng1x_closed_form_is_exact():
     for k in range(1, 29):
         value = closed_form_nu(NG1X, k)
         assert value.imag == 0 and value.real == round(value.real)
+
+
+@pytest.mark.parametrize("factors", [(1, 7), (7, 1)])
+def test_ng1x_accepts_any_presentation_of_z7(factors):
+    spec = CategorySpec("NG1X", FiniteAbelianGroup(factors))
+    for path in ("center", "closed"):
+        assert indicator_vector(spec, path) == indicator_vector(NG1X, path)
+    with pytest.raises(ValueError, match="NG1X lives over Z7"):
+        CategorySpec("NG1X", FiniteAbelianGroup((7, 7)))
+
 
 def test_ng2_closed_table_values():
     spec5 = _row_spec("ng5", 1)
@@ -177,14 +186,17 @@ def test_agl_bruteforce_examples():
         assert nu_agl_bruteforce(q, 1) == 0
 
 
+def _assert_agl_closed_route(q: int, ks) -> None:
+    """The brute force equals NG1's closed route on the AGL class
+    NG(F_q^*, q - 2) with zeta1 = 0, exactly: equal real part, imaginary part 0."""
+    spec = CategorySpec("NG1", cyclic(q - 1), p=factor_prime_power(q)[0], zeta1=Fraction(0))
+    for k, closed in zip(ks, closed_vector(spec, ks)):
+        assert closed.imag == 0 and closed.real == nu_agl_bruteforce(q, k), k
+
+
 def test_agl_matches_ng1_closed_form():
     for q in (3, 4, 5, 8, 9):
-        p, _ = factor_prime_power(q)
-        group = cyclic(q - 1)
-        for k in range(1, 16):
-            assert nu_agl_bruteforce(q, k) == nu_agl_closed_exact(q, k)
-            closed = nu_ng1_closed(group, p, Fraction(0), k)
-            assert abs(closed - nu_agl_closed_exact(q, k)) < TOL
+        _assert_agl_closed_route(q, range(1, 16))
 
 
 @pytest.mark.parametrize("q", AGL_QS)
@@ -219,8 +231,7 @@ def test_agl_tables_are_a_field(q):
 def test_agl_bruteforce_matches_closed_form_over_two_periods(q):
     p, _ = factor_prime_power(q)
     period = math.lcm(p, q - 1)  # the exponent of AGL_1(F_q)
-    for k in range(2 * period + 1):
-        assert nu_agl_bruteforce(q, k) == nu_agl_closed_exact(q, k), k
+    _assert_agl_closed_route(q, range(2 * period + 1))
 
 
 def test_agl_period_walk_matches_square_and_multiply():

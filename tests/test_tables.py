@@ -33,8 +33,8 @@ def _row(table_id, row_id):
 def test_row_counts():
     rows = builtin_rows()
     assert len(rows) == 26
-    assert sum(1 for r in rows if r.family == "NG2") == 18
-    assert sum(1 for r in rows if r.family == "HI") == 8
+    assert sum(1 for r in rows if r.spec.family == "NG2") == 18
+    assert sum(1 for r in rows if r.spec.family == "HI") == 8
     for table_id, count in EXPECTED_ROW_COUNTS.items():
         assert sum(1 for r in rows if r.table_id == table_id) == count
 
