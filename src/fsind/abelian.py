@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 GroupElement = tuple[int, ...]
+MAX_ORDER = 10**6  # bounds the time and memory of enumerating one group read from input
 
 
 def format_element(a: GroupElement) -> str:
@@ -22,17 +23,16 @@ def format_element(a: GroupElement) -> str:
     return "(" + ",".join(str(r) for r in a) + ")"
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "cyclic_factors")):
     """Z/n_1 x ... x Z/n_r with n_i >= 1; the trivial group is () or (1,)."""
 
-    cyclic_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        factors = tuple(int(n) for n in self.cyclic_factors)
+    def __new__(cls, cyclic_factors):
+        factors = tuple(int(n) for n in cyclic_factors)
         if any(n < 1 for n in factors):
             raise ValueError(f"cyclic factors must be >= 1, got {factors}")
-        object.__setattr__(self, "cyclic_factors", factors)
+        return super().__new__(cls, factors)
 
     def __str__(self) -> str:
         if self.order == 1:
@@ -160,8 +160,12 @@ def is_json_int(value) -> bool:
 
 
 def group_from_json(data: dict) -> FiniteAbelianGroup:
-    """Read a group; ``ValueError`` unless ``data`` is {"cyclic_factors": [int, ...]}."""
+    """Read a group; ``ValueError`` unless ``data`` is {"cyclic_factors": [int, ...]}
+    of order at most :data:`MAX_ORDER`, checked before anything is enumerated."""
     factors = data.get("cyclic_factors") if isinstance(data, dict) else None
     if not isinstance(factors, list) or not all(is_json_int(n) for n in factors):
         raise ValueError('a group must be {"cyclic_factors": [int, ...]}')
-    return FiniteAbelianGroup(tuple(factors))
+    group = FiniteAbelianGroup(tuple(factors))
+    if group.order > MAX_ORDER:
+        raise ValueError(f"group order {group.order} exceeds {MAX_ORDER}")
+    return group

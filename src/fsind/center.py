@@ -31,7 +31,7 @@ m * q''(x) with |H| = 2m + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power
@@ -39,20 +39,22 @@ from .fusion import RHO_LABEL, group_label, grho_label
 from .qforms import QuadraticForm, phase_to_complex
 
 
-@dataclass(frozen=True)
-class CenterObject:
-    sector: str  # A, Sigma, B, C, E, E1, E2, unit or D
-    twist: int  # theta_X = e^{2 pi i twist / period}
-    qdim: tuple[int, int]  # (a, b): qdim(X) = a + b * d
-    mult: dict  # base simple label -> multiplicity of F(X)
+class CenterObject(namedtuple("CenterObject", (
+    "sector",  # A, Sigma, B, C, E, E1, E2, unit or D
+    "twist",  # theta_X = e^{2 pi i twist / period}
+    "qdim",  # (a, b): qdim(X) = a + b * d
+    "mult",  # base simple label -> multiplicity of F(X)
+))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CenterPresentation:
-    objects: tuple[CenterObject, ...]
-    period: int  # the order of the T-matrix, over which every twist is written
-    d: float  # the Frobenius-Perron dimension of rho, at which every (a, b) is read
-    dim: tuple[int, int]  # dim C = A + B * d, so qdim(Z(C)) = (dim C)^2
+class CenterPresentation(namedtuple("CenterPresentation", (
+    "objects",  # a tuple of CenterObject
+    "period",  # the order of the T-matrix, over which every twist is written
+    "d",  # the Frobenius-Perron dimension of rho, at which every (a, b) is read
+    "dim",  # dim C = A + B * d, so qdim(Z(C)) = (dim C)^2
+))):
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -9,8 +9,7 @@ element.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .abelian import FiniteAbelianGroup, GroupElement, format_element
 
@@ -29,14 +28,10 @@ def grho_label(g: GroupElement) -> str:
 RHO_LABEL = "rho"
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(namedtuple("FusionRing", "labels unit dual N")):
     """Structure constants N[i][j][k] over an ordered basis of labels."""
 
-    labels: tuple[str, ...]
-    unit: int
-    dual: tuple[int, ...]
-    N: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -25,9 +25,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,8 +66,11 @@ CACHE_SIZE = 32  # entries per q-keyed AGL cache
 # Category specifications
 
 
-@dataclass(frozen=True)
-class CategorySpec:
+class CategorySpec(namedtuple(
+    "CategorySpec",
+    "family group p zeta1 q gp qp h qpp labels provenance",
+    defaults=(None,) * 7 + ((), ()),
+)):
     """One monoidal-equivalence class of a singly-generated fusion category.
 
     Families: NG1 (near group, m = |G| - 1), NG1X (the exceptional |G| = 7
@@ -84,21 +86,12 @@ class CategorySpec:
     required, each companion group (G', H) of its order given |G|, each form
     on its group and non-degenerate.  (NG1's G cyclic with |G| + 1 = p^l is
     checked by its center builder, which derives the field from it.)
+    Fields past ``group`` default to None, ``labels`` and ``provenance`` to ().
+    Copy a spec with :func:`replace`, which makes these checks again.
     """
 
-    family: str
-    group: FiniteAbelianGroup
-    p: int | None = None
-    zeta1: Fraction | None = None
-    q: QuadraticForm | None = None
-    gp: FiniteAbelianGroup | None = None
-    qp: QuadraticForm | None = None
-    h: FiniteAbelianGroup | None = None
-    qpp: QuadraticForm | None = None
-    labels: tuple[tuple[str, str], ...] = ()
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         family = FAMILIES[self.family]
@@ -109,25 +102,27 @@ class CategorySpec:
         n = self.group.order
         if family.odd and n % 2 == 0:
             raise ValueError(f"{family.name} requires |G| odd")
+        phases = {}
         for par in family.params:
             value = getattr(self, par.name)
             if par.kind is PHASE:
-                object.__setattr__(self, par.name, qz(value))
+                phases[par.name] = qz(value)
             if par.order is not None and value.order != par.order(n):
                 raise ValueError(f"|{par.shown}| must be {par.order(n)}, got {value.order}")
             if par.kind is FORM and value.group != getattr(self, par.on):
                 raise ValueError(f"{par.name} must live on {par.on}")
             if par.kind is FORM and not value.is_nondegenerate():
                 raise ValueError(f"{par.name} must be non-degenerate")
+        return super().__new__(cls, **{**self._asdict(), **phases}) if phases else self
 
     def rho_label(self) -> str:
         return FAMILIES[self.family].rho_label(self.group)
 
     def center(self) -> CenterPresentation:
-        """The center's modular data, built on the first call and kept on this
-        instance (outside the fields, so equality and hashing ignore it)."""
+        """The center's modular data, built on the first call and kept in this
+        instance's ``__dict__`` (outside the tuple, so equality and hashing ignore it)."""
         if "_center" not in self.__dict__:
-            object.__setattr__(self, "_center", FAMILIES[self.family].center(self))
+            self._center = FAMILIES[self.family].center(self)
         return self._center
 
     def period(self) -> int:
@@ -141,6 +136,11 @@ class CategorySpec:
         tags = ",".join(f"{k}={v}" for k, v in self.labels)
         suffix = f";{tags}" if tags else ""
         return f"{self.family}({','.join(parts)}{suffix})"
+
+
+def replace(spec: CategorySpec, **changes) -> CategorySpec:
+    """A copy of ``spec`` with some fields changed, checked like any new spec."""
+    return CategorySpec(**{**spec._asdict(), **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +228,15 @@ def _half_sums(group: FiniteAbelianGroup, ks: list[int], gauss: Iterable[complex
 # The family table
 
 
-@dataclass(frozen=True)
-class ParamKind:
+class ParamKind(namedtuple("ParamKind", (
+    "to_json",
+    "from_json",  # (JSON value, the group it lives on) -> value
+    "show",
+    "conjugate",
+))):
     """How one kind of family parameter is written, read, shown and conjugated."""
 
-    to_json: Callable
-    from_json: Callable  # (JSON value, the group it lives on) -> value
-    show: Callable
-    conjugate: Callable
+    __slots__ = ()
 
 
 def _int_from_json(data, _) -> int:
@@ -264,31 +265,33 @@ GROUP = ParamKind(group_to_json, lambda data, _: group_from_json(data), str, lam
 FORM = ParamKind(form_to_json, form_from_json, describe_form, QuadraticForm.negated)
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(namedtuple("Param", (
+    "name",
+    "kind",  # a ParamKind
+    "label",  # its name in describe(), if not ``name``
+    "on",  # for a form: the field holding the group it lives on
+    "order",  # for a group: its order given |G|
+), defaults=(None, "group", None))):
     """One family parameter: a CategorySpec field, also its JSON key."""
 
-    name: str
-    kind: ParamKind
-    label: str | None = None  # its name in describe(), if not ``name``
-    on: str = "group"  # for a form: the field holding the group it lives on
-    order: Callable[[int], int] | None = None  # for a group: its order given |G|
+    __slots__ = ()
 
     @property
     def shown(self) -> str:
         return self.label or self.name
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    params: tuple[Param, ...]
-    ring: str  # the Grothendieck ring's name; with G it fixes the ring
-    rho_label: Callable[[FiniteAbelianGroup], str]
-    center: Callable[[CategorySpec], CenterPresentation]
-    closed: Callable[[CategorySpec, Iterable[int]], list[complex]]  # nu_k(rho) for each k
-    odd: bool = False  # |G| must be odd
-    group: FiniteAbelianGroup | None = None  # the only group allowed, if any
+class Family(namedtuple("Family", (
+    "name",
+    "params",  # a tuple of Param
+    "ring",  # the Grothendieck ring's name; with G it fixes the ring
+    "rho_label",  # G -> the label of rho
+    "center",  # CategorySpec -> CenterPresentation
+    "closed",  # (CategorySpec, ks) -> nu_k(rho) for each k
+    "odd",  # |G| must be odd
+    "group",  # the only group allowed, if any
+), defaults=(False, None))):
+    __slots__ = ()
 
     @property
     def needs(self) -> str:
@@ -367,10 +370,11 @@ def conjugate_spec(spec: CategorySpec) -> CategorySpec:
 # Indicator vectors and rigidity
 
 
-@dataclass(frozen=True)
-class IndicatorVector:
-    period: int
-    values: tuple[complex, ...]  # values[k - 1] = nu_k(rho), k = 1..period
+class IndicatorVector(namedtuple("IndicatorVector", (
+    "period",
+    "values",  # values[k - 1] = nu_k(rho), k = 1..period
+))):
+    __slots__ = ()
 
     def value(self, k: int) -> complex:
         return self.values[(k - 1) % self.period]
@@ -389,11 +393,12 @@ def indicator_vector(spec: CategorySpec, path: str = "center") -> IndicatorVecto
     return IndicatorVector(period, tuple(ROUTES[path](spec, range(1, period + 1))))
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    period: int
-    classes: tuple[tuple[int, ...], ...]  # partition of spec indices
-    separators: tuple[tuple[int, int, int], ...]  # (i, j, smallest separating k)
+class RigidityReport(namedtuple("RigidityReport", (
+    "period",
+    "classes",  # partition of spec indices
+    "separators",  # (i, j, smallest separating k)
+))):
+    __slots__ = ()
 
     @property
     def distinguished(self) -> bool:
@@ -477,8 +482,7 @@ def ng1_equivalence_classes(order: int) -> list[CategorySpec]:
 # Classical brute force over AGL_1(F_q)
 
 
-@dataclass(frozen=True)
-class AGLGroup:
+class AGLGroup(namedtuple("AGLGroup", "q p add times elements")):
     """AGL_1(F_q) = F_q x| F_q^*, elements (a, b) with (a,b)(c,d) = (a+bc, bd).
 
     A field element is the integer 0..q-1 whose base-p digits are its
@@ -486,11 +490,7 @@ class AGLGroup:
     ``add`` and ``times`` are the q x q addition and multiplication tables.
     """
 
-    q: int
-    p: int
-    add: tuple[tuple[int, ...], ...]
-    times: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:

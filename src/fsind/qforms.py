@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import (
@@ -44,18 +43,18 @@ def phase_to_complex(a: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(a % 1))
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(namedtuple("QuadraticForm", "group values")):
     """q: G -> Q/Z as integer numerators over :attr:`den`, in element order;
     ``ValueError`` unless q(0) = 0, q(-g) = q(g) and dq is bi-additive."""
 
-    group: FiniteAbelianGroup
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        den, group = self.den, self.group
-        values = tuple(v % den for v in self.values)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, group, values):
+        den = 2 * group.exponent
+        return super().__new__(cls, group, tuple(v % den for v in values))
+
+    def __init__(self, group, values) -> None:
+        den, group, values = self.den, self.group, self.values  # as reduced by __new__
         if len(values) != group.order:
             raise ValueError("value table does not match group order")
         if values[0] != 0:

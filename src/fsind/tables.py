@@ -26,7 +26,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, cyclic
@@ -36,21 +36,17 @@ from .indicators import (
     ROUTES,
     CategorySpec,
     closed_form_nu,
+    replace,
 )
 from .qforms import half_form, jacobi_symbol, monomial_form
 
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 
 
-@dataclass(frozen=True)
-class ValueClaim:
+class ValueClaim(namedtuple("ValueClaim", "k text a b d")):
     """One listed indicator value, nu_k(rho) = (a + b sqrt(d)) / 2."""
 
-    k: int
-    text: str
-    a: int
-    b: int
-    d: int
+    __slots__ = ()
 
     def expected(self) -> complex:
         if self.b == 0:
@@ -61,28 +57,21 @@ class ValueClaim:
         return complex(self.a + self.b * root) / 2
 
 
-@dataclass(frozen=True)
-class JacobiLawClaim:
+class JacobiLawClaim(namedtuple("JacobiLawClaim", "text sign modulus sample_ks")):
     """A generic-k law nu_k = (1 + sign*(k/modulus))/2, gcd(k, modulus') = 1."""
 
-    text: str
-    sign: int
-    modulus: int
-    sample_ks: tuple[int, ...]
+    __slots__ = ()
 
     def expected(self, k: int) -> complex:
         return complex(1 + self.sign * jacobi_symbol(k, self.modulus)) / 2
 
 
-@dataclass(frozen=True)
-class TableRow:
-    table_id: str
-    row_id: int
-    spec: CategorySpec
-    printed_category: str
-    printed_center_group: str
-    claims: tuple
-    notes: tuple[str, ...] = ()
+class TableRow(namedtuple(
+    "TableRow",
+    "table_id row_id spec printed_category printed_center_group claims notes",
+    defaults=((),),
+)):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +295,12 @@ def _print_form(group, coeffs) -> str:
 # Verification
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
-    k: int
-    text: str
-    expected: complex
-    closed: complex
-    center: complex
-    deviation: float
-    passed: bool
+class ClaimCheck(namedtuple("ClaimCheck", "k text expected closed center deviation passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RowReport:
-    row: TableRow
-    checks: tuple[ClaimCheck, ...]
-    all_pass: bool
-    max_deviation: float
+class RowReport(namedtuple("RowReport", "row checks all_pass max_deviation")):
+    __slots__ = ()
 
 
 def verify_row(row: TableRow, tol: float = DEFAULT_TOL) -> RowReport:

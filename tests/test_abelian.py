@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from fsind.abelian import FiniteAbelianGroup, cyclic, direct_sum, group_from_json, group_to_json
+from fsind.abelian import (
+    MAX_ORDER,
+    FiniteAbelianGroup,
+    cyclic,
+    direct_sum,
+    group_from_json,
+    group_to_json,
+)
 
 Z3 = cyclic(3)
 Z9 = cyclic(9)
@@ -115,3 +122,10 @@ def test_direct_sum_and_json_round_trip():
 def test_invalid_factor_rejected():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((0,))
+
+
+def test_group_from_json_bounds_the_order():
+    assert group_from_json({"cyclic_factors": [MAX_ORDER]}).order == MAX_ORDER
+    for factors in ([MAX_ORDER + 1], [1000, 1001], [100000000], [1000, 1000, 1000]):
+        with pytest.raises(ValueError, match="exceeds"):
+            group_from_json({"cyclic_factors": factors})

@@ -53,6 +53,11 @@ HI_SPEC = (
     '{"family":"HI","group":{"cyclic_factors":[3]},"h":{"cyclic_factors":[13]},'
     '"qpp":{"monomial":[{"factor":0,"coeff":1}]}}'
 )
+# groups of order over abelian.MAX_ORDER, refused before anything is enumerated
+NG2_OVER_BOUND = (
+    '{"family":"NG2","group":{"cyclic_factors":[1000000001]},"q":' + FORM1 + ","
+    '"gp":{"cyclic_factors":[1000000005]},"qp":' + FORM1 + "}"
+)
 HI_PAIR = "[" + HI_SPEC + "," + HI_SPEC.replace('"coeff":1', '"coeff":2') + "]"
 # the trivial group written two ways
 TRIVIAL_PAIR = """[
@@ -106,6 +111,13 @@ CASES = {
     "agl_not_prime_power": ["agl", "--q", "6"],
     "agl_over_cap": ["agl", "--q", "128"],
     "rigidity_kmax": ["rigidity", "--specs", NG1_PAIR, "--kmax", "5"],
+    "gauss_group_over_bound": [
+        "gauss", "--group", '{"cyclic_factors":[100000000]}', "--form", FORM1,
+    ],
+    "gauss_group_product_over_bound": [
+        "gauss", "--group", '{"cyclic_factors":[1000,1000,1000]}', "--form", FORM1,
+    ],
+    "indicators_ng2_group_over_bound": ["indicators", "--kmax", "3", "--spec", NG2_OVER_BOUND],
 }
 
 
@@ -146,6 +158,13 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_loads_no_numpy():
     result = _run_python("import fsind.cli, sys; assert 'numpy' not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Records are namedtuples: start-up loads neither `dataclasses` nor its `inspect`."""
+    code = "import fsind.cli, sys; assert not {'dataclasses', 'inspect'} & set(sys.modules)"
+    result = _run_python(code)
     assert result.returncode == 0, result.stderr
 
 

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +29,7 @@ from fsind.indicators import (
     nu_agl_bruteforce,
     nu_from_center,
     nu_ng1_closed,
+    replace,
     rigidity_report,
     spec_from_json,
     spec_to_json,
@@ -615,3 +615,22 @@ def test_spec_validation():
             spec_from_json(data)
     with pytest.raises(ValueError, match="zeta1"):
         spec_from_json({"family": "NG1", "group": {"cyclic_factors": [3]}, "p": 2})
+
+
+def test_replace_checks_the_copy_like_a_new_spec():
+    ng2 = builtin_rows()[0].spec
+    with pytest.raises(ValueError, match="non-degenerate"):
+        replace(ng2, q=monomial_form(ng2.group, (0,)))
+    ng1 = CategorySpec("NG1", cyclic(3), p=2, zeta1=Fraction(0))
+    assert replace(ng1, zeta1=Fraction(5, 4)).zeta1 == Fraction(1, 4)
+    with pytest.raises(ValueError, match="family"):
+        replace(ng1, family="bogus")
+
+
+def test_kept_center_is_outside_equality_and_hash():
+    spec = builtin_rows()[0].spec
+    built, fresh = replace(spec), replace(spec)
+    presentation = built.center()
+    assert built.center() is presentation
+    assert built == fresh and hash(built) == hash(fresh)
+    assert fresh.center() is not presentation

@@ -239,6 +239,10 @@ def test_form_validation():
         QuadraticForm(cyclic(3), (0, 2, 4))  # q(-1) != q(1)
     with pytest.raises(ValueError):
         QuadraticForm(cyclic(5), (0, 1, 3, 3, 1))  # dq(1, 2) != 2 dq(1, 1)
+    with pytest.raises(ValueError, match="bi-additive"):
+        QuadraticForm(group=cyclic(5), values=(0, 1, 3, 3, 1))
+    with pytest.raises(ValueError, match="bi-additive"):
+        form_from_json({"table": ["0", "1/10", "3/10", "3/10", "1/10"]}, cyclic(5))
 
 
 monomial_inputs = st.sampled_from(ABELIAN_GROUPS_LE_13).flatmap(
