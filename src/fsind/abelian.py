@@ -23,6 +23,18 @@ def format_element(a: GroupElement) -> str:
     return "(" + ",".join(str(r) for r in a) + ")"
 
 
+# labels of the simple objects g, g*rho and rho, shared by centers and rings
+def group_label(g: GroupElement) -> str:
+    return "g:" + format_element(g)
+
+
+def grho_label(g: GroupElement) -> str:
+    return "grho:" + format_element(g)
+
+
+RHO_LABEL = "rho"
+
+
 class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "cyclic_factors")):
     """Z/n_1 x ... x Z/n_r with n_i >= 1; the trivial group is () or (1,)."""
 

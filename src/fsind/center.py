@@ -34,8 +34,14 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .abelian import FiniteAbelianGroup, cyclic, factor_prime_power
-from .fusion import RHO_LABEL, group_label, grho_label
+from .abelian import (
+    RHO_LABEL,
+    FiniteAbelianGroup,
+    cyclic,
+    factor_prime_power,
+    grho_label,
+    group_label,
+)
 from .qforms import QuadraticForm, phase_to_complex
 
 

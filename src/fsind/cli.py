@@ -20,23 +20,18 @@ import os
 import sys
 from fractions import Fraction
 
+# Only what `gauss` runs is imported here; the other commands import
+# `indicators` or `tables` when they run, so no process compiles modules its
+# command never calls.
 from .abelian import cyclic, group_from_json
-from .indicators import (
-    DEFAULT_TOL,
-    ROUTES,
-    CategorySpec,
-    build_agl,
-    closed_vector,
-    nu_agl_bruteforce,
-    rigidity_report,
-    spec_from_json,
-)
-from .qforms import form_from_json, gauss_sum, phase_to_complex
-from .tables import TABLE_IDS, emit_report, format_real, verify_tables
+from .qforms import DEFAULT_TOL, form_from_json, format_real, gauss_sum, phase_to_complex
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 MAX_KMAX = 100_000  # bounds the time and memory of one indicators or agl run
+# the names of indicators.ROUTES and tables.TABLE_IDS, which tests pin these to
+PATHS = ("center", "closed", "both")
+TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 
 
 class CliError(Exception):
@@ -105,12 +100,16 @@ def _check_kmax(kmax: int) -> None:
 
 
 def cmd_indicators(args) -> int:
+    from .indicators import ROUTES, spec_from_json
+
     tol = _tolerance(args)
     spec = spec_from_json(_load_json_arg(args.spec))
     kmax = None if args.kmax == "auto" else int(args.kmax)
     if kmax is not None:
         _check_kmax(kmax)
     period = spec.period()
+    if kmax is None and period > MAX_KMAX:
+        raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got auto: one period, {period}")
     ks = range(1, (kmax or period) + 1)
     routes = ("center", "closed") if args.path == "both" else (args.path,)
     vectors = {route: ROUTES[route](spec, ks) for route in routes}
@@ -136,6 +135,8 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    from .tables import emit_report, verify_tables
+
     tol = _tolerance(args)
     try:
         reports = verify_tables(args.table, tol)
@@ -146,6 +147,8 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    from .indicators import rigidity_report, spec_from_json
+
     tol = _tolerance(args)
     data = _load_json_arg(args.specs)
     if not isinstance(data, list) or not data:
@@ -173,6 +176,8 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_agl(args) -> int:
+    from .indicators import CategorySpec, build_agl, closed_vector, nu_agl_bruteforce
+
     tol = _tolerance(args)
     _check_kmax(args.kmax)
     agl = build_agl(args.q)
@@ -214,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indicators", help="indicator vector of a category spec")
     p.add_argument("--spec", required=True, help="spec JSON (or @file)")
     p.add_argument("--kmax", default="auto", help="integer or 'auto' (one period)")
-    p.add_argument("--path", choices=(*ROUTES, "both"), default="center")
+    p.add_argument("--path", choices=PATHS, default="center")
     p.set_defaults(func=cmd_indicators)
 
     p = sub.add_parser("verify-tables", help="re-derive every bundled table value")

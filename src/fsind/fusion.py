@@ -11,21 +11,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, namedtuple
 
-from .abelian import FiniteAbelianGroup, GroupElement, format_element
+from .abelian import RHO_LABEL, FiniteAbelianGroup, group_label, grho_label
 
 FP_TOL = 1e-9
 FP_MAX_ITER = 10**5
-
-
-def group_label(g: GroupElement) -> str:
-    return "g:" + format_element(g)
-
-
-def grho_label(g: GroupElement) -> str:
-    return "grho:" + format_element(g)
-
-
-RHO_LABEL = "rho"
 
 
 class FusionRing(namedtuple("FusionRing", "labels unit dual N")):

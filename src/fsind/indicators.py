@@ -31,9 +31,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abelian import (
+    RHO_LABEL,
     FiniteAbelianGroup,
     cyclic,
     factor_prime_power,
+    grho_label,
     group_from_json,
     group_to_json,
     is_json_int,
@@ -46,8 +48,8 @@ from .center import (
     center_ng2,
     twist_histogram,
 )
-from .fusion import RHO_LABEL, grho_label
 from .qforms import (
+    DEFAULT_TOL,
     QuadraticForm,
     describe_form,
     form_from_json,
@@ -58,7 +60,6 @@ from .qforms import (
     root_sums,
 )
 
-DEFAULT_TOL = 1e-9
 CACHE_SIZE = 32  # entries per q-keyed AGL cache
 
 

@@ -13,6 +13,10 @@ Since 2 q(g) = dq(g, g) has order dividing ord(g), every value is a multiple
 of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
 over den, checked once by the constructor; exact ``Fraction`` phases appear
 only in ``value``, ``boundary`` and the JSON ``table`` format.
+
+The default comparison tolerance and :func:`format_real`, the decimal format
+of every command's output, live here too: ``fsind gauss`` loads nothing above
+this module.
 """
 
 from __future__ import annotations
@@ -31,6 +35,17 @@ from .abelian import (
     group_to_json,
     is_json_int,
 )
+
+
+DEFAULT_TOL = 1e-9
+ZERO = 1e-12  # report values below this in modulus print as 0
+
+
+def format_real(x: float, zero: float) -> str:
+    """``x`` to 12 significant digits, or ``0`` if ``|x| < zero``."""
+    if abs(x) < zero:
+        x = 0.0
+    return f"{x:.12g}"
 
 
 def qz(value) -> Fraction:

@@ -30,15 +30,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, cyclic
-from .indicators import (
-    DEFAULT_TOL,
-    FAMILIES,
-    ROUTES,
-    CategorySpec,
-    closed_form_nu,
-    replace,
-)
-from .qforms import half_form, jacobi_symbol, monomial_form
+from .indicators import FAMILIES, ROUTES, CategorySpec, closed_form_nu, replace
+from .qforms import DEFAULT_TOL, ZERO, format_real, half_form, jacobi_symbol, monomial_form
 
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 
@@ -332,16 +325,6 @@ def verify_tables(table_id: str | None = None, tol: float = DEFAULT_TOL) -> list
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-ZERO = 1e-12  # report values below this in modulus print as 0
-
-
-def format_real(x: float, zero: float) -> str:
-    """``x`` to 12 significant digits, or ``0`` if ``|x| < zero``."""
-    if abs(x) < zero:
-        x = 0.0
-    return f"{x:.12g}"
 
 
 def _records(reports: list[RowReport]) -> list[dict]:

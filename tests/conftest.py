@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from fsind.abelian import cyclic
+from fsind.cli import build_parser
 from fsind.qforms import QuadraticForm, monomial_form, orthogonal_sum
 
 # all abelian groups of order <= 13, one tuple of cyclic factors each
@@ -12,6 +15,12 @@ ABELIAN_GROUPS_LE_13 = [
     (1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,),
     (8,), (2, 4), (2, 2, 2), (9,), (3, 3), (10,), (11,), (12,), (2, 6), (13,),
 ]
+
+
+def parser_choices(command: str, option: str) -> tuple:
+    """The choices the ``fsind`` parser offers for ``option`` of ``command``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if option in a.option_strings).choices
 
 
 def cyclic_metric_form(n: int, a: int = 1) -> QuadraticForm:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsind import cli, fusion, indicators, tables
+from conftest import parser_choices
+from fsind import fusion, indicators, tables
 from fsind.cli import MAX_KMAX, main
 from fsind.indicators import CategorySpec
 
@@ -97,6 +98,15 @@ def test_indicators_kmax_out_of_range_is_a_usage_error(capsys, monkeypatch, kmax
 
 
 NG1_Z3 = {"family": "NG1", "group": {"cyclic_factors": [3]}, "p": 2, "zeta1": "0"}
+
+
+def test_indicators_kmax_auto_over_bound_is_a_usage_error(capsys):
+    """kmax auto is one period, here 6 * 100003, which the kmax bound refuses."""
+    spec = json.dumps({**NG1_Z3, "zeta1": "1/100003"})
+    code, out, err = run(capsys, "indicators", "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert "kmax" in err and "600018" in err
 
 
 @pytest.mark.parametrize(
@@ -285,6 +295,10 @@ def test_verify_tables_row_selection_count(capsys):
     assert len(json.loads(out)["rows"]) == 4
 
 
+def test_table_choices_are_the_bundled_tables():
+    assert parser_choices("verify-tables", "--table") == tables.TABLE_IDS
+
+
 def test_verify_tables_unknown_table(capsys):
     code, _, _ = run(capsys, "verify-tables", "--table", "ng99")
     assert code == 2
@@ -355,7 +369,7 @@ def test_agl_kmax_out_of_range_is_a_usage_error(capsys, monkeypatch, kmax):
     def no_group(q):
         raise AssertionError("group built before kmax was checked")
 
-    monkeypatch.setattr(cli, "build_agl", no_group)
+    monkeypatch.setattr(indicators, "build_agl", no_group)
     code, out, err = run(capsys, "agl", "--q", "5", "--kmax", kmax)
     assert code == 2
     assert out == ""

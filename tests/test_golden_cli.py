@@ -58,6 +58,8 @@ NG2_OVER_BOUND = (
     '{"family":"NG2","group":{"cyclic_factors":[1000000001]},"q":' + FORM1 + ","
     '"gp":{"cyclic_factors":[1000000005]},"qp":' + FORM1 + "}"
 )
+# one period is 6 * 100003 = 600018, over the kmax bound
+NG1_LONG_PERIOD = NG1_SPEC.replace('"1/4"', '"1/100003"')
 HI_PAIR = "[" + HI_SPEC + "," + HI_SPEC.replace('"coeff":1', '"coeff":2') + "]"
 # the trivial group written two ways
 TRIVIAL_PAIR = """[
@@ -118,6 +120,19 @@ CASES = {
         "gauss", "--group", '{"cyclic_factors":[1000,1000,1000]}', "--form", FORM1,
     ],
     "indicators_ng2_group_over_bound": ["indicators", "--kmax", "3", "--spec", NG2_OVER_BOUND],
+    "indicators_kmax_auto_over_bound": ["indicators", "--spec", NG1_LONG_PERIOD],
+}
+
+# the fsind modules each command loads: `gauss` needs groups and forms only,
+# and no command loads `fusion`
+GAUSS_MODULES = ["fsind.abelian", "fsind.cli", "fsind.qforms"]
+SPEC_MODULES = sorted([*GAUSS_MODULES, "fsind.center", "fsind.indicators"])
+COMMAND_MODULES = {
+    "gauss": GAUSS_MODULES,
+    "indicators": SPEC_MODULES,
+    "rigidity": SPEC_MODULES,
+    "agl": SPEC_MODULES,
+    "verify-tables": sorted([*SPEC_MODULES, "fsind.tables"]),
 }
 
 
@@ -166,6 +181,20 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     code = "import fsind.cli, sys; assert not {'dataclasses', 'inspect'} & set(sys.modules)"
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
+
+
+def test_each_command_loads_only_its_own_modules():
+    """Each command imports, and so compiles, only the fsind modules it runs;
+    `import fsind.cli` alone loads what `gauss` needs and nothing more."""
+    loaded = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fsind.'))))"
+    result = _run_python("import json, sys, fsind.cli; " + loaded)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == GAUSS_MODULES
+    for name in sorted(n for n in CASES if n.startswith("readme_")):
+        code = f"import json, sys, test_golden_cli as t; t.run_case(t.CASES[{name!r}]); {loaded}"
+        result = _run_python(code)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == COMMAND_MODULES[CASES[name][0]], name
 
 
 def test_golden_cli_output_without_numpy():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsind import cli, indicators
-from fsind.abelian import FiniteAbelianGroup, cyclic
+from conftest import parser_choices
+from fsind import indicators
+from fsind.abelian import FiniteAbelianGroup, cyclic, group_label
 from fsind.center import center_ng1_exceptional7, center_ng2, twist_histogram
-from fsind.fusion import group_label, make_hi_ring, make_near_group_ring
+from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.indicators import (
     CACHE_SIZE,
     FAMILIES,
@@ -353,7 +354,7 @@ def test_rigidity_builds_each_class_histogram_once(monkeypatch):
 
 def test_one_route_map_serves_vectors_and_cli():
     spec = _row_spec("ng3", 1)
-    assert cli.ROUTES is indicators.ROUTES
+    assert parser_choices("indicators", "--path") == (*indicators.ROUTES, "both")
     assert set(indicators.ROUTES) == {"center", "closed"}
     for path, route in indicators.ROUTES.items():
         vec = indicator_vector(spec, path)
