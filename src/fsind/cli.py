@@ -23,12 +23,12 @@ from fractions import Fraction
 # Only what `gauss` runs is imported here; the other commands import
 # `indicators` or `tables` when they run, so no process compiles modules its
 # command never calls.
-from .abelian import cyclic, group_from_json
+from .abelian import MAX_ORDER, cyclic, group_from_json
 from .qforms import DEFAULT_TOL, form_from_json, format_real, gauss_sum, phase_to_complex
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
-MAX_KMAX = 100_000  # bounds the time and memory of one indicators or agl run
+MAX_KMAX = 100_000  # bounds the time and memory of one indicators, rigidity or agl run
 # the names of indicators.ROUTES and tables.TABLE_IDS, which tests pin these to
 PATHS = ("center", "closed", "both")
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
@@ -110,6 +110,8 @@ def cmd_indicators(args) -> int:
     period = spec.period()
     if kmax is None and period > MAX_KMAX:
         raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got auto: one period, {period}")
+    if period > MAX_ORDER:  # a vector tabulates one root of unity per residue
+        raise CliError(f"period {period} exceeds {MAX_ORDER}")
     ks = range(1, (kmax or period) + 1)
     routes = ("center", "closed") if args.path == "both" else (args.path,)
     vectors = {route: ROUTES[route](spec, ks) for route in routes}
@@ -154,6 +156,9 @@ def cmd_rigidity(args) -> int:
     if not isinstance(data, list) or not data:
         raise CliError("--specs must be a JSON list of at least one spec")
     specs = [spec_from_json(entry) for entry in data]
+    for spec in specs:  # each class is evaluated over one whole period
+        if spec.period() > MAX_KMAX:
+            raise CliError(f"period {spec.period()} of {spec.describe()} exceeds {MAX_KMAX}")
     report = rigidity_report(specs, tol)
     names = [spec.describe() for spec in specs]
     payload = {

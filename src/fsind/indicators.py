@@ -487,8 +487,9 @@ class AGLGroup(namedtuple("AGLGroup", "q p add times elements")):
     """AGL_1(F_q) = F_q x| F_q^*, elements (a, b) with (a,b)(c,d) = (a+bc, bd).
 
     A field element is the integer 0..q-1 whose base-p digits are its
-    polynomial coefficients, constant term lowest, so 0 is zero and 1 is one;
-    ``add`` and ``times`` are the q x q addition and multiplication tables.
+    coefficients as a polynomial in x modulo the modulus :func:`build_agl`
+    chooses, constant term lowest, so 0 is zero and 1 is one; ``add`` and
+    ``times`` are the q x q addition and multiplication tables.
     """
 
     __slots__ = ()
@@ -505,57 +506,37 @@ class AGLGroup(namedtuple("AGLGroup", "q p add times elements")):
         return (0, 1)
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    num = list(num)
-    dn = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] * inv_lead % p
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] = (num[i - dn + j] - c * den[j]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            divisor = list(lower) + [1]
-            remainder = _poly_mod(poly, divisor, p)
-            if remainder == [0]:
-                return False
-    return True
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def build_agl(q: int) -> AGLGroup:
-    """Explicit AGL_1(F_q) for a prime power q <= 64."""
+    """Explicit AGL_1(F_q) for a prime power q = p^ell <= 64.
+
+    F_q is F_p[x] modulo the first monic x^ell + f, f in digit order, in
+    which x has order q - 1; such a primitive modulus exists in every degree.
+    Its powers x^0 .. x^(q-2) are then all of F_q^*, so a product of units
+    is the power of x at the sum of their exponents.
+    """
     if q > 64:
         raise ValueError("q is capped at 64")
     p, ell = factor_prime_power(q)
-    modulus = next(  # monic, irreducible; x itself when ell = 1
-        [*lower, 1]
-        for lower in itertools.product(range(p), repeat=ell)
-        if _is_irreducible([*lower, 1], p)
+    places = [p**i for i in range(ell)]
+    add = tuple(
+        tuple(sum((u // b + v // b) % p * b for b in places) for v in range(q)) for u in range(q)
     )
-    digits = [[n // p**i % p for i in range(ell)] for n in range(q)]
-
-    def number(poly: list[int]) -> int:
-        return sum(c * p**i for i, c in enumerate(poly))
-
-    def product(u: list[int], v: list[int]) -> list[int]:
-        prod = [0] * (2 * ell - 1)
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                prod[i + j] += x * y
-        return _poly_mod([c % p for c in prod], modulus, p)
-
-    add = tuple(tuple(number([(x + y) % p for x, y in zip(u, v)]) for v in digits) for u in digits)
-    times = tuple(tuple(number(product(u, v)) for v in digits) for u in digits)
-    elements = tuple((a, b) for a in range(q) for b in range(1, q))
+    top = q // p  # the place of x^(ell - 1)
+    for f in range(q):
+        fold = [sum(-c * (f // b) % p * b for b in places) for c in range(p)]  # c x^ell = -c f
+        powers = [1]  # x^0 .. x^(q-1): shift each digit up one place, fold x^ell back
+        for _ in range(q - 1):
+            n = powers[-1]
+            powers.append(add[n % top * p][fold[n // top]])
+        if powers[-1] == 1 and 1 not in powers[1:-1]:  # x has order q - 1
+            break
+    log = {n: i for i, n in enumerate(powers[:-1])}
+    units = range(1, q)
+    times = ((0,) * q,) + tuple(
+        (0, *(powers[(log[u] + log[v]) % (q - 1)] for v in units)) for u in units
+    )
+    elements = tuple((a, b) for a in range(q) for b in units)
     return AGLGroup(q, p, add, times, elements)
 
 

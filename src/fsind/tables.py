@@ -22,10 +22,10 @@ with d < 0 read as i*sqrt(|d|); generic laws as a Jacobi-symbol pattern
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -42,12 +42,7 @@ class ValueClaim(namedtuple("ValueClaim", "k text a b d")):
     __slots__ = ()
 
     def expected(self) -> complex:
-        if self.b == 0:
-            return complex(self.a) / 2
-        root = math.sqrt(abs(self.d))
-        if self.d < 0:
-            return complex(self.a, self.b * root) / 2
-        return complex(self.a + self.b * root) / 2
+        return (self.a + self.b * cmath.sqrt(self.d)) / 2
 
 
 class JacobiLawClaim(namedtuple("JacobiLawClaim", "text sign modulus sample_ks")):

@@ -250,7 +250,7 @@ def test_criterion_5_nu1_vanishes_for_all_specs():
     """nu_1(rho) = 0 for all 26 bundled specs.
 
     Fails on the four sign '-' HI rows (hi3 and hi5, rows 3-4), which give
-    nu_1 = 1 because ``center_hi`` and ``nu_hi_closed`` fix dim rho to the
+    nu_1 = 1 because ``center_hi`` and ``hi_closed_vector`` fix dim rho to the
     Frobenius-Perron root.  With the root (n - sqrt(n^2 + 4))/2 these rows
     give nu_1 = 0; see the README, "Known data issues".
     """

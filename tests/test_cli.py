@@ -109,6 +109,21 @@ def test_indicators_kmax_auto_over_bound_is_a_usage_error(capsys):
     assert "kmax" in err and "600018" in err
 
 
+def test_long_periods_are_usage_errors(capsys):
+    """A vector tabulates one root per residue of the period, so `indicators`
+    refuses a period over abelian.MAX_ORDER whatever the kmax, and `rigidity`,
+    which evaluates whole periods, one over the kmax bound."""
+    for n in (10000019, 100003):  # periods 6n: 60000114 and 600018
+        specs = [{**NG1_Z3, "zeta1": f"{a}/{n}"} for a in (1, 2)]
+        code, out, err = run(capsys, "rigidity", "--specs", json.dumps(specs))
+        assert (code, out) == (2, "") and str(6 * n) in err
+        code, out, err = run(capsys, "indicators", "--kmax", "3", "--spec", json.dumps(specs[0]))
+        if n == 10000019:
+            assert (code, out) == (2, "") and str(6 * n) in err
+        else:
+            assert code == 0 and len(json.loads(out)["values"]) == 3
+
+
 @pytest.mark.parametrize(
     "spec",
     [

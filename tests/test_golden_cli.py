@@ -60,6 +60,11 @@ NG2_OVER_BOUND = (
 )
 # one period is 6 * 100003 = 600018, over the kmax bound
 NG1_LONG_PERIOD = NG1_SPEC.replace('"1/4"', '"1/100003"')
+# one period is 6 * 10000019 = 60000114, over abelian.MAX_ORDER
+NG1_PERIOD_OVER_BOUND = NG1_SPEC.replace('"1/4"', '"1/10000019"')
+NG1_PAIR_OVER_BOUND = (
+    "[" + NG1_PERIOD_OVER_BOUND + "," + NG1_PERIOD_OVER_BOUND.replace('"1/', '"2/') + "]"
+)
 HI_PAIR = "[" + HI_SPEC + "," + HI_SPEC.replace('"coeff":1', '"coeff":2') + "]"
 # the trivial group written two ways
 TRIVIAL_PAIR = """[
@@ -121,6 +126,10 @@ CASES = {
     ],
     "indicators_ng2_group_over_bound": ["indicators", "--kmax", "3", "--spec", NG2_OVER_BOUND],
     "indicators_kmax_auto_over_bound": ["indicators", "--spec", NG1_LONG_PERIOD],
+    "indicators_period_over_bound": [
+        "indicators", "--kmax", "3", "--spec", NG1_PERIOD_OVER_BOUND,
+    ],
+    "rigidity_period_over_bound": ["rigidity", "--specs", NG1_PAIR_OVER_BOUND],
 }
 
 # the fsind modules each command loads: `gauss` needs groups and forms only,
