@@ -156,7 +156,7 @@ def cmd_rigidity(args) -> int:
     if not isinstance(data, list) or not data:
         raise CliError("--specs must be a JSON list of at least one spec")
     specs = [spec_from_json(entry) for entry in data]
-    for spec in specs:  # each class is evaluated over one whole period
+    for spec in specs:  # each class tabulates one root per residue of its period
         if spec.period() > MAX_KMAX:
             raise CliError(f"period {spec.period()} of {spec.describe()} exceeds {MAX_KMAX}")
     report = rigidity_report(specs, tol)

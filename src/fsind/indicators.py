@@ -26,7 +26,7 @@ import cmath
 import itertools
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -169,17 +169,18 @@ def center_vector(
     presentation: CenterPresentation, target: str, ks: Iterable[int]
 ) -> list[complex]:
     """nu_k(target) for each k in ``ks`` by the center formula."""
-    return histogram_vector(presentation, twist_histogram(presentation, target), ks)
+    return list(histogram_vector(presentation, twist_histogram(presentation, target), ks))
 
 
 def histogram_vector(
     presentation: CenterPresentation, histogram: dict, ks: Iterable[int]
-) -> list[complex]:
-    """The center formula for each k in ``ks`` from a twist histogram of the
-    presentation, read at d and keyed by twist numerator over the period."""
+) -> Iterator[complex]:
+    """Yield the center formula for each k in ``ks``, in order, from a twist
+    histogram of the presentation, read at d and keyed by twist numerator over
+    the period."""
     weights = {twist: presentation.at_d(pair) for twist, pair in histogram.items()}
     dim = presentation.at_d(presentation.dim)
-    return [total / dim for total in root_sums(weights, presentation.period, ks)]
+    return (total / dim for total in root_sums(weights, presentation.period, ks))
 
 
 def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) -> complex:
@@ -412,8 +413,11 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     All specs must share the first one's ring: the family's ring name and G up
     to isomorphism (no ring is built).  Equal vectors are then exactly equal
     twist histograms of rho over equal periods.  ``tol`` is only the threshold of the smallest
-    separating k, scanned once per pair of classes on one vector each, up to
-    the lcm of their periods; a pair with no such k raises ``ValueError``.
+    separating k, scanned once per pair of classes up to the lcm of their
+    periods; a pair with no such k raises ``ValueError``.  Each class draws its
+    values in order k = 1, 2, ... as its pairs read them and keeps them for
+    its other pairs, so it is evaluated only up to the largest smallest
+    separating k of its pairs (and over one whole period at most).
 
     The known inseparable pairs (the two |G| = 13 near-group pairs and the
     Haagerup-Izumi pairs) also share their centers' modular data; it is an
@@ -428,15 +432,21 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     centers = [spec.center() for spec in specs]
     keys = [(twist_histogram(c, s.rho_label()), c.period, c.dim) for c, s in zip(centers, specs)]
     first = [keys.index(key) for key in keys]  # the first spec of each spec's class
-    vectors = {}
-    for i in sorted(set(first)):  # each class's vector from the histogram of its key
+    drawn = {}  # first spec of each class -> (period, values drawn so far, the rest)
+    for i in sorted(set(first)):  # each class's values from the histogram of its key
         histogram, period, _ = keys[i]
-        values = histogram_vector(centers[i], histogram, range(1, period + 1))
-        vectors[i] = IndicatorVector(period, tuple(values))
+        drawn[i] = period, [], histogram_vector(centers[i], histogram, range(1, period + 1))
+
+    def value(i: int, k: int) -> complex:  # nu_k of class i, drawn on first read
+        period, values, rest = drawn[i]
+        while len(values) < min(k, period):
+            values.append(next(rest))
+        return values[(k - 1) % period]
+
     smallest = {}  # (i, j) and (j, i) for first specs i < j -> smallest separating k
-    for (i, u), (j, v) in itertools.combinations(vectors.items(), 2):
-        ks = range(1, math.lcm(u.period, v.period) + 1)
-        k = next((k for k in ks if abs(u.value(k) - v.value(k)) > tol), None)
+    for i, j in itertools.combinations(drawn, 2):
+        ks = range(1, math.lcm(drawn[i][0], drawn[j][0]) + 1)
+        k = next((k for k in ks if abs(value(i, k) - value(j, k)) > tol), None)
         if k is None:
             raise ValueError(f"{specs[i].describe()} and {specs[j].describe()} differ, "
                              f"but by at most {tol} at every k")
@@ -444,7 +454,7 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     pairs = itertools.combinations(range(len(specs)), 2)
     return RigidityReport(
         math.lcm(*(spec.period() for spec in specs)),
-        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in vectors),
+        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in drawn),
         tuple((i, j, smallest[first[i], first[j]]) for i, j in pairs if first[i] != first[j]),
     )
 

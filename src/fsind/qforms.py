@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .abelian import (
@@ -142,23 +142,22 @@ def half_form(q: QuadraticForm) -> QuadraticForm:
     return q.scaled(pow(2, -1, exponent))
 
 
-def root_sums(weights: Mapping[int, complex], n: int, ks: Iterable[int]) -> list[complex]:
-    """sum_r weights[r] * e^{2 pi i k r / n} for each k in ``ks``.
+def root_sums(weights: Mapping[int, complex], n: int, ks: Iterable[int]) -> Iterator[complex]:
+    """Yield sum_r weights[r] * e^{2 pi i k r / n} for each k in ``ks``, in order.
 
-    Each term reads a table of the n-th roots of unity at the exact integer
-    index k*r mod n, and each residue of k mod n is summed once, so the
-    result is exactly periodic in k with period n.
+    Each term reads one table of the n-th roots of unity, built on the first
+    draw, at the exact integer index k*r mod n, and each residue of k mod n is
+    summed once, so the values are exactly periodic in k with period n.  A
+    caller that stops drawing early pays for the table and the k it drew.
     """
     roots = [cmath.exp(2j * math.pi * (r / n)) for r in range(n)]
     buckets = [(r, w) for r, w in weights.items() if w]
     sums: dict[int, complex] = {}
-    result = []
     for k in ks:
         k %= n
         if k not in sums:
             sums[k] = sum((w * roots[k * r % n] for r, w in buckets), 0j)
-        result.append(sums[k])
-    return result
+        yield sums[k]
 
 
 def gauss_sums(q: QuadraticForm, scales: Iterable[int]) -> list[complex]:

@@ -422,11 +422,11 @@ def _markdown_report(reports: list[RowReport]) -> str:
                 elif check.passed:
                     rendered.append(f"{check.text} ok")
                 else:
-                    sign = "+" if check.center.imag >= 0 else ""
+                    imag = format_real(check.center.imag, ZERO)
+                    sign = "" if imag.startswith("-") else "+"
                     rendered.append(
                         f"{check.text} MISMATCH computed "
-                        f"{format_real(check.center.real, ZERO)}{sign}"
-                        f"{format_real(check.center.imag, ZERO)}i"
+                        f"{format_real(check.center.real, ZERO)}{sign}{imag}i"
                     )
             lines.append(
                 f"| {report.row.row_id} | {report.row.printed_category} | "

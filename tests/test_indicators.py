@@ -265,13 +265,18 @@ def test_indicator_vector_periodicity_is_exact():
 
 def _seeded_ng2_specs(group, gp, count, seed):
     """NG2 specs whose coefficients are units modulo each cyclic factor."""
-    rng = random.Random(seed)
+    return _unit_ng2_specs(random.Random(seed), [(group, gp)] * count)
+
+
+def _unit_ng2_specs(rng, groups):
+    """One NG2 spec per (G, G') in ``groups``: ``rng`` draws a unit coefficient
+    for each cyclic factor of G, then of G', as the benchmark's ladder does."""
 
     def form(g):
         units = [[c for c in range(1, n) if math.gcd(c, n) == 1] for n in g.cyclic_factors]
         return monomial_form(g, [rng.choice(u) for u in units])
 
-    return [CategorySpec("NG2", group, q=form(group), gp=gp, qp=form(gp)) for _ in range(count)]
+    return [CategorySpec("NG2", g, q=form(g), gp=gp, qp=form(gp)) for g, gp in groups]
 
 
 def test_center_vector_matches_scalar_reference():
@@ -317,11 +322,31 @@ def test_rigidity_examples():
 
 
 
-def test_rigidity_coprime_periods_stops_at_first_separator():
+def _count_draws(monkeypatch) -> list[int]:
+    """Wrap ``indicators.root_sums``; the list gets one count per call of the
+    values drawn from it, in the order of the calls' first draws."""
+    drawn = []
+    root_sums = indicators.root_sums
+
+    def counted(*args):
+        slot = len(drawn)
+        drawn.append(0)
+        for value in root_sums(*args):
+            drawn[slot] += 1
+            yield value
+
+    monkeypatch.setattr(indicators, "root_sums", counted)
+    return drawn
+
+
+def test_rigidity_coprime_periods_stops_at_first_separator(monkeypatch):
     # periods 59,838 and 59,802 have an lcm near 6e8; the report must not
-    # tabulate either vector past its own period
+    # tabulate either vector past its own period, and evaluates each class
+    # only up to the separator k = 2
     specs = [CategorySpec("NG1", cyclic(3), p=2, zeta1=Fraction(1, d)) for d in (9973, 9967)]
+    drawn = _count_draws(monkeypatch)
     report = rigidity_report(specs)
+    assert drawn == [2, 2]
     assert report.period == math.lcm(*(indicator_vector(s).period for s in specs))
     assert report.period > 10**8
     assert report.classes == ((0,), (1,))
@@ -468,9 +493,55 @@ def test_rigidity_classes_do_not_depend_on_tolerance():
     assert rigidity_report(isometric, 1e-15).classes == ((0, 1),)
 
 
-def test_rigidity_refuses_to_merge_classes_within_tolerance():
+def test_rigidity_refuses_to_merge_classes_within_tolerance(monkeypatch):
+    specs = ng1_equivalence_classes(3)
+    drawn = _count_draws(monkeypatch)
     with pytest.raises(ValueError, match="differ"):
-        rigidity_report(ng1_equivalence_classes(3), tol=10)
+        rigidity_report(specs, tol=10)
+    # the scan ran to the lcm, so it read each class over its whole period
+    assert drawn == [spec.period() for spec in specs]
+
+
+def _rigidity_by_whole_vectors(specs, tol=TOL):
+    """The period, classes and separators of ``rigidity_report`` from whole
+    vectors: one ``indicator_vector`` per spec, each spec in the class of the
+    first spec it matches within ``tol`` at every k up to the lcm of their
+    periods, and each pair across classes separated at its first k up to that
+    lcm where the two differ by more than ``tol``."""
+    vectors = [indicator_vector(spec) for spec in specs]
+
+    def first_gap(i, j):
+        u, v = vectors[i], vectors[j]
+        ks = range(1, math.lcm(u.period, v.period) + 1)
+        return next((k for k in ks if abs(u.value(k) - v.value(k)) > tol), None)
+
+    first = [next(i for i in range(j + 1) if first_gap(i, j) is None) for j in range(len(specs))]
+    pairs = itertools.combinations(range(len(specs)), 2)
+    return (
+        math.lcm(*(u.period for u in vectors)),
+        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in sorted(set(first))),
+        tuple((i, j, first_gap(i, j)) for i, j in pairs if first[i] != first[j]),
+    )
+
+
+def _report_triple(specs):
+    report = rigidity_report(specs, TOL)
+    return report.period, report.classes, report.separators
+
+
+def test_lazy_rigidity_matches_whole_vector_scan_on_fixed_groups():
+    for specs in _fixed_groups():
+        assert _report_triple(specs) == _rigidity_by_whole_vectors(specs)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_lazy_rigidity_matches_whole_vector_scan_on_ladder_triples(seed):
+    # the ladder benchmark draws one spec over each of (Z/21, Z/25) and
+    # (Z3xZ7, Z5xZ5) before the three it passes to rigidity
+    z21, z25 = cyclic(21), cyclic(25)
+    groups = [(z21, z25), (FiniteAbelianGroup((3, 7)), FiniteAbelianGroup((5, 5)))]
+    specs = _unit_ng2_specs(random.Random(seed), groups + [(z21, z25)] * 3)[2:]
+    assert _report_triple(specs) == _rigidity_by_whole_vectors(specs)
 
 
 def test_ng1_equivalence_classes_validation():

@@ -7,7 +7,9 @@ import math
 import pytest
 
 from fsind.tables import (
+    ClaimCheck,
     JacobiLawClaim,
+    RowReport,
     TABLE_IDS,
     ValueClaim,
     builtin_rows,
@@ -214,6 +216,18 @@ def test_markdown_reproduces_table_shape():
     # header + separator + 3 rows
     assert len(lines) == 5
     assert "nu_3" in lines[0] and "nu_9" in lines[0] and "nu_13" in lines[0]
+
+
+def test_markdown_mismatch_cell_signs_the_printed_imaginary_part():
+    # the sign follows the printed digits, so an imaginary part below ZERO
+    # prints as +0 whatever its sign
+    row = _row("ng7", 1)
+    cases = {1.5 - 1e-13j: "1.5+0i", 1.5 + 1e-13j: "1.5+0i", -0.0j: "0+0i",
+             0.5 - 2j: "0.5-2i", 0.5 + 2j: "0.5+2i"}
+    for center, shown in cases.items():
+        check = ClaimCheck(7, "(1+sqrt7)/2", 2, center, center, 1.0, False)
+        text = emit_report([RowReport(row, (check,), False, 1.0)], "markdown")
+        assert f"| (1+sqrt7)/2 MISMATCH computed {shown} |" in text, text
 
 
 def test_csv_round_trips_against_json_records():
