@@ -6,9 +6,9 @@ reproduction.  All output is deterministic: identical invocations produce
 byte-identical bytes.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
-error.  The environment variable ``FI_TOLERANCE`` overrides the default
-comparison tolerance (must lie in (0, 1e-3]); ``rigidity`` decides classes
-exactly and uses it only as the threshold of each ``smallest_k``.
+error.  Floats are compared at one fixed threshold, ``qforms.DEFAULT_TOL``,
+and values below it print as 0; ``rigidity`` decides classes exactly and uses
+it only for each ``smallest_k``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -55,40 +54,24 @@ def _load_json_arg(text: str):
         raise CliError(f"invalid JSON: {exc}") from exc
 
 
-def _tolerance(args) -> float:
-    value = None
-    if args.tolerance is not None:
-        value = args.tolerance
-    elif "FI_TOLERANCE" in os.environ:
-        try:
-            value = float(os.environ["FI_TOLERANCE"])
-        except ValueError as exc:
-            raise CliError(f"FI_TOLERANCE is not a number: {exc}") from exc
-    if value is None:
-        return DEFAULT_TOL
-    if not 0 < value <= 1e-3:
-        raise CliError(f"tolerance must lie in (0, 1e-3], got {value}")
-    return value
-
-
-def _recognized_phase(z: complex, tol: float, max_den: int) -> Fraction | None:
-    if abs(abs(z) - 1) > tol:
-        return None
-    angle = Fraction(math.atan2(z.imag, z.real) / (2 * math.pi)).limit_denominator(max_den)
-    if abs(phase_to_complex(angle % 1) - z) < max(tol, 1e-9):
-        return angle % 1
+def _recognized_phase(z: complex) -> Fraction | None:
+    """The phase of a normalized Gauss sum ``z`` of modulus 1, which is an
+    eighth root of unity (Milgram's formula); a degenerate form gives 0 or a
+    modulus of at least sqrt 2, and no phase."""
+    phase = Fraction(round(4 * math.atan2(z.imag, z.real) / math.pi) % 8, 8)
+    if abs(phase_to_complex(phase) - z) < DEFAULT_TOL:
+        return phase
     return None
 
 
 def cmd_gauss(args) -> int:
-    tol = _tolerance(args)
     group = group_from_json(_load_json_arg(args.group))
     form = form_from_json(_load_json_arg(args.form), group)
     if args.scale != 1:
         form = form.scaled(args.scale)
     theta = gauss_sum(form)
-    print(format_real(theta.real, tol), format_real(theta.imag, tol))
-    phase = _recognized_phase(theta, tol, 4 * group.order**2)
+    print(format_real(theta.real), format_real(theta.imag))
+    phase = _recognized_phase(theta)
     if phase is not None:
         print(f"phase: {phase.numerator}/{phase.denominator}")
     return 0
@@ -102,7 +85,6 @@ def _check_kmax(kmax: int) -> None:
 def cmd_indicators(args) -> int:
     from .indicators import ROUTES, spec_from_json
 
-    tol = _tolerance(args)
     spec = spec_from_json(_load_json_arg(args.spec))
     kmax = None if args.kmax == "auto" else int(args.kmax)
     if kmax is not None:
@@ -120,11 +102,11 @@ def cmd_indicators(args) -> int:
         entry: dict = {"k": k}
         for route, vector in vectors.items():
             key = "_closed" if route == "closed" and len(routes) == 2 else ""
-            entry["re" + key] = format_real(vector[i].real, tol)
-            entry["im" + key] = format_real(vector[i].imag, tol)
+            entry["re" + key] = format_real(vector[i].real)
+            entry["im" + key] = format_real(vector[i].imag)
         if len(routes) == 2:
             deviation = abs(vectors["center"][i] - vectors["closed"][i])
-            entry["deviation"] = format_real(deviation, tol)
+            entry["deviation"] = format_real(deviation)
         values.append(entry)
     payload = {
         "spec": spec.describe(),
@@ -139,11 +121,7 @@ def cmd_indicators(args) -> int:
 def cmd_verify_tables(args) -> int:
     from .tables import emit_report, verify_tables
 
-    tol = _tolerance(args)
-    try:
-        reports = verify_tables(args.table, tol)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
+    reports = verify_tables(args.table)
     sys.stdout.write(emit_report(reports, args.format))
     return 0 if all(r.all_pass for r in reports) else VERIFY_ERROR
 
@@ -151,7 +129,6 @@ def cmd_verify_tables(args) -> int:
 def cmd_rigidity(args) -> int:
     from .indicators import rigidity_report, spec_from_json
 
-    tol = _tolerance(args)
     data = _load_json_arg(args.specs)
     if not isinstance(data, list) or not data:
         raise CliError("--specs must be a JSON list of at least one spec")
@@ -159,7 +136,7 @@ def cmd_rigidity(args) -> int:
     for spec in specs:  # each class tabulates one root per residue of its period
         if spec.period() > MAX_KMAX:
             raise CliError(f"period {spec.period()} of {spec.describe()} exceeds {MAX_KMAX}")
-    report = rigidity_report(specs, tol)
+    report = rigidity_report(specs)
     names = [spec.describe() for spec in specs]
     payload = {
         "period": report.period,
@@ -183,7 +160,6 @@ def cmd_rigidity(args) -> int:
 def cmd_agl(args) -> int:
     from .indicators import CategorySpec, build_agl, closed_vector, nu_agl_bruteforce
 
-    tol = _tolerance(args)
     _check_kmax(args.kmax)
     agl = build_agl(args.q)
     if args.q == 2:
@@ -198,7 +174,7 @@ def cmd_agl(args) -> int:
     closed = closed_vector(CategorySpec("NG1", cyclic(args.q - 1), p=agl.p, zeta1=0), ks)
     for k, value in zip(ks, closed):
         brute = float(nu_agl_bruteforce(args.q, k))
-        print(k, *(format_real(x, tol) for x in (brute, value.real, abs(brute - value))))
+        print(k, *(format_real(x) for x in (brute, value.real, abs(brute - value))))
     return 0
 
 
@@ -207,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fsind",
         description="Frobenius-Schur indicators of near-group and "
         "Haagerup-Izumi fusion categories",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="comparison tolerance in (0, 1e-3]; FI_TOLERANCE also honored",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -407,13 +407,14 @@ class RigidityReport(namedtuple("RigidityReport", (
         return all(len(c) == 1 for c in self.classes)
 
 
-def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
+def rigidity_report(specs) -> RigidityReport:
     """Partition specs into classes of equal indicator vectors, decided exactly.
 
     All specs must share the first one's ring: the family's ring name and G up
     to isomorphism (no ring is built).  Equal vectors are then exactly equal
-    twist histograms of rho over equal periods.  ``tol`` is only the threshold of the smallest
-    separating k, scanned once per pair of classes up to the lcm of their
+    twist histograms of rho over equal periods.  Floats enter only the smallest
+    separating k, the first k where two classes differ by more than
+    ``DEFAULT_TOL``, scanned once per pair of classes up to the lcm of their
     periods; a pair with no such k raises ``ValueError``.  Each class draws its
     values in order k = 1, 2, ... as its pairs read them and keeps them for
     its other pairs, so it is evaluated only up to the largest smallest
@@ -446,10 +447,10 @@ def rigidity_report(specs, tol: float = DEFAULT_TOL) -> RigidityReport:
     smallest = {}  # (i, j) and (j, i) for first specs i < j -> smallest separating k
     for i, j in itertools.combinations(drawn, 2):
         ks = range(1, math.lcm(drawn[i][0], drawn[j][0]) + 1)
-        k = next((k for k in ks if abs(value(i, k) - value(j, k)) > tol), None)
+        k = next((k for k in ks if abs(value(i, k) - value(j, k)) > DEFAULT_TOL), None)
         if k is None:
             raise ValueError(f"{specs[i].describe()} and {specs[j].describe()} differ, "
-                             f"but by at most {tol} at every k")
+                             f"but by at most {DEFAULT_TOL} at every k")
         smallest[i, j] = smallest[j, i] = k
     pairs = itertools.combinations(range(len(specs)), 2)
     return RigidityReport(

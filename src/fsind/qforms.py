@@ -14,9 +14,9 @@ of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
 over den, checked once by the constructor; exact ``Fraction`` phases appear
 only in ``value``, ``boundary`` and the JSON ``table`` format.
 
-The default comparison tolerance and :func:`format_real`, the decimal format
-of every command's output, live here too: ``fsind gauss`` loads nothing above
-this module.
+The one float threshold ``DEFAULT_TOL`` and :func:`format_real`, the decimal
+format of every command's output, live here too: ``fsind gauss`` loads nothing
+above this module.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .abelian import (
 )
 
 
-DEFAULT_TOL = 1e-9
-ZERO = 1e-12  # report values below this in modulus print as 0
+DEFAULT_TOL = 1e-9  # absorbs float64 noise in every float comparison and printed value
 
 
-def format_real(x: float, zero: float) -> str:
-    """``x`` to 12 significant digits, or ``0`` if ``|x| < zero``."""
-    if abs(x) < zero:
+def format_real(x: float) -> str:
+    """``x`` to 12 significant digits, or ``0`` if ``|x| < DEFAULT_TOL``."""
+    if abs(x) < DEFAULT_TOL:
         x = 0.0
     return f"{x:.12g}"
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, cyclic
 from .indicators import FAMILIES, ROUTES, CategorySpec, closed_form_nu, replace
-from .qforms import DEFAULT_TOL, ZERO, format_real, half_form, jacobi_symbol, monomial_form
+from .qforms import DEFAULT_TOL, format_real, half_form, jacobi_symbol, monomial_form
 
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 
@@ -291,8 +291,8 @@ class RowReport(namedtuple("RowReport", "row checks all_pass max_deviation")):
     __slots__ = ()
 
 
-def verify_row(row: TableRow, tol: float = DEFAULT_TOL) -> RowReport:
-    """Evaluate every claim by both routes and compare at the tolerance."""
+def verify_row(row: TableRow) -> RowReport:
+    """Evaluate every claim by both routes and compare within ``DEFAULT_TOL``."""
     spec = row.spec
     cases: list[tuple[int, str, complex]] = []  # (k, text, expected)
     for claim in row.claims:
@@ -305,17 +305,18 @@ def verify_row(row: TableRow, tol: float = DEFAULT_TOL) -> RowReport:
     checks = []
     for (k, text, expected), closed, center in zip(cases, closed_values, center_values):
         deviation = max(abs(closed - expected), abs(center - expected))
-        checks.append(ClaimCheck(k, text, expected, closed, center, deviation, deviation < tol))
+        passed = deviation < DEFAULT_TOL
+        checks.append(ClaimCheck(k, text, expected, closed, center, deviation, passed))
     all_pass = all(c.passed for c in checks)
     max_dev = max(c.deviation for c in checks)
     return RowReport(row, tuple(checks), all_pass, max_dev)
 
 
-def verify_tables(table_id: str | None = None, tol: float = DEFAULT_TOL) -> list[RowReport]:
+def verify_tables(table_id: str | None = None) -> list[RowReport]:
     if table_id is not None and table_id not in TABLE_IDS:
         raise KeyError(f"unknown table id {table_id!r}")
     rows = [r for r in builtin_rows() if table_id in (None, r.table_id)]
-    return [verify_row(row, tol) for row in rows]
+    return [verify_row(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +341,11 @@ def _records(reports: list[RowReport]) -> list[dict]:
                     "group": str(row.spec.group),
                     "form": row.printed_category,
                     "k": str(check.k),
-                    "expected_re": format_real(check.expected.real, ZERO),
-                    "expected_im": format_real(check.expected.imag, ZERO),
-                    "computed_re": format_real(check.center.real, ZERO),
-                    "computed_im": format_real(check.center.imag, ZERO),
-                    "deviation": format_real(check.deviation, ZERO),
+                    "expected_re": format_real(check.expected.real),
+                    "expected_im": format_real(check.expected.imag),
+                    "computed_re": format_real(check.center.real),
+                    "computed_im": format_real(check.center.imag),
+                    "deviation": format_real(check.deviation),
                     "calibrated": calibrated,
                     "pass": "true" if check.passed else "false",
                 }
@@ -381,7 +382,7 @@ def emit_report(reports: list[RowReport], fmt: str) -> str:
                     "calibration": list(r.row.spec.provenance),
                     "notes": list(r.row.notes),
                     "all_pass": r.all_pass,
-                    "max_deviation": format_real(r.max_deviation, ZERO),
+                    "max_deviation": format_real(r.max_deviation),
                 }
                 for r in reports
             ],
@@ -422,11 +423,11 @@ def _markdown_report(reports: list[RowReport]) -> str:
                 elif check.passed:
                     rendered.append(f"{check.text} ok")
                 else:
-                    imag = format_real(check.center.imag, ZERO)
+                    imag = format_real(check.center.imag)
                     sign = "" if imag.startswith("-") else "+"
                     rendered.append(
                         f"{check.text} MISMATCH computed "
-                        f"{format_real(check.center.real, ZERO)}{sign}{imag}i"
+                        f"{format_real(check.center.real)}{sign}{imag}i"
                     )
             lines.append(
                 f"| {report.row.row_id} | {report.row.printed_category} | "

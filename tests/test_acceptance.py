@@ -76,7 +76,7 @@ def test_criterion_1_table_reproduction():
     failures = []
     conjugated_seen = set()
     for row in builtin_rows():
-        report = verify_row(row, TOL)
+        report = verify_row(row)
         flips = sum(1 for note in row.spec.provenance if "replaced" in note)
         if flips > 1:
             failures.append(f"{row.table_id} row {row.row_id}: {flips} flips")
@@ -146,7 +146,7 @@ def test_criterion_4a_rigidity_of_small_near_groups():
     failures = []
     for order in (1, 3, 7):
         specs = ng1_equivalence_classes(order)
-        report = rigidity_report(specs, TOL)
+        report = rigidity_report(specs)
         if report.classes != ((0,), (1,)):
             failures.append(f"|G|={order}: classes {report.classes}")
         if (0, 1, 2) not in report.separators:
@@ -155,7 +155,7 @@ def test_criterion_4a_rigidity_of_small_near_groups():
         if abs(nu2[0] - 1) >= TOL or abs(nu2[1] + 1) >= TOL:
             failures.append(f"|G|={order}: nu_2 = {nu2}, expected +1/-1")
     specs2 = ng1_equivalence_classes(2)
-    report2 = rigidity_report(specs2, TOL)
+    report2 = rigidity_report(specs2)
     if len(report2.classes) != 3:
         failures.append(f"|G|=2: classes {report2.classes}")
     if any(k != 3 for _, _, k in report2.separators):
@@ -176,7 +176,7 @@ def test_criterion_4b_pairs_without_rigidity():
     rows = {(r.table_id, r.row_id): r.spec for r in builtin_rows()}
     for table_id in ("ng13", "hi3", "hi5"):
         specs = [rows[(table_id, i)] for i in (1, 2, 3, 4)]
-        report = rigidity_report(specs, TOL)
+        report = rigidity_report(specs)
         if report.classes != ((0, 1), (2, 3)):
             failures.append(f"{table_id}: classes {report.classes}")
         if report.distinguished:
@@ -402,7 +402,7 @@ def test_criterion_6_degenerate_coverage():
 
     # near-group center over the trivial group on the NG1 side
     specs = ng1_equivalence_classes(1)
-    report = rigidity_report(specs, TOL)
+    report = rigidity_report(specs)
     if report.classes != ((0,), (1,)):
         failures.append(f"NG1 |G|=1 classes {report.classes}")
     _report("6 degenerate-coverage", failures, started)

@@ -1,14 +1,17 @@
 import contextlib
+import csv
 import functools
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parser_choices
+import fsind
 from fsind import fusion, indicators, tables
 from fsind.cli import MAX_KMAX, main
 from fsind.indicators import CategorySpec
@@ -398,25 +401,33 @@ def test_agl_degenerate_q2_warns(capsys):
     assert out.splitlines()[2].split()[1] == "0"
 
 
-def test_tolerance_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FI_TOLERANCE", "0.5")
-    code, _, err = run(capsys, "gauss", "--group", Z3, "--form", FORM1)
-    assert code == 2 and "tolerance" in err
-    monkeypatch.setenv("FI_TOLERANCE", "abc")
-    code, _, _ = run(capsys, "gauss", "--group", Z3, "--form", FORM1)
-    assert code == 2
-    monkeypatch.setenv("FI_TOLERANCE", "1e-6")
-    code, out, _ = run(capsys, "gauss", "--group", Z3, "--form", FORM1)
-    assert code == 0 and out.splitlines()[0] == "0 1"
+NG1_PAIR = json.dumps([{"family": "NG1", "group": {"cyclic_factors": [3]}, "p": 2, "zeta1": z}
+                       for z in ("0", "1/4")])
 
 
-def test_tolerance_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("FI_TOLERANCE", "0.5")
-    code, out, _ = run(
-        capsys, "--tolerance", "1e-9", "gauss", "--group", Z3, "--form", FORM1
-    )
+def test_fi_tolerance_does_not_move_smallest_k(capsys, monkeypatch):
+    # a threshold below float64 noise would separate the README NG1 pair at k = 1
+    monkeypatch.setenv("FI_TOLERANCE", "1e-17")
+    code, out, _ = run(capsys, "rigidity", "--specs", NG1_PAIR)
     assert code == 0
-    assert out.splitlines()[0] == "0 1"
+    assert [s["smallest_k"] for s in json.loads(out)["separators"]] == [2]
+
+
+def test_fi_tolerance_does_not_move_gauss_or_verify_tables(capsys, monkeypatch):
+    monkeypatch.setenv("FI_TOLERANCE", "1e-16")
+    code, out, _ = run(capsys, "gauss", "--group", Z3, "--form", FORM1)
+    assert (code, out) == (0, "0 1\nphase: 1/4\n")
+    code, out, _ = run(capsys, "verify-tables", "--format", "csv")
+    failed = [(r["table_id"], r["row_id"], r["k"])
+              for r in csv.DictReader(io.StringIO(out)) if r["pass"] == "false"]
+    assert code == 1
+    assert failed == [("ng3", "1", "3"), ("ng3", "2", "3")]
+
+
+def test_no_module_reads_the_environment():
+    for path in sorted(Path(fsind.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, path.name
 
 
 def test_byte_identical_reruns(capsys):
@@ -534,10 +545,10 @@ argvs = st.one_of(
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(argvs, st.sampled_from([[], ["--tolerance", "1e-6"], ["--tolerance", "2"]]))
-def test_cli_exits_0_1_or_2_and_never_raises(argv, tolerance):
+@given(argvs)
+def test_cli_exits_0_1_or_2_and_never_raises(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([*tolerance, *argv])
+        code = main(list(argv))
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -130,6 +130,8 @@ CASES = {
         "indicators", "--kmax", "3", "--spec", NG1_PERIOD_OVER_BOUND,
     ],
     "rigidity_period_over_bound": ["rigidity", "--specs", NG1_PAIR_OVER_BOUND],
+    # the one threshold is fixed: no option sets it
+    "tolerance_flag_is_unknown": ["--tolerance", "1e-9", "gauss", "--group", Z3, "--form", FORM1],
 }
 
 # the fsind modules each command loads: `gauss` needs groups and forms only,

@@ -485,19 +485,24 @@ def test_histogram_verdict_matches_vectors_on_fixed_pairs():
     assert any(verdicts) and not all(verdicts)
 
 
-def test_rigidity_classes_do_not_depend_on_tolerance():
+def test_rigidity_classes_do_not_depend_on_tolerance(monkeypatch):
     isometric = [_ng2_over_z25(cyclic(21), (c,)) for c in (1, 4)]  # 4 is a square unit
     for specs in _fixed_groups() + [isometric]:
-        classes = {rigidity_report(specs, tol).classes for tol in (1e-15, 1e-9, 1e-3)}
+        classes = set()
+        for tol in (1e-15, 1e-9, 1e-3):
+            monkeypatch.setattr(indicators, "DEFAULT_TOL", tol)
+            classes.add(rigidity_report(specs).classes)
         assert len(classes) == 1, [spec.describe() for spec in specs]
-    assert rigidity_report(isometric, 1e-15).classes == ((0, 1),)
+    monkeypatch.setattr(indicators, "DEFAULT_TOL", 1e-15)
+    assert rigidity_report(isometric).classes == ((0, 1),)
 
 
 def test_rigidity_refuses_to_merge_classes_within_tolerance(monkeypatch):
     specs = ng1_equivalence_classes(3)
     drawn = _count_draws(monkeypatch)
+    monkeypatch.setattr(indicators, "DEFAULT_TOL", 10)
     with pytest.raises(ValueError, match="differ"):
-        rigidity_report(specs, tol=10)
+        rigidity_report(specs)
     # the scan ran to the lcm, so it read each class over its whole period
     assert drawn == [spec.period() for spec in specs]
 
@@ -525,7 +530,7 @@ def _rigidity_by_whole_vectors(specs, tol=TOL):
 
 
 def _report_triple(specs):
-    report = rigidity_report(specs, TOL)
+    report = rigidity_report(specs)
     return report.period, report.classes, report.separators
 
 

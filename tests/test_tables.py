@@ -219,7 +219,7 @@ def test_markdown_reproduces_table_shape():
 
 
 def test_markdown_mismatch_cell_signs_the_printed_imaginary_part():
-    # the sign follows the printed digits, so an imaginary part below ZERO
+    # the sign follows the printed digits, so an imaginary part below DEFAULT_TOL
     # prints as +0 whatever its sign
     row = _row("ng7", 1)
     cases = {1.5 - 1e-13j: "1.5+0i", 1.5 + 1e-13j: "1.5+0i", -0.0j: "0+0i",
