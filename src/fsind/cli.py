@@ -22,7 +22,7 @@ from fractions import Fraction
 # Only what `gauss` runs is imported here; the other commands import
 # `indicators` or `tables` when they run, so no process compiles modules its
 # command never calls.
-from .abelian import MAX_ORDER, cyclic, group_from_json
+from .abelian import MAX_ORDER, cyclic, factor_prime_power, group_from_json
 from .qforms import DEFAULT_TOL, form_from_json, format_real, gauss_sum, phase_to_complex
 
 USAGE_ERROR = 2
@@ -158,23 +158,23 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_agl(args) -> int:
-    from .indicators import CategorySpec, build_agl, closed_vector, nu_agl_bruteforce
+    from .indicators import CategorySpec, closed_vector, nu_agl_bruteforce
 
     _check_kmax(args.kmax)
-    agl = build_agl(args.q)
-    if args.q == 2:
+    q, ks = args.q, range(1, args.kmax + 1)
+    brute = [float(nu) for nu in nu_agl_bruteforce(q, ks)]
+    p = factor_prime_power(q)[0]
+    if q == 2:
         print(
             "warning: q = 2 is degenerate (|G| = 1; rho is the sign character of Z/2)",
             file=sys.stderr,
         )
-    print(f"# AGL_1(F_{args.q}): order {agl.order}, characteristic {agl.p}")
+    print(f"# AGL_1(F_{q}): order {q * (q - 1)}, characteristic {p}")
     print("k nu_bruteforce nu_closed deviation")
     # Rep(AGL_1(F_q)) is the near group NG(F_q^*, q - 2) with zeta1 = 0
-    ks = range(1, args.kmax + 1)
-    closed = closed_vector(CategorySpec("NG1", cyclic(args.q - 1), p=agl.p, zeta1=0), ks)
-    for k, value in zip(ks, closed):
-        brute = float(nu_agl_bruteforce(args.q, k))
-        print(k, *(format_real(x) for x in (brute, value.real, abs(brute - value))))
+    closed = closed_vector(CategorySpec("NG1", cyclic(q - 1), p=p, zeta1=0), ks)
+    for k, nu, value in zip(ks, brute, closed):
+        print(k, *(format_real(x) for x in (nu, value.real, abs(nu - value))))
     return 0
 
 

@@ -28,9 +28,9 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 
 from .abelian import (
+    MAX_ORDER,
     RHO_LABEL,
     FiniteAbelianGroup,
     cyclic,
@@ -60,8 +60,6 @@ from .qforms import (
     root_sums,
 )
 
-CACHE_SIZE = 32  # entries per q-keyed AGL cache
-
 
 # ---------------------------------------------------------------------------
 # Category specifications
@@ -79,7 +77,8 @@ class CategorySpec(namedtuple(
     fields each family uses are listed in :data:`FAMILIES`.
     ``labels`` carries opaque equivalence-class tags (signs, roots of unity,
     matrix names); they never enter any numeric formula.  ``provenance`` holds
-    the table loader's notes, which ``indicators`` prints.  The Grothendieck
+    the table loader's notes, which ``verify-tables --format json`` prints as
+    ``calibration``; a spec read from JSON carries none.  The Grothendieck
     ring is fixed by the family and G, so it is only named, by ``Family.ring``.
 
     The only place a category's shape is checked: a known family with all
@@ -494,8 +493,9 @@ def ng1_equivalence_classes(order: int) -> list[CategorySpec]:
 # Classical brute force over AGL_1(F_q)
 
 
-class AGLGroup(namedtuple("AGLGroup", "q p add times elements")):
-    """AGL_1(F_q) = F_q x| F_q^*, elements (a, b) with (a,b)(c,d) = (a+bc, bd).
+class AGLGroup(namedtuple("AGLGroup", "q add times elements")):
+    """AGL_1(F_q) = F_q x| F_q^*, elements (a, b) with (a,b)(c,d) = (a+bc, bd)
+    and identity (0, 1).
 
     A field element is the integer 0..q-1 whose base-p digits are its
     coefficients as a polynomial in x modulo the modulus :func:`build_agl`
@@ -513,11 +513,7 @@ class AGLGroup(namedtuple("AGLGroup", "q p add times elements")):
         (a, b), (c, d) = x, y
         return (self.add[a][self.times[b][c]], self.times[b][d])
 
-    def identity_element(self):
-        return (0, 1)
 
-
-@lru_cache(maxsize=CACHE_SIZE)
 def build_agl(q: int) -> AGLGroup:
     """Explicit AGL_1(F_q) for a prime power q = p^ell <= 64.
 
@@ -548,7 +544,7 @@ def build_agl(q: int) -> AGLGroup:
         (0, *(powers[(log[u] + log[v]) % (q - 1)] for v in units)) for u in units
     )
     elements = tuple((a, b) for a in range(q) for b in units)
-    return AGLGroup(q, p, add, times, elements)
+    return AGLGroup(q, add, times, elements)
 
 
 def agl_rho_character(agl: AGLGroup, x) -> int:
@@ -559,15 +555,15 @@ def agl_rho_character(agl: AGLGroup, x) -> int:
     return agl.q - 1 if a == 0 else -1
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _agl_period_vector(q: int) -> tuple[Fraction, ...]:
-    """(1/|Gamma|) sum_gamma rho(gamma^k) for k = 0 .. exponent - 1, exactly.
+def nu_agl_bruteforce(q: int, ks: Iterable[int]) -> list[Fraction]:
+    """(1/|Gamma|) sum_gamma rho(gamma^k) for each k in ``ks``, exactly.
 
-    Each element's powers e, x, x^2, ... are walked by group multiplication
-    until they return to e; the exponent is the lcm of those cycle lengths.
+    Each element's powers e, x, x^2, ... are walked once by group
+    multiplication until they return to e, and each k reads every cycle at k
+    mod its length; rho is real, so nu_{-k} = nu_k.
     """
     agl = build_agl(q)
-    e = agl.identity_element()
+    e = (0, 1)
     cycles: Counter[tuple[int, ...]] = Counter()  # rho along one cycle -> its elements
     for x in agl.elements:
         values, power = [agl_rho_character(agl, e)], x
@@ -575,19 +571,10 @@ def _agl_period_vector(q: int) -> tuple[Fraction, ...]:
             values.append(agl_rho_character(agl, power))
             power = agl.mul(power, x)
         cycles[tuple(values)] += 1
-    period = math.lcm(*map(len, cycles))
-    return tuple(
+    return [
         Fraction(sum(n * values[k % len(values)] for values, n in cycles.items()), agl.order)
-        for k in range(period)
-    )
-
-
-def nu_agl_bruteforce(q: int, k: int) -> Fraction:
-    """Classical indicator sum (1/|Gamma|) sum_gamma rho(gamma^k), exactly."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    vector = _agl_period_vector(q)
-    return vector[k % len(vector)]
+        for k in ks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +591,10 @@ def spec_to_json(spec: CategorySpec) -> dict:
 
 
 def spec_from_json(data: dict) -> CategorySpec:
-    """Parse a spec; only a family with one allowed group may omit ``group``."""
+    """Parse a spec; only a family with one allowed group may omit ``group``.
+
+    |G|^2 may not exceed :data:`MAX_ORDER`, since every family's center has
+    about |G|^2 objects; a larger G is refused before anything is built."""
     if not isinstance(data, dict):
         raise ValueError("a spec must be a JSON object")
     if "family" not in data:
@@ -619,6 +609,8 @@ def spec_from_json(data: dict) -> CategorySpec:
         group = family.group
     else:
         raise ValueError(f"{name} needs group")
+    if group.order**2 > MAX_ORDER:
+        raise ValueError(f"|G|^2 = {group.order**2} exceeds {MAX_ORDER}")
     if any(par.name not in data for par in family.params):
         raise ValueError(family.needs)
     values = {"group": group}

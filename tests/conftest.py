@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+from fractions import Fraction
 
 import pytest
 
 from fsind.abelian import cyclic
 from fsind.cli import build_parser
-from fsind.qforms import QuadraticForm, monomial_form, orthogonal_sum
+from fsind.qforms import QuadraticForm, monomial_form, orthogonal_sum, phase_to_complex
 
 # all abelian groups of order <= 13, one tuple of cyclic factors each
 ABELIAN_GROUPS_LE_13 = [
@@ -21,6 +22,16 @@ def parser_choices(command: str, option: str) -> tuple:
     """The choices the ``fsind`` parser offers for ``option`` of ``command``."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices[command]._actions if option in a.option_strings).choices
+
+
+def p_plus(presentation) -> complex:
+    """p+ = sum_V theta_V qdim(V)^2 over the objects of a center presentation,
+    which equals dim C for a Drinfeld center (Mueger 2003)."""
+    period = presentation.period
+    return sum(
+        phase_to_complex(Fraction(obj.twist, period)) * presentation.at_d(obj.qdim) ** 2
+        for obj in presentation.objects
+    )
 
 
 def cyclic_metric_form(n: int, a: int = 1) -> QuadraticForm:

@@ -46,7 +46,7 @@ from fsind.indicators import (
 from fsind.qforms import gauss_sum, monomial_form, orthogonal_sum
 from fsind.tables import builtin_rows, load_ng2_spec, verify_row
 
-from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog
+from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog, p_plus
 
 TOL = 1e-9
 
@@ -130,8 +130,7 @@ def test_criterion_3_classical_crosscheck():
         # Rep(AGL_1(F_q)) is NG(F_q^*, q - 2) with zeta1 = 0, the "AGL" class
         spec = CategorySpec("NG1", cyclic(q - 1), p=p, zeta1=Fraction(0))
         ks = range(1, 31)
-        for k, closed in zip(ks, closed_vector(spec, ks)):
-            brute = nu_agl_bruteforce(q, k)
+        for k, closed, brute in zip(ks, closed_vector(spec, ks), nu_agl_bruteforce(q, ks)):
             if closed.imag != 0 or closed.real != brute:
                 failures.append(f"q={q} k={k}: brute {brute} != closed {closed}")
             center = nu_from_center(spec.center(), "rho", k)
@@ -286,6 +285,30 @@ def test_criterion_5_nu1_red_set_is_pinned():
     _report("5 nu1-red-set (26 specs)", failures, started)
 
 
+def test_criterion_5_p_plus_red_set_is_pinned():
+    """p+ = sum_V theta_V qdim(V)^2 equals dim C on the 26 rows but the red
+    set of nu_1 above, where it is d^2 dim C (d^2 = 10.91 for hi3, 26.96 for
+    hi5), with d the Frobenius-Perron root the center is read at.
+
+    A Drinfeld center has p+ = dim C, so a fix that reads these rows at the
+    other root flips this pin together with the nu_1 one.
+    """
+    started = time.time()
+    failures = []
+    red = {("hi3", 3), ("hi3", 4), ("hi5", 3), ("hi5", 4)}
+    rows = builtin_rows()
+    for row in rows:
+        pres = row.spec.center()
+        ratio = p_plus(pres) / pres.at_d(pres.dim)
+        expected = pres.d**2 if (row.table_id, row.row_id) in red else 1
+        if abs(ratio - expected) >= TOL * expected:
+            failures.append(f"{row.table_id} row {row.row_id}: p+/dim C = {ratio:.6f}, "
+                            f"pinned {expected:.6f}")
+    if len(rows) != 26 or not red <= {(row.table_id, row.row_id) for row in rows}:
+        failures.append("the bundled rows are not the 26 of the paper")
+    _report("5 p-plus-red-set (26 specs)", failures, started)
+
+
 def test_criterion_5_conjugate_row_symmetry():
     started = time.time()
     failures = []
@@ -393,9 +416,10 @@ def test_criterion_6_degenerate_coverage():
 
     # AGL at q = 2: rho degenerates to the sign character of Z/2
     agl2 = CategorySpec("NG1", cyclic(1), p=2, zeta1=Fraction(0))
-    for k, closed in zip(range(1, 11), closed_vector(agl2, range(1, 11))):
+    ks = range(1, 11)
+    for k, closed, brute in zip(ks, closed_vector(agl2, ks), nu_agl_bruteforce(2, ks)):
         expected = 1 if k % 2 == 0 else 0
-        if nu_agl_bruteforce(2, k) != expected:
+        if brute != expected:
             failures.append(f"AGL q=2 k={k}")
         if closed.imag != 0 or closed.real != expected:
             failures.append(f"AGL closed q=2 k={k}")

@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fsind.abelian import FiniteAbelianGroup, cyclic, factor_prime_power
+from conftest import p_plus
+from fsind.abelian import (
+    RHO_LABEL,
+    FiniteAbelianGroup,
+    cyclic,
+    factor_prime_power,
+    group_label,
+    grho_label,
+)
 from fsind.center import (
     center_hi,
     center_ng1,
@@ -15,8 +23,13 @@ from fsind.center import (
     weil_modular_data,
 )
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
-from fsind.indicators import CategorySpec, indicator_vector, ng1_equivalence_classes
-from fsind.qforms import monomial_form, phase_to_complex
+from fsind.indicators import (
+    CategorySpec,
+    center_vector,
+    indicator_vector,
+    ng1_equivalence_classes,
+)
+from fsind.qforms import DEFAULT_TOL, monomial_form, phase_to_complex
 from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
 
 TOL = 1e-9
@@ -179,10 +192,28 @@ ROOT_POLYNOMIAL = {
 }
 
 
+def _times(x, y, m, c):
+    """(a + b d)(a' + b' d) as a pair, reduced with d^2 = m d + c."""
+    (a, b), (a2, b2) = x, y
+    return (a * a2 + b * b2 * c, a * b2 + a2 * b + b * b2 * m)
+
+
 def _squared(pair, m, c):
     """(a + b d)^2 as a pair, reduced with d^2 = m d + c."""
-    a, b = pair
-    return (a * a + b * b * c, 2 * a * b + b * b * m)
+    return _times(pair, pair, m, c)
+
+
+def _same_number(x, y, m, c) -> bool:
+    """x = y as numbers a + b d, d the positive root of d^2 = m d + c, exactly.
+
+    An irrational d (NG2, HI) is independent of 1 over Q, so the pairs must
+    agree; a rational d is an integer (d = |G| for NG1), and the values must.
+    """
+    root = math.isqrt(m * m + 4 * c)
+    if root * root != m * m + 4 * c:
+        return x == y
+    d = (m + root) // 2
+    return x[0] + x[1] * d == y[0] + y[1] * d
 
 
 def _identity_specs():
@@ -214,6 +245,42 @@ def test_center_dimension_identity_is_exact():
         squares = [_squared(obj.qdim, m, c) for obj in pres.objects]
         total = (sum(a for a, _ in squares), sum(b for _, b in squares))
         assert total == _squared(pres.dim, m, c), spec.describe()
+
+
+def test_induction_dimension_identity_is_exact():
+    """sum_V qdim(V) [F(V) : X] = d_X dim C in Z[d] for every simple X of C,
+    the dimension of the induction of X."""
+    for spec in _identity_specs():
+        pres = spec.center()
+        m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
+        totals = {}  # simple X -> sum_V qdim(V) [F(V) : X]
+        for obj in pres.objects:
+            for label, mult in obj.mult.items():
+                a, b = totals.get(label, (0, 0))
+                totals[label] = (a + mult * obj.qdim[0], b + mult * obj.qdim[1])
+        elements = spec.group.elements()
+        invertible = {group_label(g) for g in elements}
+        others = {grho_label(g) for g in elements} if spec.family == "HI" else {RHO_LABEL}
+        assert set(totals) == invertible | others, spec.describe()
+        for label, total in totals.items():
+            d_x = (1, 0) if label in invertible else (0, 1)
+            expected = _times(d_x, pres.dim, m, c)
+            assert _same_number(total, expected, m, c), (spec.describe(), label)
+
+
+def test_p_plus_equals_dim_exactly_when_nu1_vanishes():
+    """p+ = sum_V theta_V qdim(V)^2 equals dim C, to relative DEFAULT_TOL,
+    exactly when nu_1(rho) = 0: a center datum that decides what nu_1 does."""
+    specs = _identity_specs()
+    unequal = 0
+    for spec in specs:
+        pres = spec.center()
+        dim = pres.at_d(pres.dim)
+        equal = abs(p_plus(pres) - dim) <= DEFAULT_TOL * abs(dim)
+        nu1 = center_vector(pres, spec.rho_label(), [1])[0]
+        assert equal == (abs(nu1) < DEFAULT_TOL), spec.describe()
+        unequal += not equal
+    assert (len(specs), unequal) == (183, 78)  # both outcomes occur
 
 
 def _pairs(group):

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,37 @@ def test_long_periods_are_usage_errors(capsys):
             assert (code, out) == (2, "") and str(6 * n) in err
         else:
             assert code == 0 and len(json.loads(out)["values"]) == 3
+
+
+CENTERS_OVER_BOUND = [  # |G|^2 over abelian.MAX_ORDER = 10^6
+    {**NG1_Z3, "group": {"cyclic_factors": [1023]}},  # F_1024^*
+    json.loads(NG2_SPEC.replace("[3]", "[1001]").replace("[7]", "[1005]")),
+    {"family": "HI", "group": {"cyclic_factors": [1001]}, "h": {"cyclic_factors": [1002005]},
+     "qpp": json.loads(FORM1)},
+]
+
+
+@pytest.mark.parametrize("spec", CENTERS_OVER_BOUND, ids=["ng1", "ng2", "hi"])
+def test_centers_over_the_bound_are_refused_before_they_are_built(capsys, monkeypatch, spec):
+    """Every family's center has about |G|^2 objects, so a spec whose |G|^2
+    exceeds abelian.MAX_ORDER exits 2 before any center builder runs."""
+    def no_center(*args):
+        raise AssertionError("center built before |G| was checked")
+
+    for name in ("center_ng1", "center_ng1_exceptional7", "center_ng2", "center_hi"):
+        monkeypatch.setattr(indicators, name, no_center)
+    order = spec["group"]["cyclic_factors"][0]
+    for argv in (("indicators", "--kmax", "3", "--spec", json.dumps(spec)),
+                 ("rigidity", "--specs", json.dumps([spec, spec]))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and str(order * order) in err, argv
+
+
+def test_group_bound_of_a_spec_is_inclusive():
+    spec = {**NG1_Z3, "group": {"cyclic_factors": [1000]}}
+    assert indicators.spec_from_json(spec).group.order == 1000
+    with pytest.raises(ValueError, match="1002001"):
+        indicators.spec_from_json({**spec, "group": {"cyclic_factors": [1001]}})
 
 
 @pytest.mark.parametrize(
@@ -428,6 +460,17 @@ def test_no_module_reads_the_environment():
     for path in sorted(Path(fsind.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_the_only_cache_is_the_bundled_rows():
+    """No result outlives its call but the bundled rows, built once per process."""
+    cached = []
+    for path in sorted(Path(fsind.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        names = re.findall(r"@[\w.]*cache\b.*\n\s*def (\w+)", text)
+        cached += [(path.stem, name) for name in names]
+        assert "lru_cache" not in text or path.stem == "tables", path.name
+    assert cached == [("tables", "builtin_rows")]
 
 
 def test_byte_identical_reruns(capsys):

@@ -58,6 +58,8 @@ NG2_OVER_BOUND = (
     '{"family":"NG2","group":{"cyclic_factors":[1000000001]},"q":' + FORM1 + ","
     '"gp":{"cyclic_factors":[1000000005]},"qp":' + FORM1 + "}"
 )
+# |G|^2 = 1023^2 over abelian.MAX_ORDER: the center would have about 10^6 objects
+NG1_CENTER_OVER_BOUND = NG1_SPEC.replace("[3]", "[1023]")
 # one period is 6 * 100003 = 600018, over the kmax bound
 NG1_LONG_PERIOD = NG1_SPEC.replace('"1/4"', '"1/100003"')
 # one period is 6 * 10000019 = 60000114, over abelian.MAX_ORDER
@@ -125,6 +127,9 @@ CASES = {
         "gauss", "--group", '{"cyclic_factors":[1000,1000,1000]}', "--form", FORM1,
     ],
     "indicators_ng2_group_over_bound": ["indicators", "--kmax", "3", "--spec", NG2_OVER_BOUND],
+    "indicators_center_over_bound": [
+        "indicators", "--kmax", "3", "--spec", NG1_CENTER_OVER_BOUND,
+    ],
     "indicators_kmax_auto_over_bound": ["indicators", "--spec", NG1_LONG_PERIOD],
     "indicators_period_over_bound": [
         "indicators", "--kmax", "3", "--spec", NG1_PERIOD_OVER_BOUND,

@@ -14,10 +14,8 @@ from fsind.abelian import FiniteAbelianGroup, cyclic, group_label
 from fsind.center import center_ng1_exceptional7, center_ng2, twist_histogram
 from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.indicators import (
-    CACHE_SIZE,
     FAMILIES,
     CategorySpec,
-    _agl_period_vector,
     agl_rho_character,
     build_agl,
     center_vector,
@@ -134,7 +132,7 @@ def _element_order(agl, x) -> int:
     """The least n >= 1 with x^n = e, by repeated multiplication (at most |AGL|)."""
     power = x
     for n in range(1, agl.order + 1):
-        if power == agl.identity_element():
+        if power == (0, 1):
             return n
         power = agl.mul(power, x)
     raise AssertionError(f"{x} has no order dividing {agl.order}")
@@ -142,7 +140,7 @@ def _element_order(agl, x) -> int:
 
 def _power(agl, x, k: int):
     """x^k by square-and-multiply: the reference for the one-period walk."""
-    result, base = agl.identity_element(), x
+    result, base = (0, 1), x
     while k:
         if k & 1:
             result = agl.mul(result, base)
@@ -181,18 +179,18 @@ def test_build_agl_small_groups():
 
 
 def test_agl_bruteforce_examples():
-    assert nu_agl_bruteforce(3, 2) == 1
-    assert nu_agl_bruteforce(4, 3) == 2
+    assert nu_agl_bruteforce(3, [2]) == [1]
+    assert nu_agl_bruteforce(4, [3]) == [2]
     for q in (3, 4, 5, 8, 9):
-        assert nu_agl_bruteforce(q, 1) == 0
+        assert nu_agl_bruteforce(q, [1]) == [0]
 
 
 def _assert_agl_closed_route(q: int, ks) -> None:
     """The brute force equals NG1's closed route on the AGL class
     NG(F_q^*, q - 2) with zeta1 = 0, exactly: equal real part, imaginary part 0."""
     spec = CategorySpec("NG1", cyclic(q - 1), p=factor_prime_power(q)[0], zeta1=Fraction(0))
-    for k, closed in zip(ks, closed_vector(spec, ks)):
-        assert closed.imag == 0 and closed.real == nu_agl_bruteforce(q, k), k
+    for k, closed, brute in zip(ks, closed_vector(spec, ks), nu_agl_bruteforce(q, ks)):
+        assert closed.imag == 0 and closed.real == brute, k
 
 
 def test_agl_matches_ng1_closed_form():
@@ -237,16 +235,13 @@ def test_agl_bruteforce_matches_closed_form_over_two_periods(q):
 def test_agl_period_walk_matches_square_and_multiply():
     for q in _prime_powers(27):
         agl = build_agl(q)
-        for k in range(61):
+        ks = range(61)
+        vector = nu_agl_bruteforce(q, ks)
+        for k, brute in zip(ks, vector):
             total = sum(agl_rho_character(agl, _power(agl, x, k)) for x in agl.elements)
-            assert nu_agl_bruteforce(q, k) == Fraction(total, agl.order), (q, k)
-    with pytest.raises(ValueError):
-        nu_agl_bruteforce(5, -1)
-
-
-def test_agl_caches_are_bounded():
-    for cached in (build_agl, _agl_period_vector):
-        assert cached.cache_info().maxsize == CACHE_SIZE
+            assert brute == Fraction(total, agl.order), (q, k)
+        # rho is real, so nu_{-k} = nu_k
+        assert nu_agl_bruteforce(q, [-k for k in ks]) == vector, q
 
 
 def test_indicator_vector_periodicity_is_exact():
