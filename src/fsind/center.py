@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .abelian import (
     RHO_LABEL,
@@ -100,7 +99,7 @@ def twist_histogram(presentation: CenterPresentation, target: str) -> dict:
 def _ng1_rows(group: FiniteAbelianGroup, den: int) -> list:
     """The A, Sigma and B rows of an m = |G| - 1 center, G cyclic, twists over
     den: B_{g,phi} for g in G and each nontrivial character phi of G."""
-    n = group.order
+    n, scale = group.order, den // group.exponent
     elems = group.elements()
     labels = [group_label(g) for g in elems]
     rows = [("A", 0, (1, 0), {label: 1}) for label in labels]
@@ -108,7 +107,7 @@ def _ng1_rows(group: FiniteAbelianGroup, den: int) -> list:
     for g, label in zip(elems, labels):
         mult = {RHO_LABEL: 1, label: 1}
         rows += [
-            ("B", int(-den * group.character_value(phi, g)), (n + 1, 0), mult)
+            ("B", -group.character_value(phi, g) * scale, (n + 1, 0), mult)
             for phi in elems[1:]
         ]
     return rows
@@ -190,6 +189,7 @@ def center_hi(
     n = group.order
     m = (h_group.order - 1) // 2
     den = math.lcm(group.exponent, qpp.den)
+    scale = den // group.exponent
     elems = group.elements()
     unit_label = group_label(group.identity)
     all_grho = {grho_label(g): 1 for g in elems}
@@ -198,7 +198,7 @@ def center_hi(
     rows += [("A", 0, (2, n), {unit_label: 2, **all_grho})] * ((n - 1) // 2)
     for h in (elems[x] for x in group.pairs()):
         mult = {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho}
-        rows += [("C", int(den * group.character_value(phi, h)), (2, n), mult) for phi in elems]
+        rows += [("C", group.character_value(phi, h) * scale, (2, n), mult) for phi in elems]
     rows += [
         ("D", m * qpp.values[x] * (den // qpp.den), (0, n), all_grho) for x in h_group.pairs()
     ]

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 # Only what `gauss` runs is imported here; the other commands import
 # `indicators` or `tables` when they run, so no process compiles modules its
@@ -54,13 +53,14 @@ def _load_json_arg(text: str):
         raise CliError(f"invalid JSON: {exc}") from exc
 
 
-def _recognized_phase(z: complex) -> Fraction | None:
+def _recognized_phase(z: complex) -> str | None:
     """The phase of a normalized Gauss sum ``z`` of modulus 1, which is an
-    eighth root of unity (Milgram's formula); a degenerate form gives 0 or a
-    modulus of at least sqrt 2, and no phase."""
-    phase = Fraction(round(4 * math.atan2(z.imag, z.real) / math.pi) % 8, 8)
-    if abs(phase_to_complex(phase) - z) < DEFAULT_TOL:
-        return phase
+    eighth root of unity (Milgram's formula), as a reduced ``m/8``; a
+    degenerate form gives 0 or a modulus of at least sqrt 2, and no phase."""
+    eighths = round(4 * math.atan2(z.imag, z.real) / math.pi) % 8
+    if abs(phase_to_complex(eighths / 8) - z) < DEFAULT_TOL:
+        common = math.gcd(eighths, 8)
+        return f"{eighths // common}/{8 // common}"
     return None
 
 
@@ -73,7 +73,7 @@ def cmd_gauss(args) -> int:
     print(format_real(theta.real), format_real(theta.imag))
     phase = _recognized_phase(theta)
     if phase is not None:
-        print(f"phase: {phase.numerator}/{phase.denominator}")
+        print(f"phase: {phase}")
     return 0
 
 

@@ -27,7 +27,6 @@ import itertools
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
 from .abelian import (
     MAX_ORDER,
@@ -188,7 +187,7 @@ def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) ->
     if k % p == 0:
         phase = (-k * qz(zeta1)) % 1
         # exact at phase 1/2, where e^{pi i} carries 1.2e-16 imaginary noise
-        value += -1 if phase == Fraction(1, 2) else phase_to_complex(phase)
+        value += -1 if 2 * phase == 1 else phase_to_complex(phase)
     return value
 
 
@@ -220,6 +219,14 @@ def hi_closed_vector(
     return _half_sums(group, ks, gauss_sums(qpp, [k * m for k in ks]))
 
 
+def _ng1x_closed(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
+    """NG1's closed form at p = 2, zeta1 = 1/4; NG1X's center keeps E1, E2."""
+    from fractions import Fraction
+
+    zeta1 = Fraction(1, 4)
+    return [nu_ng1_closed(spec.group, 2, zeta1, k) for k in ks]
+
+
 def _half_sums(group: FiniteAbelianGroup, ks: list[int], gauss: Iterable[complex]) -> list[complex]:
     """theta_k(e)/2 + Gauss/2 for each k in ``ks`` and its Gauss term."""
     return [group.power_count(k, group.identity) / 2 + term / 2 for k, term in zip(ks, gauss)]
@@ -249,6 +256,8 @@ def _int_from_json(data, _) -> int:
 def _phase_from_json(data, _) -> Fraction:
     if not (is_json_int(data) or isinstance(data, str)):
         raise ValueError(f"expected an integer or a fraction string, got {data!r}")
+    from fractions import Fraction
+
     try:
         return Fraction(data)
     except ZeroDivisionError as exc:  # "1/0"
@@ -316,8 +325,7 @@ FAMILIES: dict[str, Family] = {
             ring="NG(G,|G|-1)",
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1_exceptional7(),
-            # NG1's formula at p = 2, zeta1 = 1/4; the center keeps E1, E2
-            closed=lambda s, ks: [nu_ng1_closed(s.group, 2, Fraction(1, 4), k) for k in ks],
+            closed=_ng1x_closed,
             group=cyclic(7),
         ),
         Family(
@@ -470,6 +478,8 @@ def ng1_equivalence_classes(order: int) -> list[CategorySpec]:
     """
     if order not in (1, 2, 3, 7):
         raise ValueError("extra equivalence classes exist only for |G| in {1,2,3,7}")
+    from fractions import Fraction
+
     group = cyclic(order)
     p = factor_prime_power(order + 1)[0]
     base = CategorySpec(
@@ -562,6 +572,8 @@ def nu_agl_bruteforce(q: int, ks: Iterable[int]) -> list[Fraction]:
     multiplication until they return to e, and each k reads every cycle at k
     mod its length; rho is real, so nu_{-k} = nu_k.
     """
+    from fractions import Fraction
+
     agl = build_agl(q)
     e = (0, 1)
     cycles: Counter[tuple[int, ...]] = Counter()  # rho along one cycle -> its elements

@@ -12,7 +12,9 @@ monomial forms, which is the identity the indicator formulas rely on.
 Since 2 q(g) = dq(g, g) has order dividing ord(g), every value is a multiple
 of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
 over den, checked once by the constructor; exact ``Fraction`` phases appear
-only in ``value``, ``boundary`` and the JSON ``table`` format.
+only in :func:`qz`, ``value``, ``boundary`` and the JSON ``table`` format, and
+each of these imports ``fractions`` when it runs, so a command that reads or
+prints no exact rational never loads it (nor its ``decimal`` and ``numbers``).
 
 The one float threshold ``DEFAULT_TOL`` and :func:`format_real`, the decimal
 format of every command's output, live here too: ``fsind gauss`` loads nothing
@@ -25,7 +27,6 @@ import cmath
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 
 from .abelian import (
     FiniteAbelianGroup,
@@ -49,11 +50,13 @@ def format_real(x: float) -> str:
 
 def qz(value) -> Fraction:
     """Normalize a rational to its representative in [0, 1)."""
+    from fractions import Fraction
+
     return Fraction(value) % 1
 
 
-def phase_to_complex(a: Fraction) -> complex:
-    """e^{2 pi i a} for an exact phase a."""
+def phase_to_complex(a: Fraction | float) -> complex:
+    """e^{2 pi i a} for a phase a, exact or a float such as m/8."""
     return cmath.exp(2j * math.pi * float(a % 1))
 
 
@@ -95,9 +98,13 @@ class QuadraticForm(namedtuple("QuadraticForm", "group values")):
         return [[(v[s] - v[x] - v[shift[0]]) % den for x, s in enumerate(shift)] for shift in shifts]
 
     def value(self, g: GroupElement) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.values[self.group.index(g)], self.den)
 
     def boundary(self, g: GroupElement, h: GroupElement) -> Fraction:
+        from fractions import Fraction
+
         grp, v = self.group, self.values
         numerator = v[grp.index(grp.add(g, h))] - v[grp.index(g)] - v[grp.index(h)]
         return Fraction(numerator % self.den, self.den)
@@ -206,6 +213,8 @@ def form_to_json(q: QuadraticForm) -> dict:
             {"factor": i, "coeff": c} for i, c in enumerate(coeffs) if c != 0
         ]
     else:
+        from fractions import Fraction
+
         phases = (Fraction(v, q.den) for v in q.values)
         data["table"] = [f"{a.numerator}/{a.denominator}" for a in phases]
     return data
@@ -228,6 +237,8 @@ def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> Quadr
             for entry in table
         ):
             raise ValueError("a form table must be a list of numbers or fraction strings")
+        from fractions import Fraction
+
         den = 2 * group.exponent
         try:
             numerators = [Fraction(entry) * den for entry in table]

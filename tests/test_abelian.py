@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -92,13 +93,16 @@ def test_power_map_is_a_function(factors):
         assert sum(g.power_count(k, h) for h in elems) == g.order
 
 
-def test_character_value_examples():
-    from fractions import Fraction
+def _character_phase(group, h, g) -> Fraction:
+    """chi_h(g) as an exact phase: the integer numerator over the exponent."""
+    return Fraction(group.character_value(h, g), group.exponent)
 
-    assert Z3.character_value((1,), (2,)) == Fraction(2, 3)
-    assert Z2xZ2.character_value((1, 1), (1, 0)) == Fraction(1, 2)
+
+def test_character_value_examples():
+    assert _character_phase(Z3, (1,), (2,)) == Fraction(2, 3)
+    assert _character_phase(Z2xZ2, (1, 1), (1, 0)) == Fraction(1, 2)
     for g in Z9.elements():
-        assert Z9.character_value(Z9.identity, g) == 0
+        assert _character_phase(Z9, Z9.identity, g) == 0
 
 
 def test_character_value_biadditive_and_symmetric():
@@ -106,10 +110,11 @@ def test_character_value_biadditive_and_symmetric():
     elems = g.elements()
     for h in elems:
         for a in elems:
-            assert g.character_value(h, a) == g.character_value(a, h)
+            assert _character_phase(g, h, a) == _character_phase(g, a, h)
+            assert 0 <= g.character_value(h, a) < g.exponent
             for b in elems:
-                lhs = g.character_value(h, g.add(a, b))
-                rhs = (g.character_value(h, a) + g.character_value(h, b)) % 1
+                lhs = _character_phase(g, h, g.add(a, b))
+                rhs = (_character_phase(g, h, a) + _character_phase(g, h, b)) % 1
                 assert lhs == rhs
 
 

@@ -268,6 +268,23 @@ def test_induction_dimension_identity_is_exact():
             assert _same_number(total, expected, m, c), (spec.describe(), label)
 
 
+def test_object_dimension_is_its_image_dimension():
+    """qdim(V) = sum_X d_X [F(V) : X] in Z[d] for every object V of C: the
+    forgetful functor keeps dimensions."""
+    objects = 0
+    for spec in _identity_specs():
+        pres = spec.center()
+        m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
+        invertible = {group_label(g) for g in spec.group.elements()}
+        for obj in pres.objects:
+            image = [(mult, 0) if label in invertible else (0, mult)
+                     for label, mult in obj.mult.items()]
+            total = (sum(a for a, _ in image), sum(b for _, b in image))
+            assert _same_number(obj.qdim, total, m, c), (spec.describe(), obj.sector)
+        objects += pres.rank
+    assert objects == 10_358
+
+
 def test_p_plus_equals_dim_exactly_when_nu1_vanishes():
     """p+ = sum_V theta_V qdim(V)^2 equals dim C, to relative DEFAULT_TOL,
     exactly when nu_1(rho) = 0: a center datum that decides what nu_1 does."""
@@ -290,14 +307,19 @@ def _pairs(group):
 
 def _expected_twists(spec):
     """Each sector's twists in builder order, from the Fraction API of
-    qforms and abelian: the formulas of the center module's docstring."""
+    qforms and the character pairing of abelian: the formulas of the center
+    module's docstring."""
     group = spec.group
     elems = group.elements()
+
+    def character(h, g):
+        return Fraction(group.character_value(h, g), group.exponent)
+
     if spec.family in ("NG1", "NG1X"):
         twists = {
             "A": [0] * len(elems),
             "Sigma": [0],
-            "B": [-group.character_value(phi, g) for g in elems for phi in elems[1:]],
+            "B": [-character(phi, g) for g in elems for phi in elems[1:]],
         }
         if spec.family == "NG1X":
             return twists | {"E1": [Fraction(1, 4)], "E2": [Fraction(3, 4)]}
@@ -317,7 +339,7 @@ def _expected_twists(spec):
         "unit": [0],
         "B": [0],
         "A": [0] * ((len(elems) - 1) // 2),
-        "C": [group.character_value(phi, h) for h in _pairs(group) for phi in elems],
+        "C": [character(phi, h) for h in _pairs(group) for phi in elems],
         "D": [m * spec.qpp.value(x) for x in _pairs(spec.h)],
     }
 

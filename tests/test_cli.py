@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import functools
@@ -43,6 +44,35 @@ def test_gauss_example(capsys):
     lines = out.splitlines()
     assert lines[0] == "0 1"
     assert lines[1] == "phase: 1/4"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_gauss_phase_is_the_legendre_symbol(capsys, p):
+    """Theta(Z/p, c g^2/p) = (c/p) for p = 1 mod 4 and (c/p) i for p = 3 mod 4
+    at a unit c, with (c/p) from Euler's criterion; c = 0 is degenerate."""
+    phases = {1: {1: "0/1", -1: "1/2"}, 3: {1: "1/4", -1: "3/4"}}[p % 4]
+    for c in range(p):
+        form = '{"monomial":[{"factor":0,"coeff":%d}]}' % c
+        code, out, _ = run(capsys, "gauss", "--group", '{"cyclic_factors":[%d]}' % p,
+                           "--form", form)
+        assert code == 0
+        lines = out.splitlines()
+        if c == 0:
+            assert len(lines) == 1, out
+            continue
+        symbol = 1 if pow(c, (p - 1) // 2, p) == 1 else -1
+        assert lines[1:] == [f"phase: {phases[symbol]}"], (p, c)
+
+
+@pytest.mark.parametrize(
+    "table,phase", [('["0","1/4"]', "1/8"), ('["0","3/4"]', "7/8"), ('["0","1/2"]', None)]
+)
+def test_gauss_phase_in_eighths_on_z2(capsys, table, phase):
+    """(1 + i)/sqrt 2 and (1 - i)/sqrt 2 are the eighth roots; q(1) = 1/2 is degenerate."""
+    code, out, _ = run(capsys, "gauss", "--group", '{"cyclic_factors":[2]}',
+                       "--form", '{"table":%s}' % table)
+    assert code == 0
+    assert out.splitlines()[1:] == ([f"phase: {phase}"] if phase else [])
 
 
 def test_gauss_trivial_group(capsys):
@@ -460,6 +490,24 @@ def test_no_module_reads_the_environment():
     for path in sorted(Path(fsind.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_no_module_imports_fractions_at_module_level():
+    """`fractions` (with its `decimal` and `numbers`) is imported only inside
+    the functions that build a `Fraction`, so start-up never loads it."""
+    late = {"fractions", "decimal", "numbers"}
+    for path in sorted(Path(fsind.__file__).parent.glob("*.py")):
+        stack = ast.parse(path.read_text(encoding="utf-8")).body
+        while stack:  # every statement run at import: all but function bodies
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+                assert not names & late, (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] not in late, (path.name, node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def test_the_only_cache_is_the_bundled_rows():

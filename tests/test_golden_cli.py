@@ -177,13 +177,14 @@ def test_golden_set_is_complete(exit_codes):
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that finds fsind and these tests."""
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with arguments ``argv`` in a fresh interpreter that finds
+    fsind and these tests."""
     root = GOLDEN.parent.parent
     path = [str(root / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
     )
 
 
@@ -211,6 +212,31 @@ def test_each_command_loads_only_its_own_modules():
         result = _run_python(code)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == COMMAND_MODULES[CASES[name][0]], name
+
+
+def test_start_up_loads_no_fractions():
+    """`fractions`, and with it `decimal` and `numbers`, is loaded only by a
+    command that reads or prints an exact rational: `agl`, an NG1 or NG1X
+    spec, or a `table` form.  Each other golden case runs as `python -m
+    fsind` in a fresh interpreter, since this module's own imports load them."""
+    late = "{'fractions', 'decimal', 'numbers'} & set(sys.modules)"
+    result = _run_python(f"import sys, fsind.cli; assert not {late}, {late}")
+    assert result.returncode == 0, result.stderr
+    run_main = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fsind', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print(sorted({late}), file=sys.stderr)\n"
+    )
+    exact = [
+        name for name, argv in CASES.items()
+        if argv[0] == "agl" or any("NG1" in arg or '"table"' in arg for arg in argv)
+    ]
+    for name in sorted(set(CASES) - set(exact)):
+        result = _run_python(run_main, *CASES[name])
+        assert result.stderr.splitlines()[-1] == "[]", (name, result.stderr)
 
 
 def test_golden_cli_output_without_numpy():
