@@ -116,17 +116,13 @@ def _ng1_rows(group: FiniteAbelianGroup, den: int) -> list:
 def center_ng1(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterPresentation:
     """Center data for the near-group family with m = |G| - 1.
 
-    Requires G cyclic with |G| + 1 a power of the prime p (G is then the
-    multiplicative group of the field with |G| + 1 elements).  Here d = |G|,
-    so every dimension is an integer, written with b = 0.  ``zeta1`` is
-    the exact phase of the half-braiding scalar entering the C-object twists.
+    Takes G cyclic with |G| + 1 = p^ell, the unit group of F_{p^ell}, as
+    :class:`CategorySpec` checks, and reads only ell.  Here d = |G|, so every
+    dimension is an integer, written with b = 0.  ``zeta1`` is the exact
+    phase of the half-braiding scalar entering the C-object twists.
     """
     n = group.order
-    if math.lcm(*group.key) != n:  # cyclic iff the primes of its key are distinct
-        raise ValueError("m = |G| - 1 near groups require a cyclic group")
-    prime, ell = factor_prime_power(n + 1)
-    if prime != p:
-        raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {p}")
+    ell = factor_prime_power(n + 1)[1]
     den = math.lcm(n, p, zeta1.denominator)
     rows = _ng1_rows(group, den)
     # C^psi for psi in the dual of the additive group (Z/p)^ell; psi(1) pairs

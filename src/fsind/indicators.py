@@ -82,9 +82,8 @@ class CategorySpec(namedtuple(
 
     The only place a category's shape is checked: a known family with all
     its parameters, the family's group if it fixes one, |G| odd where
-    required, each companion group (G', H) of its order given |G|, each form
-    on its group and non-degenerate.  (NG1's G cyclic with |G| + 1 = p^l is
-    checked by its center builder, which derives the field from it.)
+    required, G = F_{p^l}^* where required (NG1), each companion group (G', H)
+    of its order given |G|, each form on its group and non-degenerate.
     Fields past ``group`` default to None, ``labels`` and ``provenance`` to ().
     Copy a spec with :func:`replace`, which makes these checks again.
     """
@@ -101,6 +100,10 @@ class CategorySpec(namedtuple(
         n = self.group.order
         if family.odd and n % 2 == 0:
             raise ValueError(f"{family.name} requires |G| odd")
+        if family.field and math.lcm(*self.group.key) != n:  # cyclic iff its primes are distinct
+            raise ValueError("m = |G| - 1 near groups require a cyclic group")
+        if family.field and factor_prime_power(n + 1)[0] != self.p:  # G = F^*, |F| = |G| + 1
+            raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {self.p}")
         phases = {}
         for par in family.params:
             value = getattr(self, par.name)
@@ -125,7 +128,8 @@ class CategorySpec(namedtuple(
         return self._center
 
     def period(self) -> int:
-        return self.center().period
+        """N, the order of the center's T-matrix, by the family's formula: no center is built."""
+        return FAMILIES[self.family].period(self)
 
     def describe(self) -> str:
         parts = [str(self.group)] + [
@@ -298,9 +302,11 @@ class Family(namedtuple("Family", (
     "rho_label",  # G -> the label of rho
     "center",  # CategorySpec -> CenterPresentation
     "closed",  # (CategorySpec, ks) -> nu_k(rho) for each k
+    "period",  # CategorySpec -> N, the order of T and the Frobenius-Schur exponent
     "odd",  # |G| must be odd
+    "field",  # G must be F^* for a field F of characteristic p
     "group",  # the only group allowed, if any
-), defaults=(False, None))):
+), defaults=(False, False, None))):
     __slots__ = ()
 
     @property
@@ -308,6 +314,9 @@ class Family(namedtuple("Family", (
         return f"{self.name} needs " + ", ".join(par.name for par in self.params)
 
 
+# A period is the order of the twists, fixed by the groups: on an odd group the
+# values of a non-degenerate form generate (1/exp)Z/Z, and so does the character
+# pairing of G; m = (|H| - 1)/2 is -1/2 mod |H|, a unit.
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
@@ -318,6 +327,8 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1(s.group, s.p, s.zeta1),
             closed=lambda s, ks: [nu_ng1_closed(s.group, s.p, s.zeta1, k) for k in ks],
+            period=lambda s: math.lcm(s.group.order, s.p, s.zeta1.denominator),
+            field=True,
         ),
         Family(
             "NG1X",
@@ -326,6 +337,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1_exceptional7(),
             closed=_ng1x_closed,
+            period=lambda s: 28,
             group=cyclic(7),
         ),
         Family(
@@ -339,6 +351,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp),
             closed=lambda s, ks: ng2_closed_vector(s.group, s.q, s.gp, s.qp, ks),
+            period=lambda s: math.lcm(s.group.exponent, s.gp.exponent),
             odd=True,
         ),
         Family(
@@ -351,6 +364,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: grho_label(group.identity),
             center=lambda s: center_hi(s.group, s.h, s.qpp),
             closed=lambda s, ks: hi_closed_vector(s.group, s.h, s.qpp, ks),
+            period=lambda s: math.lcm(s.group.exponent, s.h.exponent),
             odd=True,
         ),
     )

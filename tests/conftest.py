@@ -76,6 +76,19 @@ def metric_group_catalog(max_order: int) -> list[QuadraticForm]:
     return catalog
 
 
+@pytest.fixture
+def no_centers(monkeypatch):
+    """Every center builder raises, so a command run under this fixture is
+    shown to build no center."""
+    from fsind import indicators
+
+    def no_center(*args):
+        raise AssertionError("a center was built")
+
+    for name in ("center_ng1", "center_ng1_exceptional7", "center_ng2", "center_hi"):
+        monkeypatch.setattr(indicators, name, no_center)
+
+
 @pytest.fixture(scope="session")
 def builtin_reports():
     """Verification reports for all bundled rows (computed once)."""

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from fsind.abelian import (
     factor_prime_power,
     group_label,
     grho_label,
+    prime_factors,
 )
 from fsind.center import (
     center_hi,
@@ -56,10 +59,11 @@ def test_center_ng1_object_count_and_twists():
 
 
 def test_center_ng1_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        center_ng1(cyclic(4), 3, Fraction(0))  # |G| + 1 = 5 is not a power of 3
+    # the spec checks NG1's field; the center builder only reads ell
+    with pytest.raises(ValueError, match=r"\|G\| \+ 1 = 5 is not a power of p = 3"):
+        CategorySpec("NG1", cyclic(4), p=3, zeta1=Fraction(0))
     with pytest.raises(ValueError, match="require a cyclic group"):
-        center_ng1(FiniteAbelianGroup((2, 2)), 5, Fraction(0))  # not cyclic
+        CategorySpec("NG1", FiniteAbelianGroup((2, 2)), p=5, zeta1=Fraction(0))
     # |G| + 1 = 5 = 5^1 is admissible: Rep(AGL_1(F_5))
     assert center_ng1(cyclic(4), 5, Fraction(0)).rank == 4 + 1 + 4 * 3 + 5
 
@@ -298,6 +302,120 @@ def test_p_plus_equals_dim_exactly_when_nu1_vanishes():
         assert equal == (abs(nu1) < DEFAULT_TOL), spec.describe()
         unequal += not equal
     assert (len(specs), unequal) == (183, 78)  # both outcomes occur
+
+
+def _period_specs():
+    """Specs beyond the identity specs: seeded unit-form NG2 specs, HI specs
+    for |G| <= 9 and NG1 over every Z/n with n + 1 = p^l <= 32 at five zeta1."""
+    rng = random.Random(22)
+    specs = []
+    for g in ((21,), (3, 7), (51,), (9,), (3, 3), (15,), (5, 5), (27,), (3, 9)):
+        group = FiniteAbelianGroup(g)
+        gp = cyclic(group.order + 4)
+        for _ in range(4):
+            q, qp = rng.choice(_unit_forms(group)), rng.choice(_unit_forms(gp))
+            specs.append(CategorySpec("NG2", group, q=q, gp=gp, qp=qp))
+    for g in ((1,), (3,), (5,), (7,), (9,), (3, 3)):
+        group = FiniteAbelianGroup(g)
+        h = cyclic(group.order**2 + 4)
+        specs += [CategorySpec("HI", group, h=h, qpp=rng.choice(_unit_forms(h))) for _ in range(3)]
+    zetas = [Fraction(z) for z in ("0", "1/4", "2/9", "1/12", "5/6")]
+    for n in range(1, 32):
+        field = prime_factors(n + 1)
+        if len(field) == 1:
+            specs += [CategorySpec("NG1", cyclic(n), p=field[0][0], zeta1=z) for z in zetas]
+    return specs
+
+
+def test_period_formula_is_the_center_period():
+    """The family's period formula, read from the spec's groups alone, is the
+    gcd-reduced twist denominator of the center, on every spec checked."""
+    specs = _identity_specs() + _period_specs()
+    for spec in specs:
+        assert spec.period() == spec.center().period, spec.describe()
+    assert len(specs) == 183 + 36 + 18 + 90
+
+
+@functools.cache
+def _simple_vectors():
+    """(spec, its center, nu_k(X) for k = 0..N-1 for every simple X) for each
+    identity spec, by one FFT per simple of its twist histogram read at d; the
+    value of k lies at index k mod N."""
+    data = []
+    for spec in _identity_specs():
+        pres = spec.center()
+        labels = {label for obj in pres.objects for label in obj.mult}
+        vectors = {}
+        for label in labels:
+            weights = np.zeros(pres.period, complex)
+            for twist, pair in twist_histogram(pres, label).items():
+                weights[twist] = pres.at_d(pair)
+            vectors[label] = np.fft.ifft(weights) * pres.period / pres.at_d(pres.dim)
+        data.append((spec, pres, vectors))
+    return data
+
+
+def test_frobenius_schur_exponent_is_the_period():
+    """The smallest n with nu_n(X) = d_X for every simple X is N, the order
+    of T (Ng & Schauenburg 2007: FSexp = ord T)."""
+    for spec, pres, vectors in _simple_vectors():
+        dims = {x: 1 if x.startswith("g:") else pres.d for x in vectors}
+        exponent = next(
+            n for n in range(1, pres.period + 1)
+            if all(abs(v[n % pres.period] - dims[x]) < TOL for x, v in vectors.items())
+        )
+        assert exponent == pres.period, spec.describe()
+
+
+def test_period_primes_are_the_primes_of_the_norm_of_dim():
+    """Cauchy's theorem: N and Norm(dim C) have the same primes (Bruillard,
+    Ng, Rowell & Wang 2016), with Norm(A + B d) = A^2 + A B m - B^2 c for
+    d^2 = m d + c, exact; for NG1, B = 0 and the norm A^2 has the primes of A."""
+    for spec, pres, _ in _simple_vectors():
+        m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
+        a, b = pres.dim
+        norm = a * a + a * b * m - b * b * c
+        primes = [{p for p, _ in prime_factors(abs(x))} for x in (pres.period, norm)]
+        assert primes[0] == primes[1], spec.describe()
+
+
+def test_second_indicator_is_zero_or_a_sign():
+    """nu_2(X) lies in {0, 1, -1} for every simple X."""
+    for spec, pres, vectors in _simple_vectors():
+        for label, vector in vectors.items():
+            nu2 = vector[2 % pres.period]
+            assert min(abs(nu2 - e) for e in (0, 1, -1)) < TOL, (spec.describe(), label)
+
+
+def test_invertible_indicators_count_roots_of_unity():
+    """nu_k(g) = [k g = e] for every invertible g and k over one period: the
+    pointed part is Vec_G with trivial associator."""
+    for spec, pres, vectors in _simple_vectors():
+        ks = np.arange(pres.period)
+        for g in spec.group.elements():
+            killed = np.ones(pres.period, bool)
+            for x, n in zip(g, spec.group.cyclic_factors):
+                killed &= ks * x % n == 0
+            assert np.abs(vectors[group_label(g)] - killed).max() < TOL, spec.describe()
+
+
+def test_first_indicator_is_one_on_the_unit_only_but_the_red_set():
+    """nu_1(X) = [X = 1] for every simple X of the 26 rows and the 9 NG1
+    classes, but on every g rho of hi3 and hi5 rows 3-4, where it is 1: the
+    red set of criterion 5, pinned so that a new failure cannot hide in it."""
+    rows = builtin_rows()
+    names = [(row.table_id, row.row_id) for row in rows] + [("ng1", i) for i in range(9)]
+    red = {("hi3", 3), ("hi3", 4), ("hi5", 3), ("hi5", 4)}
+    failing = set()
+    for name, (spec, pres, vectors) in zip(names, _simple_vectors()):
+        unit = group_label(spec.group.identity)
+        nu1 = {x: v[1 % pres.period] for x, v in vectors.items()}
+        failing |= {(name, x) for x, nu in nu1.items() if abs(nu - (x == unit)) >= TOL}
+    assert [spec for spec, _, _ in _simple_vectors()[26:35]] == [
+        spec for n in (1, 2, 3, 7) for spec in ng1_equivalence_classes(n)
+    ]
+    expected = {(name, grho_label((g,))) for name in red for g in range(int(name[0][2:]))}
+    assert len(expected) == 16 and failing == expected
 
 
 def _pairs(group):

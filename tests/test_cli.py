@@ -167,14 +167,9 @@ CENTERS_OVER_BOUND = [  # |G|^2 over abelian.MAX_ORDER = 10^6
 
 
 @pytest.mark.parametrize("spec", CENTERS_OVER_BOUND, ids=["ng1", "ng2", "hi"])
-def test_centers_over_the_bound_are_refused_before_they_are_built(capsys, monkeypatch, spec):
+def test_centers_over_the_bound_are_refused_before_they_are_built(capsys, no_centers, spec):
     """Every family's center has about |G|^2 objects, so a spec whose |G|^2
     exceeds abelian.MAX_ORDER exits 2 before any center builder runs."""
-    def no_center(*args):
-        raise AssertionError("center built before |G| was checked")
-
-    for name in ("center_ng1", "center_ng1_exceptional7", "center_ng2", "center_hi"):
-        monkeypatch.setattr(indicators, name, no_center)
     order = spec["group"]["cyclic_factors"][0]
     for argv in (("indicators", "--kmax", "3", "--spec", json.dumps(spec)),
                  ("rigidity", "--specs", json.dumps([spec, spec]))):
@@ -183,8 +178,11 @@ def test_centers_over_the_bound_are_refused_before_they_are_built(capsys, monkey
 
 
 def test_group_bound_of_a_spec_is_inclusive():
+    """Z/1000 passes the |G|^2 bound and only then fails NG1's shape check,
+    as 1001 = 7 * 11 * 13 is no field size; Z/1001 fails the bound."""
     spec = {**NG1_Z3, "group": {"cyclic_factors": [1000]}}
-    assert indicators.spec_from_json(spec).group.order == 1000
+    with pytest.raises(ValueError, match="^1001 is not a prime power$"):
+        indicators.spec_from_json(spec)
     with pytest.raises(ValueError, match="1002001"):
         indicators.spec_from_json({**spec, "group": {"cyclic_factors": [1001]}})
 
@@ -261,6 +259,23 @@ def test_ng1_over_a_cyclic_group_in_any_presentation(capsys):
     code, out, err = run(capsys, "indicators", "--spec", json.dumps(_ng1_spec([2, 2], p=5)))
     assert (code, out) == (2, "")
     assert err == "error: m = |G| - 1 near groups require a cyclic group\n"
+
+
+def test_shape_and_period_refusals_build_no_center(capsys, no_centers):
+    """The spec alone gives the shape and the period, so each refusal exits 2
+    before any center builder runs, with the message it had when a center
+    gave the period."""
+    for factors, p, message in (([2, 2], 5, "m = |G| - 1 near groups require a cyclic group"),
+                                ([4], 3, "|G| + 1 = 5 is not a power of p = 3")):
+        code, out, err = run(capsys, "indicators", "--spec", json.dumps(_ng1_spec(factors, p)))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # G' = Z/1003 = Z/17 x Z/59: the period is 999 * 1003 = 1001997
+    spec = NG2_SPEC.replace("[3]", "[999]").replace("[7]", "[1003]")
+    code, out, err = run(capsys, "indicators", "--kmax", "3", "--spec", spec)
+    assert (code, out, err) == (2, "", "error: period 1001997 exceeds 1000000\n")
+    specs = [{**NG1_Z3, "zeta1": f"{a}/10000019"} for a in (1, 2)]
+    code, out, err = run(capsys, "rigidity", "--specs", json.dumps(specs))
+    assert (code, out) == (2, "") and "period 60000114 " in err
 
 
 def test_indicators_missing_family_is_a_usage_error(capsys):

@@ -172,6 +172,19 @@ def test_golden_cli_output(name, exit_codes):
     assert code == exit_codes[name]
 
 
+@pytest.mark.parametrize(
+    "name", ["indicators_ng1", "indicators_ng1x", "indicators_ng2", "indicators_hi"]
+)
+def test_closed_path_builds_no_center(no_centers, name):
+    """The period comes from the spec, so `--path closed` builds no center and
+    prints the period and the closed columns of the family's `--path both` golden."""
+    code, out = run_case(["closed" if arg == "both" else arg for arg in CASES[name]])
+    assert code == 0
+    golden = json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
+    closed = [{"k": v["k"], "re": v["re_closed"], "im": v["im_closed"]} for v in golden["values"]]
+    assert json.loads(out) == {**golden, "values": closed}
+
+
 def test_golden_set_is_complete(exit_codes):
     assert set(exit_codes) == set(CASES)
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
