@@ -9,6 +9,9 @@ Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
 error.  Floats are compared at one fixed threshold, ``qforms.DEFAULT_TOL``,
 and values below it print as 0; ``rigidity`` decides classes exactly and uses
 it only for each ``smallest_k``.
+
+The only bound here, :data:`MAX_KMAX`, is on the k a command evaluates; what
+a spec enumerates is bounded as it is read, by ``indicators.spec_from_json``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 # Only what `gauss` runs is imported here; the other commands import
 # `indicators` or `tables` when they run, so no process compiles modules its
 # command never calls.
-from .abelian import MAX_ORDER, cyclic, factor_prime_power, group_from_json
+from .abelian import cyclic, factor_prime_power, group_from_json
 from .qforms import DEFAULT_TOL, form_from_json, format_real, gauss_sum, phase_to_complex
 
 USAGE_ERROR = 2
@@ -86,15 +89,10 @@ def cmd_indicators(args) -> int:
     from .indicators import ROUTES, spec_from_json
 
     spec = spec_from_json(_load_json_arg(args.spec))
-    kmax = None if args.kmax == "auto" else int(args.kmax)
-    if kmax is not None:
-        _check_kmax(kmax)
     period = spec.period()
-    if kmax is None and period > MAX_KMAX:
-        raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got auto: one period, {period}")
-    if period > MAX_ORDER:  # a vector tabulates one root of unity per residue
-        raise CliError(f"period {period} exceeds {MAX_ORDER}")
-    ks = range(1, (kmax or period) + 1)
+    kmax = period if args.kmax == "auto" else int(args.kmax)
+    _check_kmax(kmax)
+    ks = range(1, kmax + 1)
     routes = ("center", "closed") if args.path == "both" else (args.path,)
     vectors = {route: ROUTES[route](spec, ks) for route in routes}
     values = []

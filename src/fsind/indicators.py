@@ -88,6 +88,8 @@ class CategorySpec(namedtuple(
     Copy a spec with :func:`replace`, which makes these checks again.
     """
 
+    __slots__ = ()
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
@@ -121,15 +123,12 @@ class CategorySpec(namedtuple(
         return FAMILIES[self.family].rho_label(self.group)
 
     def center(self) -> CenterPresentation:
-        """The center's modular data, built on the first call and kept in this
-        instance's ``__dict__`` (outside the tuple, so equality and hashing ignore it)."""
-        if "_center" not in self.__dict__:
-            self._center = FAMILIES[self.family].center(self)
-        return self._center
+        """The center's modular data, built anew on each call: a spec keeps nothing."""
+        return FAMILIES[self.family].center(self)
 
     def period(self) -> int:
         """N, the order of the center's T-matrix, by the family's formula: no center is built."""
-        return FAMILIES[self.family].period(self)
+        return FAMILIES[self.family].period(**self._asdict())
 
     def describe(self) -> str:
         parts = [str(self.group)] + [
@@ -302,7 +301,7 @@ class Family(namedtuple("Family", (
     "rho_label",  # G -> the label of rho
     "center",  # CategorySpec -> CenterPresentation
     "closed",  # (CategorySpec, ks) -> nu_k(rho) for each k
-    "period",  # CategorySpec -> N, the order of T and the Frobenius-Schur exponent
+    "period",  # the spec's fields but its forms, as keywords -> N, the order of T
     "odd",  # |G| must be odd
     "field",  # G must be F^* for a field F of characteristic p
     "group",  # the only group allowed, if any
@@ -327,7 +326,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1(s.group, s.p, s.zeta1),
             closed=lambda s, ks: [nu_ng1_closed(s.group, s.p, s.zeta1, k) for k in ks],
-            period=lambda s: math.lcm(s.group.order, s.p, s.zeta1.denominator),
+            period=lambda group, p, zeta1, **_: math.lcm(group.order, p, zeta1.denominator),
             field=True,
         ),
         Family(
@@ -337,7 +336,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1_exceptional7(),
             closed=_ng1x_closed,
-            period=lambda s: 28,
+            period=lambda **_: 28,
             group=cyclic(7),
         ),
         Family(
@@ -351,7 +350,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp),
             closed=lambda s, ks: ng2_closed_vector(s.group, s.q, s.gp, s.qp, ks),
-            period=lambda s: math.lcm(s.group.exponent, s.gp.exponent),
+            period=lambda group, gp, **_: math.lcm(group.exponent, gp.exponent),
             odd=True,
         ),
         Family(
@@ -364,7 +363,7 @@ FAMILIES: dict[str, Family] = {
             rho_label=lambda group: grho_label(group.identity),
             center=lambda s: center_hi(s.group, s.h, s.qpp),
             closed=lambda s, ks: hi_closed_vector(s.group, s.h, s.qpp, ks),
-            period=lambda s: math.lcm(s.group.exponent, s.h.exponent),
+            period=lambda group, h, **_: math.lcm(group.exponent, h.exponent),
             odd=True,
         ),
     )
@@ -619,8 +618,8 @@ def spec_to_json(spec: CategorySpec) -> dict:
 def spec_from_json(data: dict) -> CategorySpec:
     """Parse a spec; only a family with one allowed group may omit ``group``.
 
-    |G|^2 may not exceed :data:`MAX_ORDER`, since every family's center has
-    about |G|^2 objects; a larger G is refused before anything is built."""
+    Every size a spec enumerates is bounded by :data:`MAX_ORDER` before any form is
+    read: each group, |G|^2 (a center has about |G|^2 objects) and the period."""
     if not isinstance(data, dict):
         raise ValueError("a spec must be a JSON object")
     if "family" not in data:
@@ -641,7 +640,13 @@ def spec_from_json(data: dict) -> CategorySpec:
         raise ValueError(family.needs)
     values = {"group": group}
     for par in family.params:
-        values[par.name] = par.kind.from_json(data[par.name], values.get(par.on))
+        if par.kind is not FORM:
+            values[par.name] = par.kind.from_json(data[par.name], None)
+    if (period := family.period(**values)) > MAX_ORDER:
+        raise ValueError(f"period {period} exceeds {MAX_ORDER}")
+    for par in family.params:
+        if par.kind is FORM:
+            values[par.name] = par.kind.from_json(data[par.name], values[par.on])
     labels = data.get("labels", {})
     if not isinstance(labels, dict):
         raise ValueError("spec labels must be a JSON object")

@@ -118,13 +118,10 @@ class QuadraticForm(namedtuple("QuadraticForm", "group values")):
     def negated(self) -> "QuadraticForm":
         return self.scaled(-1)
 
-    def radical(self) -> list[GroupElement]:
-        """Elements h with dq(., h) identically zero."""
-        rows = self._generator_boundaries(self.group.shifts())
-        return [h for x, h in enumerate(self.group.elements()) if all(row[x] == 0 for row in rows)]
-
     def is_nondegenerate(self) -> bool:
-        return len(self.radical()) == 1
+        """True when e is the only h with dq(., h) identically zero."""
+        rows = self._generator_boundaries(self.group.shifts())
+        return sum(not any(row[x] for row in rows) for x in range(self.group.order)) == 1
 
 
 def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:

@@ -17,6 +17,7 @@ import fsind
 from fsind import fusion, indicators, tables
 from fsind.cli import MAX_KMAX, main
 from fsind.indicators import CategorySpec
+from fsind.qforms import QuadraticForm
 
 Z3 = '{"cyclic_factors":[3]}'
 FORM1 = '{"monomial":[{"factor":0,"coeff":1}]}'
@@ -278,6 +279,29 @@ def test_shape_and_period_refusals_build_no_center(capsys, no_centers):
     assert (code, out) == (2, "") and "period 60000114 " in err
 
 
+# |H| = 999^2 + 4 = 998005 and |G'| = 1003 pass the group bound; the periods do not
+PERIODS_OVER_BOUND = {
+    997006995: {"family": "HI", "group": {"cyclic_factors": [999]},
+                "h": {"cyclic_factors": [998005]}, "qpp": json.loads(FORM1)},
+    1001997: json.loads(NG2_SPEC.replace("[3]", "[999]").replace("[7]", "[1003]")),
+}
+
+
+@pytest.mark.parametrize("period", PERIODS_OVER_BOUND)
+def test_no_form_is_read_before_the_period_bound(capsys, monkeypatch, period):
+    """The period comes from the groups, so a spec whose period exceeds
+    abelian.MAX_ORDER exits 2 before any of its forms is built or checked."""
+    def no_form(*args):
+        raise AssertionError("a form was read")
+
+    monkeypatch.setattr(QuadraticForm, "__init__", no_form)
+    spec = PERIODS_OVER_BOUND[period]
+    for argv in (("indicators", "--kmax", "3", "--spec", json.dumps(spec)),
+                 ("rigidity", "--specs", json.dumps([spec]))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: period {period} exceeds 1000000\n"), argv
+
+
 def test_indicators_missing_family_is_a_usage_error(capsys):
     code, out, err = run(capsys, "indicators", "--spec", '{"group":{"cyclic_factors":[3]}}')
     assert code == 2
@@ -338,7 +362,7 @@ def test_no_command_builds_a_ring(capsys, monkeypatch):
 
 
 def test_each_command_builds_each_center_once(capsys, monkeypatch):
-    """A spec keeps its center, so a command builds one center per spec."""
+    """Each command calls center() once per spec, so it builds one center per spec."""
     builds = []
     for name in ("center_ng1", "center_ng1_exceptional7", "center_ng2", "center_hi"):
         build = getattr(indicators, name)

@@ -698,10 +698,25 @@ def test_replace_checks_the_copy_like_a_new_spec():
         replace(ng1, family="bogus")
 
 
-def test_kept_center_is_outside_equality_and_hash():
-    spec = builtin_rows()[0].spec
-    built, fresh = replace(spec), replace(spec)
-    presentation = built.center()
-    assert built.center() is presentation
-    assert built == fresh and hash(built) == hash(fresh)
-    assert fresh.center() is not presentation
+def test_records_carry_no_hidden_state():
+    """Every namedtuple record of the package declares ``__slots__ = ()``, so
+    an instance is its tuple of fields and nothing else: no ``__dict__``."""
+    import importlib
+    import pkgutil
+
+    import fsind
+
+    records = []
+    for info in pkgutil.iter_modules(fsind.__path__):
+        if info.name == "__main__":  # running it runs the command line
+            continue
+        module = importlib.import_module(f"fsind.{info.name}")
+        records += [
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+            and value.__module__ == module.__name__
+        ]
+    assert {cls.__name__ for cls in records} >= {"CategorySpec", "QuadraticForm", "Family"}
+    for cls in records:
+        assert vars(cls).get("__slots__") == (), cls.__qualname__
+        assert cls.__dictoffset__ == 0, cls.__qualname__
