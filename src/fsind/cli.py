@@ -6,9 +6,10 @@ reproduction.  All output is deterministic: identical invocations produce
 byte-identical bytes.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
-error.  Floats are compared at one fixed threshold, ``qforms.DEFAULT_TOL``,
-and values below it print as 0; ``rigidity`` decides classes exactly and uses
-it only for each ``smallest_k``.
+error, or a write error on stdout.  Floats are compared at one fixed
+threshold, ``qforms.DEFAULT_TOL``, and values below it print as 0;
+``rigidity`` decides classes exactly and uses it only for each
+``smallest_k``.
 
 The only bound here, :data:`MAX_KMAX`, is on the k a command evaluates; what
 a spec enumerates is bounded as it is read, by ``indicators.spec_from_json``.
@@ -17,8 +18,11 @@ a spec enumerates is bounded as it is read, by ``indicators.spec_from_json``.
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import math
+import os
 import sys
 
 # Only what `gauss` runs is imported here; the other commands import
@@ -220,11 +224,34 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        if sys.stdout is None:  # the process was started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        code = args.func(args)
+        sys.stdout.flush()
     except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    return code
+
+
+def run() -> None:
+    """Process entry of ``python -m fsind`` and the ``fsind`` script: exit
+    with :func:`main`'s code.  The heap is frozen first, so the interpreter's
+    shutdown collections skip objects that are about to be thrown away; stdio
+    is still flushed and ``atexit`` handlers still run.  :func:`main` stays
+    the in-process API and freezes nothing."""
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:  # main reported it; the flush at exit would fail again and exit 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,6 +15,8 @@ was trusted before.  To record a case again, delete its ``.out`` file first.
 from __future__ import annotations
 
 import contextlib
+import errno
+import gc
 import io
 import json
 import os
@@ -190,15 +192,21 @@ def test_golden_set_is_complete(exit_codes):
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
 
 
-def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run ``code`` with arguments ``argv`` in a fresh interpreter that finds
-    fsind and these tests."""
+def _python(*args: str, text: bool = True, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with arguments ``args`` that finds fsind and
+    these tests; stdout and stderr are captured unless ``kwargs`` redirect them.
+    Its stdout is block-buffered, as when a user redirects it to a file."""
     root = GOLDEN.parent.parent
     path = [str(root / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
-    )
+    env.pop("PYTHONUNBUFFERED", None)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *args], env=env, text=text, timeout=300, **streams)
+
+
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with arguments ``argv`` in a fresh interpreter."""
+    return _python("-c", code, *argv)
 
 
 def test_cli_import_loads_no_numpy():
@@ -250,6 +258,77 @@ def test_start_up_loads_no_fractions():
     for name in sorted(set(CASES) - set(exact)):
         result = _run_python(run_main, *CASES[name])
         assert result.stderr.splitlines()[-1] == "[]", (name, result.stderr)
+
+
+# one case per command that exits 0; beside them, the verify-tables case that
+# exits 1 and a usage error
+COMMAND_CASES = [
+    "readme_gauss", "readme_indicators_ng2", "readme_verify_ng7_csv", "readme_rigidity_ng1",
+    "readme_agl_27",
+]
+ENTRY_CASES = [*COMMAND_CASES, "readme_verify_markdown", "agl_not_prime_power"]
+NO_SPACE = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("name", ENTRY_CASES)
+def test_process_entry_output(name, exit_codes):
+    """`python -m fsind` prints each golden's bytes and exits with its code."""
+    result = _python("-m", "fsind", *CASES[name], text=False)
+    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes(), result.stderr
+    assert result.returncode == exit_codes[name]
+
+
+def test_process_entry_runs_atexit_handlers_on_a_frozen_heap():
+    """The entry freezes the heap before it exits, and a handler registered
+    before it ran still runs, after the output and with the exit code kept."""
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "runpy.run_module('fsind', run_name='__main__', alter_sys=True)\n"
+    )
+    result = _run_python(code, *CASES["readme_gauss"])
+    assert result.stdout == (GOLDEN / "readme_gauss.out").read_text(encoding="utf-8")
+    assert (result.returncode, result.stderr) == (0, "frozen True\n")
+
+
+def test_main_freezes_nothing():
+    """`main` is the in-process API: only the process entry freezes the heap."""
+    before = gc.get_freeze_count()
+    run_case(CASES["readme_gauss"])
+    assert gc.get_freeze_count() == before
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("name", COMMAND_CASES)
+def test_write_error_exits_2(monkeypatch, name, method):
+    """A stdout that fails to write or to flush gives one `error:` line and
+    the usage-error code, not a traceback and the verification-failure code."""
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(out, method, _no_space)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(CASES[name]))
+    assert (code, err.getvalue()) == (2, NO_SPACE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", COMMAND_CASES)
+def test_process_entry_write_error_exits_2(name):
+    """Writing to a full device exits 2 with one `error:` line; the output
+    left in stdout's buffer does not make the flush at exit fail (exit 120)."""
+    with open("/dev/full", "wb") as full:
+        result = _python("-m", "fsind", *CASES[name], stdout=full)
+    assert (result.returncode, result.stderr) == (2, NO_SPACE)
+
+
+def test_process_entry_closed_stdout_exits_2():
+    """A process started with stdout closed exits 2 with one `error:` line."""
+    result = _python("-m", "fsind", *CASES["readme_gauss"], preexec_fn=lambda: os.close(1))
+    bad_fd = f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+    assert (result.returncode, result.stderr) == (2, bad_fd)
 
 
 def test_golden_cli_output_without_numpy():
