@@ -133,10 +133,6 @@ def cyclic(n: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup((n,))
 
 
-def direct_sum(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(g1.cyclic_factors + g2.cyclic_factors)
-
-
 def prime_factors(n: int) -> list[tuple[int, int]]:
     """[(p, e), ...] with n = prod p^e over increasing primes p, by trial division."""
     factors = []

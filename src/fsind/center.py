@@ -26,6 +26,10 @@ with bicharacter diagonal <g, g> = e^{2 pi i * 2 q(g)}; twists are
 with C indexed by g < h in G and E by g in G and unordered pairs {x, -x},
 x != e in G'.  For the Haagerup-Izumi family the D-object twists are
 m * q''(x) with |H| = 2m + 1.
+
+Every builder reads forms as integer numerators only.  The S- and T-matrices
+of a metric group (Weil modular data) are reference code in the test suite's
+``oracles`` module: no command reads an S-matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .abelian import (
     grho_label,
     group_label,
 )
-from .qforms import QuadraticForm, phase_to_complex
+from .qforms import QuadraticForm
 
 
 class CenterObject(namedtuple("CenterObject", (
@@ -199,20 +203,4 @@ def center_hi(
         ("D", m * qpp.values[x] * (den // qpp.den), (0, n), all_grho) for x in h_group.pairs()
     ]
     return _presentation(rows, den, (n + math.sqrt(n * n + 4)) / 2, (2 * n, n * n))
-
-
-def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:
-    """(S, T) of the pointed modular category attached to a metric group.
-
-    S = |G|^{-1/2} (conj <g,h>)_{g,h} and T = diag(e^{2 pi i q(g)}), in
-    element order, as nested lists.
-    """
-    if not q.is_nondegenerate():
-        raise ValueError("Weil modular data requires a non-degenerate form")
-    elems = q.group.elements()
-    root = math.sqrt(len(elems))
-    S = [[q.bicharacter(g, h).conjugate() / root for h in elems] for g in elems]
-    phases = [phase_to_complex(q.value(g)) for g in elems]
-    T = [[phase if i == j else 0j for j in range(len(elems))] for i, phase in enumerate(phases)]
-    return S, T
 

@@ -11,7 +11,8 @@ Three independent evaluation routes are provided and cross-checked:
 
 The first two evaluate many k at once through :func:`fsind.qforms.root_sums`,
 the center route on its twist histogram and the closed route on the
-histograms of its forms' values; they share nothing else.
+histograms of its forms' values; they share nothing else, and
+``tests/test_routes.py`` pins that by the names each route's code reads.
 
 A :class:`CategorySpec` pins down one monoidal-equivalence class; its full
 indicator vector over one period is the invariant rigidity compares, decided
@@ -243,9 +244,8 @@ class ParamKind(namedtuple("ParamKind", (
     "to_json",
     "from_json",  # (JSON value, the group it lives on) -> value
     "show",
-    "conjugate",
 ))):
-    """How one kind of family parameter is written, read, shown and conjugated."""
+    """How one kind of family parameter is written, read and shown."""
 
     __slots__ = ()
 
@@ -267,15 +267,10 @@ def _phase_from_json(data, _) -> Fraction:
         raise ValueError(f"bad phase {data!r}: {exc}") from exc
 
 
-INT = ParamKind(int, _int_from_json, str, lambda value: value)
-PHASE = ParamKind(
-    lambda value: f"{value.numerator}/{value.denominator}",
-    _phase_from_json,
-    str,
-    lambda value: -value % 1,
-)
-GROUP = ParamKind(group_to_json, lambda data, _: group_from_json(data), str, lambda value: value)
-FORM = ParamKind(form_to_json, form_from_json, describe_form, QuadraticForm.negated)
+INT = ParamKind(int, _int_from_json, str)
+PHASE = ParamKind(lambda value: f"{value.numerator}/{value.denominator}", _phase_from_json, str)
+GROUP = ParamKind(group_to_json, lambda data, _: group_from_json(data), str)
+FORM = ParamKind(form_to_json, form_from_json, describe_form)
 
 
 class Param(namedtuple("Param", (
@@ -379,40 +374,14 @@ def closed_vector(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
     return FAMILIES[spec.family].closed(spec, ks)
 
 
-def conjugate_spec(spec: CategorySpec) -> CategorySpec:
-    """The complex-conjugate class: all forms and zeta1 negated."""
-    flipped = {
-        par.name: par.kind.conjugate(getattr(spec, par.name))
-        for par in FAMILIES[spec.family].params
-    }
-    return replace(spec, provenance=(), **flipped)
-
-
 # ---------------------------------------------------------------------------
-# Indicator vectors and rigidity
-
-
-class IndicatorVector(namedtuple("IndicatorVector", (
-    "period",
-    "values",  # values[k - 1] = nu_k(rho), k = 1..period
-))):
-    __slots__ = ()
-
-    def value(self, k: int) -> complex:
-        return self.values[(k - 1) % self.period]
+# Routes and rigidity
 
 
 ROUTES = {  # route -> nu_k(rho) for each k
     "center": lambda spec, ks: center_vector(spec.center(), spec.rho_label(), ks),
     "closed": closed_vector,
 }
-
-
-def indicator_vector(spec: CategorySpec, path: str = "center") -> IndicatorVector:
-    if path not in ROUTES:
-        raise ValueError(f"unknown path {path!r}")
-    period = spec.period()
-    return IndicatorVector(period, tuple(ROUTES[path](spec, range(1, period + 1))))
 
 
 class RigidityReport(namedtuple("RigidityReport", (
@@ -478,38 +447,6 @@ def rigidity_report(specs) -> RigidityReport:
         tuple(tuple(j for j, f in enumerate(first) if f == i) for i in drawn),
         tuple((i, j, smallest[first[i], first[j]]) for i, j in pairs if first[i] != first[j]),
     )
-
-
-def ng1_equivalence_classes(order: int) -> list[CategorySpec]:
-    """The known monoidal-equivalence classes of NG(G, |G| - 1) for small G.
-
-    Only |G| in {1, 2, 3, 7} admits classes beyond the affine-group one.  The
-    s = -1 classes (|G| = 1, 3, 7) have zeta1^2 = s, realized as phase 1/4;
-    for |G| = 7 that class carries the exceptional center.  The two extra
-    |G| = 2 classes are tagged by a primitive third root of unity mu with
-    nu_3(rho) = mu, forcing conj(zeta1)^3 = mu (phase -1/9 for mu = zeta_3).
-    """
-    if order not in (1, 2, 3, 7):
-        raise ValueError("extra equivalence classes exist only for |G| in {1,2,3,7}")
-    from fractions import Fraction
-
-    group = cyclic(order)
-    p = factor_prime_power(order + 1)[0]
-    base = CategorySpec(
-        "NG1", group, p=p, zeta1=Fraction(0), labels=(("class", "AGL"),)
-    )
-    if order == 2:
-        return [
-            base,
-            CategorySpec("NG1", group, p=3, zeta1=Fraction(8, 9), labels=(("mu", "zeta3"),)),
-            CategorySpec("NG1", group, p=3, zeta1=Fraction(1, 9), labels=(("mu", "zeta3bar"),)),
-        ]
-    base = replace(base, labels=(("s", "+1"),))
-    if order == 7:
-        minus = CategorySpec("NG1X", group, labels=(("s", "-1"),))
-    else:
-        minus = CategorySpec("NG1", group, p=p, zeta1=Fraction(1, 4), labels=(("s", "-1"),))
-    return [base, minus]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ monomial forms, which is the identity the indicator formulas rely on.
 
 Since 2 q(g) = dq(g, g) has order dividing ord(g), every value is a multiple
 of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
-over den, checked once by the constructor; exact ``Fraction`` phases appear
-only in :func:`qz`, ``value``, ``boundary`` and the JSON ``table`` format, and
-each of these imports ``fractions`` when it runs, so a command that reads or
-prints no exact rational never loads it (nor its ``decimal`` and ``numbers``).
+over den, checked once by the constructor, and every command reads them as
+numerators: exact ``Fraction`` phases appear only in :func:`qz` and the JSON
+``table`` format, and each of these imports ``fractions`` when it runs, so a
+command that reads or prints no exact rational never loads it (nor its
+``decimal`` and ``numbers``).  The exact values, boundaries and bicharacter of
+a form, and orthogonal sums, are reference code in the test suite's
+``oracles`` module, which no command runs.
 
 The one float threshold ``DEFAULT_TOL`` and :func:`format_real`, the decimal
 format of every command's output, live here too: ``fsind gauss`` loads nothing
@@ -28,14 +31,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 
-from .abelian import (
-    FiniteAbelianGroup,
-    GroupElement,
-    direct_sum,
-    group_from_json,
-    group_to_json,
-    is_json_int,
-)
+from .abelian import FiniteAbelianGroup, group_from_json, group_to_json, is_json_int
 
 
 DEFAULT_TOL = 1e-9  # absorbs float64 noise in every float comparison and printed value
@@ -96,21 +92,6 @@ class QuadraticForm(namedtuple("QuadraticForm", "group values")):
         """rows[i][x] = den * dq(e_i, g) mod den for the element g at position x."""
         v, den = self.values, self.den
         return [[(v[s] - v[x] - v[shift[0]]) % den for x, s in enumerate(shift)] for shift in shifts]
-
-    def value(self, g: GroupElement) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.values[self.group.index(g)], self.den)
-
-    def boundary(self, g: GroupElement, h: GroupElement) -> Fraction:
-        from fractions import Fraction
-
-        grp, v = self.group, self.values
-        numerator = v[grp.index(grp.add(g, h))] - v[grp.index(g)] - v[grp.index(h)]
-        return Fraction(numerator % self.den, self.den)
-
-    def bicharacter(self, g: GroupElement, h: GroupElement) -> complex:
-        return phase_to_complex(self.boundary(g, h))
 
     def scaled(self, k: int) -> "QuadraticForm":
         return QuadraticForm(self.group, tuple(k * v for v in self.values))
@@ -175,15 +156,6 @@ def gauss_sum(q: QuadraticForm) -> complex:
     return gauss_sums(q, (1,))[0]
 
 
-def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    """(G1 x G2, q1 + q2); the Gauss sum is multiplicative over this."""
-    group = direct_sum(q1.group, q2.group)
-    den = 2 * group.exponent
-    s1, s2 = den // q1.den, den // q2.den
-    values = tuple(v1 * s1 + v2 * s2 for v1 in q1.values for v2 in q2.values)
-    return QuadraticForm(group, values)
-
-
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1, via quadratic reciprocity."""
     if n < 1 or n % 2 == 0:
@@ -217,15 +189,12 @@ def form_to_json(q: QuadraticForm) -> dict:
     return data
 
 
-def form_from_json(data: dict, group: FiniteAbelianGroup | None = None) -> QuadraticForm:
-    """Read a form; ``ValueError`` for any JSON that is not a valid form."""
+def form_from_json(data: dict, group: FiniteAbelianGroup) -> QuadraticForm:
+    """Read a form on ``group``; ``ValueError`` for any JSON that is not a valid
+    form, or whose own ``"group"``, if it has one, is another group."""
     if not isinstance(data, dict):
         raise ValueError("a form must be a JSON object")
-    if group is None:
-        if "group" not in data:
-            raise ValueError("form spec needs a group")
-        group = group_from_json(data["group"])
-    elif "group" in data and group_from_json(data["group"]) != group:
+    if "group" in data and group_from_json(data["group"]) != group:
         raise ValueError("form group does not match the ambient group")
     if "table" in data:
         table = data["table"]

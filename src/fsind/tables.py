@@ -112,10 +112,6 @@ def load_hi_spec(
     return _calibrate(spec, "q''", "q''")
 
 
-def _v(k: int, text: str, a: int, b: int, d: int) -> ValueClaim:
-    return ValueClaim(k, text, a, b, d)
-
-
 # ---------------------------------------------------------------------------
 # The rows
 
@@ -165,61 +161,65 @@ def builtin_rows() -> tuple[TableRow, ...]:
 
     # near-group m = |G|: |G| = 3
     ng("ng3", 1, 3, (1,), 7, (1,), "-", "-",
-       [_v(3, "(3+i sqrt3)/2", 3, 1, -3), _v(7, "(1+i sqrt7)/2", 1, 1, -7)])
+       [ValueClaim(3, "(3+i sqrt3)/2", 3, 1, -3), ValueClaim(7, "(1+i sqrt7)/2", 1, 1, -7)])
     ng("ng3", 2, 3, (-1,), 7, (-1,), "-", "-",
-       [_v(3, "(3-i sqrt3)/2", 3, -1, -3), _v(7, "(1-i sqrt7)/2", 1, -1, -7)])
+       [ValueClaim(3, "(3-i sqrt3)/2", 3, -1, -3), ValueClaim(7, "(1-i sqrt7)/2", 1, -1, -7)])
 
     # |G| = 5
     ng("ng5", 1, 5, (2,), 9, (2,), "zeta3", "-",
-       [_v(3, "1+conj(zeta3)", 1, -1, -3), _v(5, "(5+sqrt5)/2", 5, 1, 5),
-        _v(9, "-1", -2, 0, 1)])
+       [ValueClaim(3, "1+conj(zeta3)", 1, -1, -3), ValueClaim(5, "(5+sqrt5)/2", 5, 1, 5),
+        ValueClaim(9, "-1", -2, 0, 1)])
     ng("ng5", 2, 5, (2,), 9, (-2,), "conj(zeta3)", "-",
-       [_v(3, "1+zeta3", 1, 1, -3), _v(5, "(5+sqrt5)/2", 5, 1, 5),
-        _v(9, "-1", -2, 0, 1)])
+       [ValueClaim(3, "1+zeta3", 1, 1, -3), ValueClaim(5, "(5+sqrt5)/2", 5, 1, 5),
+        ValueClaim(9, "-1", -2, 0, 1)])
     ng("ng5", 3, 5, (1,), (3, 3), (1, 1), "1", "-",
-       [_v(3, "-1", -2, 0, 1), _v(5, "(5-sqrt5)/2", 5, -1, 5),
-        _v(9, "2", 4, 0, 1)])
+       [ValueClaim(3, "-1", -2, 0, 1), ValueClaim(5, "(5-sqrt5)/2", 5, -1, 5),
+        ValueClaim(9, "2", 4, 0, 1)])
 
     # |G| = 7
     ng("ng7", 1, 7, (1,), 11, (-2,), "-", "-",
-       [_v(7, "(7-i sqrt7)/2", 7, -1, -7), _v(11, "(1+i sqrt11)/2", 1, 1, -11)])
+       [ValueClaim(7, "(7-i sqrt7)/2", 7, -1, -7), ValueClaim(11, "(1+i sqrt11)/2", 1, 1, -11)])
     ng("ng7", 2, 7, (-1,), 11, (2,), "-", "-",
-       [_v(7, "(7+i sqrt7)/2", 7, 1, -7), _v(11, "(1-i sqrt11)/2", 1, -1, -11)])
+       [ValueClaim(7, "(7+i sqrt7)/2", 7, 1, -7), ValueClaim(11, "(1-i sqrt11)/2", 1, -1, -11)])
 
     # |G| = 9
     ng("ng9", 1, 9, (1,), 13, (-2,), "-", "-",
-       [_v(3, "1-zeta3", 3, -1, -3), _v(9, "3", 6, 0, 1),
-        _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [ValueClaim(3, "1-zeta3", 3, -1, -3), ValueClaim(9, "3", 6, 0, 1),
+        ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
     ng("ng9", 2, 9, (-1,), 13, (2,), "-", "-",
-       [_v(3, "1-conj(zeta3)", 3, 1, -3), _v(9, "3", 6, 0, 1),
-        _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [ValueClaim(3, "1-conj(zeta3)", 3, 1, -3), ValueClaim(9, "3", 6, 0, 1),
+        ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
     ng("ng9", 3, (3, 3), (1, -1), 13, (2,), "-", "-",
-       [_v(3, "3", 6, 0, 1), _v(9, "3", 6, 0, 1),
-        _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [ValueClaim(3, "3", 6, 0, 1), ValueClaim(9, "3", 6, 0, 1),
+        ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
 
     # |G| = 11
     ng("ng11", 1, 11, (1,), 15, (2,), "zeta12^7", "-",
-       [_v(3, "(1-i sqrt3)/2", 1, -1, -3), _v(5, "(1+sqrt5)/2", 1, 1, 5),
-        _v(11, "(11-i sqrt11)/2", 11, -1, -11), _v(15, "(1+i sqrt15)/2", 1, 1, -15)])
+       [ValueClaim(3, "(1-i sqrt3)/2", 1, -1, -3), ValueClaim(5, "(1+sqrt5)/2", 1, 1, 5),
+        ValueClaim(11, "(11-i sqrt11)/2", 11, -1, -11),
+        ValueClaim(15, "(1+i sqrt15)/2", 1, 1, -15)])
     ng("ng11", 2, 11, (1,), 15, (1,), "conj(zeta12)", "-",
-       [_v(3, "(1+i sqrt3)/2", 1, 1, -3), _v(5, "(1-sqrt5)/2", 1, -1, 5),
-        _v(11, "(11-i sqrt11)/2", 11, -1, -11), _v(15, "(1+i sqrt15)/2", 1, 1, -15)])
+       [ValueClaim(3, "(1+i sqrt3)/2", 1, 1, -3), ValueClaim(5, "(1-sqrt5)/2", 1, -1, 5),
+        ValueClaim(11, "(11-i sqrt11)/2", 11, -1, -11),
+        ValueClaim(15, "(1+i sqrt15)/2", 1, 1, -15)])
     ng("ng11", 3, 11, (-1,), 15, (-1,), "zeta12", "-",
-       [_v(3, "(1-i sqrt3)/2", 1, -1, -3), _v(5, "(1-sqrt5)/2", 1, -1, 5),
-        _v(11, "(11+i sqrt11)/2", 11, 1, -11), _v(15, "(1-i sqrt15)/2", 1, -1, -15)])
+       [ValueClaim(3, "(1-i sqrt3)/2", 1, -1, -3), ValueClaim(5, "(1-sqrt5)/2", 1, -1, 5),
+        ValueClaim(11, "(11+i sqrt11)/2", 11, 1, -11),
+        ValueClaim(15, "(1-i sqrt15)/2", 1, -1, -15)])
     ng("ng11", 4, 11, (-1,), 15, (-2,), "zeta12^5", "-",
-       [_v(3, "(1+i sqrt3)/2", 1, 1, -3), _v(5, "(1+sqrt5)/2", 1, 1, 5),
-        _v(11, "(11+i sqrt11)/2", 11, 1, -11), _v(15, "(1-i sqrt15)/2", 1, -1, -15)])
+       [ValueClaim(3, "(1+i sqrt3)/2", 1, 1, -3), ValueClaim(5, "(1+sqrt5)/2", 1, 1, 5),
+        ValueClaim(11, "(11+i sqrt11)/2", 11, 1, -11),
+        ValueClaim(15, "(1-i sqrt15)/2", 1, -1, -15)])
 
     # |G| = 13
     ng("ng13", 1, 13, (1,), 17, (3,), "-1", "b1",
-       [_v(13, "(13-sqrt13)/2", 13, -1, 13), _v(17, "(1+sqrt17)/2", 1, 1, 17)])
+       [ValueClaim(13, "(13-sqrt13)/2", 13, -1, 13), ValueClaim(17, "(1+sqrt17)/2", 1, 1, 17)])
     ng("ng13", 2, 13, (1,), 17, (3,), "-1", "b2",
-       [_v(13, "(13-sqrt13)/2", 13, -1, 13), _v(17, "(1+sqrt17)/2", 1, 1, 17)])
+       [ValueClaim(13, "(13-sqrt13)/2", 13, -1, 13), ValueClaim(17, "(1+sqrt17)/2", 1, 1, 17)])
     ng("ng13", 3, 13, (2,), 17, (1,), "1", "b3",
-       [_v(13, "(13+sqrt13)/2", 13, 1, 13), _v(17, "(1-sqrt17)/2", 1, -1, 17)])
+       [ValueClaim(13, "(13+sqrt13)/2", 13, 1, 13), ValueClaim(17, "(1-sqrt17)/2", 1, -1, 17)])
     ng("ng13", 4, 13, (2,), 17, (1,), "1", "b4",
-       [_v(13, "(13+sqrt13)/2", 13, 1, 13), _v(17, "(1-sqrt17)/2", 1, -1, 17)],
+       [ValueClaim(13, "(13+sqrt13)/2", 13, 1, 13), ValueClaim(17, "(1-sqrt17)/2", 1, -1, 17)],
        notes=("q' coefficient normalized to the group order 17 "
               "(reference row prints denominator 15)",))
 
@@ -227,13 +227,13 @@ def builtin_rows() -> tuple[TableRow, ...]:
     law13_minus = JacobiLawClaim("(1-(k/13))/2", -1, 13, (2, 4, 5, 7, 11))
     law13_plus = JacobiLawClaim("(1+(k/13))/2", 1, 13, (2, 4, 5, 7, 11))
     hi("hi3", 1, 3, 13, (1,), "+", "1", "A1",
-       [law13_minus, _v(3, "1", 2, 0, 1), _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [law13_minus, ValueClaim(3, "1", 2, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
     hi("hi3", 2, 3, 13, (1,), "+", "1", "A2",
-       [law13_minus, _v(3, "1", 2, 0, 1), _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [law13_minus, ValueClaim(3, "1", 2, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
     hi("hi3", 3, 3, 13, (2,), "-", "1", "A3",
-       [law13_plus, _v(3, "2", 4, 0, 1), _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [law13_plus, ValueClaim(3, "2", 4, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
     hi("hi3", 4, 3, 13, (2,), "-", "1", "A4",
-       [law13_plus, _v(3, "2", 4, 0, 1), _v(13, "(1+sqrt13)/2", 1, 1, 13)])
+       [law13_plus, ValueClaim(3, "2", 4, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
 
     # Haagerup-Izumi: G = Z/5, H = Z/29.  The compatibility constraint
     # |H| = |G|^2 + 4 forces order 29; the reference row prints Z/13 with
@@ -245,16 +245,16 @@ def builtin_rows() -> tuple[TableRow, ...]:
     law29_minus = JacobiLawClaim("(1-(k/29))/2", -1, 29, (2, 3, 4, 7, 9))
     law29_plus = JacobiLawClaim("(1+(k/29))/2", 1, 29, (2, 3, 4, 7, 9))
     hi("hi5", 1, 5, 29, (1,), "+", "1", "A6",
-       [law29_minus, _v(5, "2", 4, 0, 1), _v(29, "(1+sqrt29)/2", 1, 1, 29)],
+       [law29_minus, ValueClaim(5, "2", 4, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
        notes=h29_note)
     hi("hi5", 2, 5, 29, (1,), "+", "1", "A7",
-       [law29_minus, _v(5, "2", 4, 0, 1), _v(29, "(1+sqrt29)/2", 1, 1, 29)],
+       [law29_minus, ValueClaim(5, "2", 4, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
        notes=h29_note)
     hi("hi5", 3, 5, 29, (2,), "-", "1", "A8",
-       [law29_plus, _v(5, "3", 6, 0, 1), _v(29, "(1+sqrt29)/2", 1, 1, 29)],
+       [law29_plus, ValueClaim(5, "3", 6, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
        notes=h29_note)
     hi("hi5", 4, 5, 29, (2,), "-", "1", "A9",
-       [law29_plus, _v(5, "3", 6, 0, 1), _v(29, "(1+sqrt29)/2", 1, 1, 29)],
+       [law29_plus, ValueClaim(5, "3", 6, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
        notes=h29_note)
 
     return tuple(rows)

@@ -9,7 +9,9 @@ import pytest
 
 from fsind.abelian import cyclic
 from fsind.cli import build_parser
-from fsind.qforms import QuadraticForm, monomial_form, orthogonal_sum, phase_to_complex
+from fsind.qforms import QuadraticForm, monomial_form, phase_to_complex
+
+from oracles import orthogonal_sum
 
 # all abelian groups of order <= 13, one tuple of cyclic factors each
 ABELIAN_GROUPS_LE_13 = [

@@ -7,10 +7,11 @@ from fsind.abelian import (
     MAX_ORDER,
     FiniteAbelianGroup,
     cyclic,
-    direct_sum,
     group_from_json,
     group_to_json,
 )
+
+from oracles import direct_sum
 
 Z3 = cyclic(3)
 Z9 = cyclic(9)

@@ -29,24 +29,27 @@ from fractions import Fraction
 import numpy as np
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
-from fsind.center import weil_modular_data
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_ring
 from fsind.indicators import (
     CategorySpec,
     closed_form_nu,
     closed_vector,
-    conjugate_spec,
     factor_prime_power,
-    indicator_vector,
-    ng1_equivalence_classes,
     nu_agl_bruteforce,
     nu_from_center,
     rigidity_report,
 )
-from fsind.qforms import gauss_sum, monomial_form, orthogonal_sum
+from fsind.qforms import gauss_sum, monomial_form
 from fsind.tables import builtin_rows, load_ng2_spec, verify_row
 
 from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog, p_plus
+from oracles import (
+    conjugate_spec,
+    indicator_vector,
+    ng1_equivalence_classes,
+    orthogonal_sum,
+    weil_modular_data,
+)
 
 TOL = 1e-9
 

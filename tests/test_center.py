@@ -23,17 +23,18 @@ from fsind.center import (
     center_ng1_exceptional7,
     center_ng2,
     twist_histogram,
-    weil_modular_data,
 )
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
-from fsind.indicators import (
-    CategorySpec,
-    center_vector,
-    indicator_vector,
-    ng1_equivalence_classes,
-)
+from fsind.indicators import CategorySpec, center_vector
 from fsind.qforms import DEFAULT_TOL, monomial_form, phase_to_complex
 from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
+from oracles import (
+    boundary,
+    indicator_vector,
+    ng1_equivalence_classes,
+    value,
+    weil_modular_data,
+)
 
 TOL = 1e-9
 
@@ -424,9 +425,9 @@ def _pairs(group):
 
 
 def _expected_twists(spec):
-    """Each sector's twists in builder order, from the Fraction API of
-    qforms and the character pairing of abelian: the formulas of the center
-    module's docstring."""
+    """Each sector's twists in builder order, from the exact form values of
+    ``oracles`` and the character pairing of abelian: the formulas of the
+    center module's docstring."""
     group = spec.group
     elems = group.elements()
 
@@ -447,10 +448,10 @@ def _expected_twists(spec):
     if spec.family == "NG2":
         q, qp = spec.q, spec.qp
         return {
-            "A": [2 * q.value(g) for g in elems],
-            "B": [2 * q.value(g) for g in elems],
-            "C": [q.boundary(g, h) for i, g in enumerate(elems) for h in elems[i + 1 :]],
-            "E": [2 * q.value(g) + 2 * qp.value(x) for g in elems for x in _pairs(spec.gp)],
+            "A": [2 * value(q, g) for g in elems],
+            "B": [2 * value(q, g) for g in elems],
+            "C": [boundary(q, g, h) for i, g in enumerate(elems) for h in elems[i + 1 :]],
+            "E": [2 * value(q, g) + 2 * value(qp, x) for g in elems for x in _pairs(spec.gp)],
         }
     m = (spec.h.order - 1) // 2
     return {
@@ -458,7 +459,7 @@ def _expected_twists(spec):
         "B": [0],
         "A": [0] * ((len(elems) - 1) // 2),
         "C": [character(phi, h) for h in _pairs(group) for phi in elems],
-        "D": [m * spec.qpp.value(x) for x in _pairs(spec.h)],
+        "D": [m * value(spec.qpp, x) for x in _pairs(spec.h)],
     }
 
 

@@ -354,9 +354,9 @@ def test_ring_checks_and_weil_data_without_numpy():
 import sys
 sys.modules["numpy"] = None
 from fsind.abelian import cyclic
-from fsind.center import weil_modular_data
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_ring
 from fsind.qforms import monomial_form
+from oracles import weil_modular_data
 for ring, d in ((make_near_group_ring(cyclic(3), 3), (3 + 21 ** 0.5) / 2),
                 (make_hi_ring(cyclic(5)), (5 + 29 ** 0.5) / 2)):
     assert verify_ring(ring) == [], ring.labels

@@ -21,10 +21,7 @@ from fsind.indicators import (
     center_vector,
     closed_form_nu,
     closed_vector,
-    conjugate_spec,
     factor_prime_power,
-    indicator_vector,
-    ng1_equivalence_classes,
     nu_agl_bruteforce,
     nu_from_center,
     nu_ng1_closed,
@@ -35,6 +32,7 @@ from fsind.indicators import (
 )
 from fsind.qforms import QuadraticForm, jacobi_symbol, monomial_form
 from fsind.tables import JacobiLawClaim, builtin_rows, load_hi_spec, load_ng2_spec
+from oracles import conjugate_spec, indicator_vector, ng1_equivalence_classes
 
 TOL = 1e-9
 
