@@ -167,10 +167,18 @@ def is_json_int(value) -> bool:
 
 def group_from_json(data: dict) -> FiniteAbelianGroup:
     """Read a group; ``ValueError`` unless ``data`` is {"cyclic_factors": [int, ...]}
-    of order at most :data:`MAX_ORDER`, checked before anything is enumerated."""
+    of order at most :data:`MAX_ORDER`, checked before anything is enumerated.
+
+    It lists at most ``MAX_ORDER.bit_length()`` factors, since a group of order
+    at most :data:`MAX_ORDER` has fewer above 1: checking a form on it costs
+    about rank^2 * order."""
     factors = data.get("cyclic_factors") if isinstance(data, dict) else None
     if not isinstance(factors, list) or not all(is_json_int(n) for n in factors):
         raise ValueError('a group must be {"cyclic_factors": [int, ...]}')
+    if len(factors) > MAX_ORDER.bit_length():
+        raise ValueError(
+            f"a group may list at most {MAX_ORDER.bit_length()} cyclic factors, got {len(factors)}"
+        )
     group = FiniteAbelianGroup(tuple(factors))
     if group.order > MAX_ORDER:
         raise ValueError(f"group order {group.order} exceeds {MAX_ORDER}")

@@ -34,7 +34,8 @@ from .qforms import DEFAULT_TOL, form_from_json, format_real, gauss_sum, phase_t
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 MAX_KMAX = 100_000  # bounds the time and memory of one indicators, rigidity or agl run
-# the names of indicators.ROUTES and tables.TABLE_IDS, which tests pin these to
+# the names of indicators.ROUTES and the table ids of tables.builtin_rows(), in
+# the rows' order, which tests pin these to
 PATHS = ("center", "closed", "both")
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 

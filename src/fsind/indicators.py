@@ -553,7 +553,8 @@ def spec_to_json(spec: CategorySpec) -> dict:
 
 
 def spec_from_json(data: dict) -> CategorySpec:
-    """Parse a spec; only a family with one allowed group may omit ``group``.
+    """Parse a spec; only a family with one allowed group may omit ``group``, and
+    no key but ``family``, ``group``, ``labels`` and the family's parameters is taken.
 
     Every size a spec enumerates is bounded by :data:`MAX_ORDER` before any form is
     read: each group, |G|^2 (a center has about |G|^2 objects) and the period."""
@@ -565,6 +566,9 @@ def spec_from_json(data: dict) -> CategorySpec:
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     family = FAMILIES[name]
+    keys = {"family", "group", "labels", *(par.name for par in family.params)}
+    if unknown := sorted(set(data) - keys, key=str):
+        raise ValueError(f"{name} spec has unknown key(s) {', '.join(map(repr, unknown))}")
     if "group" in data:
         group = group_from_json(data["group"])
     elif family.group is not None:

@@ -94,6 +94,7 @@ class QuadraticForm(namedtuple("QuadraticForm", "group values")):
         return [[(v[s] - v[x] - v[shift[0]]) % den for x, s in enumerate(shift)] for shift in shifts]
 
     def scaled(self, k: int) -> "QuadraticForm":
+        k %= self.den  # the values do not change, and no product outgrows den^2
         return QuadraticForm(self.group, tuple(k * v for v in self.values))
 
     def negated(self) -> "QuadraticForm":
@@ -113,7 +114,7 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
     den = 2 * group.exponent
     values = [0]
     for c, n in zip(coeffs, group.cyclic_factors):
-        step = c * (den // n)
+        step = c % n * (den // n)  # c mod n gives the same values, as small integers
         values = [v + step * r * r for v in values for r in range(n)]
     return QuadraticForm(group, tuple(values))
 

@@ -33,8 +33,6 @@ from .abelian import FiniteAbelianGroup, cyclic
 from .indicators import FAMILIES, ROUTES, CategorySpec, closed_form_nu, replace
 from .qforms import DEFAULT_TOL, format_real, half_form, jacobi_symbol, monomial_form
 
-TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
-
 
 class ValueClaim(namedtuple("ValueClaim", "k text a b d")):
     """One listed indicator value, nu_k(rho) = (a + b sqrt(d)) / 2."""
@@ -118,8 +116,13 @@ def load_hi_spec(
 
 @lru_cache(maxsize=None)
 def builtin_rows() -> tuple[TableRow, ...]:
-    """The 26 bundled rows, built on first use."""
+    """The 26 bundled rows, built on first use, table by table from ng3 to hi5;
+    their table ids are the one list of tables."""
     rows: list[TableRow] = []
+
+    def add(table_id, row_id, spec, category, center_group, coeffs, claims, notes):
+        center = f"({center_group},{_print_form(center_group, coeffs)})"
+        rows.append(TableRow(table_id, row_id, spec, category, center, tuple(claims), tuple(notes)))
 
     def ng(table_id, row_id, n_or_factors, q_coeffs, gp_factors, qp_coeffs, c_label,
            b_label, claims, notes=()):
@@ -127,37 +130,17 @@ def builtin_rows() -> tuple[TableRow, ...]:
             cyclic(n) if isinstance(n, int) else FiniteAbelianGroup(tuple(n))
             for n in (n_or_factors, gp_factors)
         )
-        labels = (("b", b_label), ("c", c_label))
-        spec = load_ng2_spec(group, q_coeffs, gp, qp_coeffs, labels)
-        rows.append(
-            TableRow(
-                table_id,
-                row_id,
-                spec,
-                printed_category=_print_ng(group, q_coeffs, b_label, c_label),
-                printed_center_group=_print_metric(gp, qp_coeffs),
-                claims=tuple(claims),
-                notes=tuple(notes),
-            )
-        )
+        spec = load_ng2_spec(group, q_coeffs, gp, qp_coeffs, (("b", b_label), ("c", c_label)))
+        category = f"NG({group},{_print_form(group, q_coeffs)},{b_label},{c_label})"
+        add(table_id, row_id, spec, category, gp, qp_coeffs, claims, notes)
 
     def hi(table_id, row_id, n, h_order, qpp_coeffs, sign, omega, a_label, claims,
            notes=()):
-        group = cyclic(n)
         h_group = cyclic(h_order)
         labels = (("A", a_label), ("omega", omega), ("sign", sign))
-        spec = load_hi_spec(group, h_group, qpp_coeffs, labels)
-        rows.append(
-            TableRow(
-                table_id,
-                row_id,
-                spec,
-                printed_category=f"HI(Z{n},{sign},{omega},{a_label})",
-                printed_center_group=_print_metric(h_group, qpp_coeffs),
-                claims=tuple(claims),
-                notes=tuple(notes),
-            )
-        )
+        spec = load_hi_spec(cyclic(n), h_group, qpp_coeffs, labels)
+        category = f"HI(Z{n},{sign},{omega},{a_label})"
+        add(table_id, row_id, spec, category, h_group, qpp_coeffs, claims, notes)
 
     # near-group m = |G|: |G| = 3
     ng("ng3", 1, 3, (1,), 7, (1,), "-", "-",
@@ -260,14 +243,6 @@ def builtin_rows() -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-def _print_ng(group, q_coeffs, b_label, c_label) -> str:
-    return f"NG({group},{_print_form(group, q_coeffs)},{b_label},{c_label})"
-
-
-def _print_metric(group, coeffs) -> str:
-    return f"({group},{_print_form(group, coeffs)})"
-
-
 def _print_form(group, coeffs) -> str:
     names = "ghuv"
     parts = []
@@ -313,9 +288,9 @@ def verify_row(row: TableRow) -> RowReport:
 
 
 def verify_tables(table_id: str | None = None) -> list[RowReport]:
-    if table_id is not None and table_id not in TABLE_IDS:
-        raise KeyError(f"unknown table id {table_id!r}")
     rows = [r for r in builtin_rows() if table_id in (None, r.table_id)]
+    if not rows:
+        raise KeyError(f"unknown table id {table_id!r}")
     return [verify_row(row) for row in rows]
 
 
@@ -399,10 +374,7 @@ def _markdown_report(reports: list[RowReport]) -> str:
     by_table: dict[str, list[RowReport]] = {}
     for report in reports:
         by_table.setdefault(report.row.table_id, []).append(report)
-    for table_id in TABLE_IDS:
-        if table_id not in by_table:
-            continue
-        group = by_table[table_id]
+    for table_id, group in by_table.items():
         lines.append(f"## {table_id}")
         lines.append("")
         ks: list[str] = []

@@ -135,3 +135,14 @@ def test_group_from_json_bounds_the_order():
     for factors in ([MAX_ORDER + 1], [1000, 1001], [100000000], [1000, 1000, 1000]):
         with pytest.raises(ValueError, match="exceeds"):
             group_from_json({"cyclic_factors": factors})
+
+
+def test_group_from_json_bounds_the_number_of_factors():
+    """A group lists at most MAX_ORDER.bit_length() = 20 cyclic factors, so a
+    long list of 1s is refused before its position maps are built."""
+    most = MAX_ORDER.bit_length()
+    assert group_from_json({"cyclic_factors": [1] * most}).order == 1
+    assert group_from_json({"cyclic_factors": [1, *[2] * 19]}).order == 2**19
+    for count in (most + 1, 8000):
+        with pytest.raises(ValueError, match=f"at most {most} cyclic factors, got {count}"):
+            group_from_json({"cyclic_factors": [1] * count})

@@ -69,6 +69,10 @@ NG1_PERIOD_OVER_BOUND = NG1_SPEC.replace('"1/4"', '"1/10000019"')
 NG1_PAIR_OVER_BOUND = (
     "[" + NG1_PERIOD_OVER_BOUND + "," + NG1_PERIOD_OVER_BOUND.replace('"1/', '"2/') + "]"
 )
+# keys that HI does not take: NG2's "qp" and an unknown "zeta"
+HI_UNKNOWN_KEYS = HI_SPEC[:-1] + ',"qp":' + FORM1 + ',"zeta":"1/2"}'
+# the trivial group written as more cyclic factors than any group may list
+MANY_TRIVIAL_FACTORS = '{"cyclic_factors":[' + ",".join(["1"] * 8000) + "]}"
 HI_PAIR = "[" + HI_SPEC + "," + HI_SPEC.replace('"coeff":1', '"coeff":2') + "]"
 # the trivial group written two ways
 TRIVIAL_PAIR = """[
@@ -137,6 +141,10 @@ CASES = {
         "indicators", "--kmax", "3", "--spec", NG1_PERIOD_OVER_BOUND,
     ],
     "rigidity_period_over_bound": ["rigidity", "--specs", NG1_PAIR_OVER_BOUND],
+    "gauss_too_many_factors": [
+        "gauss", "--group", MANY_TRIVIAL_FACTORS, "--form", '{"monomial":[]}',
+    ],
+    "indicators_hi_unknown_key": ["indicators", "--path", "both", "--spec", HI_UNKNOWN_KEYS],
     # the one threshold is fixed: no option sets it
     "tolerance_flag_is_unknown": ["--tolerance", "1e-9", "gauss", "--group", Z3, "--form", FORM1],
 }

@@ -686,6 +686,19 @@ def test_spec_validation():
         spec_from_json({"family": "NG1", "group": {"cyclic_factors": [3]}, "p": 2})
 
 
+def test_spec_from_json_refuses_keys_the_family_does_not_take():
+    """Only family, group, labels and the family's own parameters are read;
+    any other key is named in the error, before any form is parsed."""
+    hi = spec_to_json(builtin_rows()[-1].spec)
+    bad_form = {"table": ["1/2"]}  # would fail to parse, if it were read
+    for key, value in (("qp", {"monomial": []}), ("zeta", "1/2"), ("eps", -1)):
+        with pytest.raises(ValueError, match=f"HI spec has unknown key\\(s\\) '{key}'$"):
+            spec_from_json({**hi, "qpp": bad_form, key: value})
+    ng1x = {"family": "NG1X", "q": {"monomial": []}, "zeta1": "0"}
+    with pytest.raises(ValueError, match="NG1X spec has unknown key\\(s\\) 'q', 'zeta1'$"):
+        spec_from_json(ng1x)
+
+
 def test_replace_checks_the_copy_like_a_new_spec():
     ng2 = builtin_rows()[0].spec
     with pytest.raises(ValueError, match="non-degenerate"):

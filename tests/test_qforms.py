@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,28 @@ def test_radical_of_degenerate_scaling():
     q = monomial_form(cyclic(9), (1,))
     assert q.is_nondegenerate()
     assert not q.scaled(3).is_nondegenerate()
+
+
+def _traced_peak(build):
+    """The ``tracemalloc`` peak, in bytes, of ``build()``, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_huge_coefficient_and_scale_are_reduced_before_expanding():
+    """A coefficient or a scale of 4,001 digits costs at most twice the memory
+    of 1: each is reduced (mod its factor, mod den) before the |G| values are built,
+    and the values are those of the reduced form."""
+    group, huge = cyclic(100003), 10**4000 + 1
+    small_peak, small = _traced_peak(lambda: monomial_form(group, (1,)))
+    huge_peak, q = _traced_peak(lambda: monomial_form(group, (huge,)))
+    assert huge_peak <= 2 * small_peak
+    assert q.values == monomial_form(group, (huge % 100003,)).values
+    small_peak, _ = _traced_peak(lambda: small.scaled(1))
+    huge_peak, scaled = _traced_peak(lambda: small.scaled(huge))
+    assert huge_peak <= 2 * small_peak
+    assert scaled.values == small.scaled(huge % small.den).values
