@@ -11,8 +11,9 @@ threshold, ``qforms.DEFAULT_TOL``, and values below it print as 0;
 ``rigidity`` decides classes exactly and uses it only for each
 ``smallest_k``.
 
-The only bound here, :data:`MAX_KMAX`, is on the k a command evaluates; what
-a spec enumerates is bounded as it is read, by ``indicators.spec_from_json``.
+The only bound here, :data:`MAX_KMAX`, caps the k a command evaluates and the
+spec pairs ``rigidity`` compares; ``indicators.spec_from_json`` bounds each
+spec's sizes.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ PATHS = ("center", "closed", "both")
 TABLE_IDS = ("ng3", "ng5", "ng7", "ng9", "ng11", "ng13", "hi3", "hi5")
 
 
-class CliError(Exception):
-    """Usage or parse problem; maps to exit code 2."""
-
-
 def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -54,11 +51,11 @@ def _load_json_arg(text: str):
             with open(text[1:], "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise CliError(f"cannot read {text[1:]}: {exc.strerror}") from exc
+            raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise CliError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
 
 
 def _recognized_phase(z: complex) -> str | None:
@@ -87,7 +84,7 @@ def cmd_gauss(args) -> int:
 
 def _check_kmax(kmax: int) -> None:
     if not 1 <= kmax <= MAX_KMAX:
-        raise CliError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
+        raise ValueError(f"kmax must lie in [1, {MAX_KMAX}], got {kmax}")
 
 
 def cmd_indicators(args) -> int:
@@ -114,7 +111,7 @@ def cmd_indicators(args) -> int:
     payload = {
         "spec": spec.describe(),
         "period": period,
-        "provenance": list(spec.provenance),
+        "provenance": [],  # the output keeps its keys; a spec from JSON has no loader notes
         "values": values,
     }
     sys.stdout.write(_dump(payload))
@@ -134,11 +131,13 @@ def cmd_rigidity(args) -> int:
 
     data = _load_json_arg(args.specs)
     if not isinstance(data, list) or not data:
-        raise CliError("--specs must be a JSON list of at least one spec")
+        raise ValueError("--specs must be a JSON list of at least one spec")
+    if (pairs := len(data) * (len(data) - 1) // 2) > MAX_KMAX:  # each may need a separator
+        raise ValueError(f"{len(data)} specs make {pairs} pairs to compare, over {MAX_KMAX}")
     specs = [spec_from_json(entry) for entry in data]
     for spec in specs:  # each class tabulates one root per residue of its period
         if spec.period() > MAX_KMAX:
-            raise CliError(f"period {spec.period()} of {spec.describe()} exceeds {MAX_KMAX}")
+            raise ValueError(f"period {spec.period()} of {spec.describe()} exceeds {MAX_KMAX}")
     report = rigidity_report(specs)
     names = [spec.describe() for spec in specs]
     payload = {
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = args.func(args)
         sys.stdout.flush()
-    except (CliError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -67,8 +67,8 @@ from .qforms import (
 
 class CategorySpec(namedtuple(
     "CategorySpec",
-    "family group p zeta1 q gp qp h qpp labels provenance",
-    defaults=(None,) * 7 + ((), ()),
+    "family group p zeta1 q gp qp h qpp labels",
+    defaults=(None,) * 7 + ((),),
 )):
     """One monoidal-equivalence class of a singly-generated fusion category.
 
@@ -76,16 +76,16 @@ class CategorySpec(namedtuple(
     class with s = -1), NG2 (near group, m = |G|), HI (Haagerup-Izumi); the
     fields each family uses are listed in :data:`FAMILIES`.
     ``labels`` carries opaque equivalence-class tags (signs, roots of unity,
-    matrix names); they never enter any numeric formula.  ``provenance`` holds
-    the table loader's notes, which ``verify-tables --format json`` prints as
-    ``calibration``; a spec read from JSON carries none.  The Grothendieck
-    ring is fixed by the family and G, so it is only named, by ``Family.ring``.
+    matrix names); they never enter any numeric formula.  The fields are
+    exactly the keys of a spec's JSON, so :func:`spec_from_json` inverts
+    :func:`spec_to_json`.  The Grothendieck ring is fixed by the family and G,
+    so it is only named, by ``Family.ring``.
 
     The only place a category's shape is checked: a known family with all
     its parameters, the family's group if it fixes one, |G| odd where
     required, G = F_{p^l}^* where required (NG1), each companion group (G', H)
     of its order given |G|, each form on its group and non-degenerate.
-    Fields past ``group`` default to None, ``labels`` and ``provenance`` to ().
+    Fields past ``group`` default to None, ``labels`` to ().
     Copy a spec with :func:`replace`, which makes these checks again.
     """
 

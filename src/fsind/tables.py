@@ -13,7 +13,8 @@ q = q_printed / 2 (multiplication by the inverse of 2 mod the exponent).
 The convention is pinned by an oracle rather than trusted: after loading,
 nu_1(rho) = 0 must hold, and a failing row gets one chance at the opposite
 orientation of the second form before the failure is recorded in the row's
-provenance.  With the bridge in place no bundled row needs a flip.
+``calibration`` notes, beside the bridge note.  With the bridge in place no
+bundled row needs a flip.
 
 Expected values are stored symbolically as (a, b, d) meaning (a + b*sqrt(d))/2
 with d < 0 read as i*sqrt(|d|); generic laws as a Jacobi-symbol pattern
@@ -54,8 +55,7 @@ class JacobiLawClaim(namedtuple("JacobiLawClaim", "text sign modulus sample_ks")
 
 class TableRow(namedtuple(
     "TableRow",
-    "table_id row_id spec printed_category printed_center_group claims notes",
-    defaults=((),),
+    "table_id row_id spec printed_category printed_center_group claims notes calibration",
 )):
     __slots__ = ()
 
@@ -64,30 +64,26 @@ class TableRow(namedtuple(
 # Loading helpers
 
 
-def _calibrate(spec: CategorySpec, loaded: str, form: str) -> CategorySpec:
+def _calibrate(spec: CategorySpec, loaded: str, form: str) -> tuple[CategorySpec, str]:
     """The nu_1(rho) = 0 oracle; on failure, retry with the last form negated.
 
     ``loaded`` names what the "as loaded" note refers to and ``form`` the
-    printed name of the family's last form; the outcome is appended to the
-    spec's provenance.
+    printed name of the family's last form; returns the spec kept and a note
+    on the outcome.
     """
     if abs(2 * closed_form_nu(spec, 1)) < DEFAULT_TOL:
-        note = f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
-    else:
-        last = FAMILIES[spec.family].params[-1].name
-        flipped = replace(spec, **{last: getattr(spec, last).negated()})
-        if abs(2 * closed_form_nu(flipped, 1)) < DEFAULT_TOL:
-            spec = flipped
-            note = f"orientation: replaced {form} by -{form} (nu_1 oracle)"
-        else:
-            note = f"orientation: calibration failed, nu_1(rho) != 0 for either sign of {form}"
-    return replace(spec, provenance=spec.provenance + (note,))
+        return spec, f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
+    last = FAMILIES[spec.family].params[-1].name
+    flipped = replace(spec, **{last: getattr(spec, last).negated()})
+    if abs(2 * closed_form_nu(flipped, 1)) < DEFAULT_TOL:
+        return flipped, f"orientation: replaced {form} by -{form} (nu_1 oracle)"
+    return spec, f"orientation: calibration failed, nu_1(rho) != 0 for either sign of {form}"
 
 
 def load_ng2_spec(
     group: FiniteAbelianGroup, q_coeffs, gp: FiniteAbelianGroup, qp_coeffs, labels=()
-) -> CategorySpec:
-    """Build an m = |G| spec from printed (doubled-convention) coefficients."""
+) -> tuple[CategorySpec, tuple[str, ...]]:
+    """An m = |G| spec from printed (doubled-convention) coefficients, and its notes."""
     spec = CategorySpec(
         "NG2",
         group,
@@ -95,19 +91,20 @@ def load_ng2_spec(
         gp=gp,
         qp=half_form(monomial_form(gp, qp_coeffs)),
         labels=tuple(labels),
-        provenance=("forms loaded as printed/2 (twist convention bridge)",),
     )
-    return _calibrate(spec, "forms", "q'")
+    spec, note = _calibrate(spec, "forms", "q'")
+    return spec, ("forms loaded as printed/2 (twist convention bridge)", note)
 
 
 def load_hi_spec(
     group: FiniteAbelianGroup, h_group: FiniteAbelianGroup, qpp_coeffs, labels=()
-) -> CategorySpec:
-    """Build a Haagerup-Izumi spec from printed coefficients (used directly)."""
+) -> tuple[CategorySpec, tuple[str, ...]]:
+    """A Haagerup-Izumi spec from printed coefficients (used directly), and its note."""
     spec = CategorySpec(
         "HI", group, h=h_group, qpp=monomial_form(h_group, qpp_coeffs), labels=tuple(labels)
     )
-    return _calibrate(spec, "q''", "q''")
+    spec, note = _calibrate(spec, "q''", "q''")
+    return spec, (note,)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +117,11 @@ def builtin_rows() -> tuple[TableRow, ...]:
     their table ids are the one list of tables."""
     rows: list[TableRow] = []
 
-    def add(table_id, row_id, spec, category, center_group, coeffs, claims, notes):
+    def add(table_id, row_id, loaded, category, center_group, coeffs, claims, notes):
+        spec, calibration = loaded
         center = f"({center_group},{_print_form(center_group, coeffs)})"
-        rows.append(TableRow(table_id, row_id, spec, category, center, tuple(claims), tuple(notes)))
+        rows.append(TableRow(table_id, row_id, spec, category, center, tuple(claims),
+                             tuple(notes), calibration))
 
     def ng(table_id, row_id, n_or_factors, q_coeffs, gp_factors, qp_coeffs, c_label,
            b_label, claims, notes=()):
@@ -130,17 +129,17 @@ def builtin_rows() -> tuple[TableRow, ...]:
             cyclic(n) if isinstance(n, int) else FiniteAbelianGroup(tuple(n))
             for n in (n_or_factors, gp_factors)
         )
-        spec = load_ng2_spec(group, q_coeffs, gp, qp_coeffs, (("b", b_label), ("c", c_label)))
+        loaded = load_ng2_spec(group, q_coeffs, gp, qp_coeffs, (("b", b_label), ("c", c_label)))
         category = f"NG({group},{_print_form(group, q_coeffs)},{b_label},{c_label})"
-        add(table_id, row_id, spec, category, gp, qp_coeffs, claims, notes)
+        add(table_id, row_id, loaded, category, gp, qp_coeffs, claims, notes)
 
     def hi(table_id, row_id, n, h_order, qpp_coeffs, sign, omega, a_label, claims,
            notes=()):
         h_group = cyclic(h_order)
         labels = (("A", a_label), ("omega", omega), ("sign", sign))
-        spec = load_hi_spec(cyclic(n), h_group, qpp_coeffs, labels)
+        loaded = load_hi_spec(cyclic(n), h_group, qpp_coeffs, labels)
         category = f"HI(Z{n},{sign},{omega},{a_label})"
-        add(table_id, row_id, spec, category, h_group, qpp_coeffs, claims, notes)
+        add(table_id, row_id, loaded, category, h_group, qpp_coeffs, claims, notes)
 
     # near-group m = |G|: |G| = 3
     ng("ng3", 1, 3, (1,), 7, (1,), "-", "-",
@@ -303,9 +302,9 @@ def _records(reports: list[RowReport]) -> list[dict]:
     for report in reports:
         row = report.row
         calibrated = "no"
-        if any("replaced" in note for note in row.spec.provenance):
+        if any("replaced" in note for note in row.calibration):
             calibrated = "flipped"
-        elif any("failed" in note for note in row.spec.provenance):
+        elif any("failed" in note for note in row.calibration):
             calibrated = "failed"
         for check in report.checks:
             records.append(
@@ -354,7 +353,7 @@ def emit_report(reports: list[RowReport], fmt: str) -> str:
                     "spec": r.row.spec.describe(),
                     "printed_category": r.row.printed_category,
                     "printed_center_group": r.row.printed_center_group,
-                    "calibration": list(r.row.spec.provenance),
+                    "calibration": list(r.row.calibration),
                     "notes": list(r.row.notes),
                     "all_pass": r.all_pass,
                     "max_deviation": format_real(r.max_deviation),

@@ -86,7 +86,7 @@ def conjugate_spec(spec: CategorySpec) -> CategorySpec:
             flipped[par.name] = getattr(spec, par.name).negated()
         elif par.kind is PHASE:
             flipped[par.name] = -getattr(spec, par.name) % 1
-    return replace(spec, provenance=(), **flipped)
+    return replace(spec, **flipped)
 
 
 class IndicatorVector(namedtuple("IndicatorVector", (

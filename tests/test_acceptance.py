@@ -80,7 +80,7 @@ def test_criterion_1_table_reproduction():
     conjugated_seen = set()
     for row in builtin_rows():
         report = verify_row(row)
-        flips = sum(1 for note in row.spec.provenance if "replaced" in note)
+        flips = sum(1 for note in row.calibration if "replaced" in note)
         if flips > 1:
             failures.append(f"{row.table_id} row {row.row_id}: {flips} flips")
         for check in report.checks:
@@ -263,7 +263,7 @@ def test_criterion_5_nu1_vanishes_for_all_specs():
         if abs(value) >= TOL:
             failures.append(
                 f"{row.table_id} row {row.row_id}: nu_1 = {value:.6f} "
-                f"(provenance: {'; '.join(row.spec.provenance)})"
+                f"(calibration: {'; '.join(row.calibration)})"
             )
     _report("5 nu1-vanishes (26 specs)", failures, started)
 
@@ -391,7 +391,7 @@ def test_criterion_6_degenerate_coverage():
     # Yang-Lee: HI over the trivial group, center rank 4
     from fsind.tables import load_hi_spec
 
-    yang_lee = load_hi_spec(cyclic(1), cyclic(5), (1,))
+    yang_lee, _ = load_hi_spec(cyclic(1), cyclic(5), (1,))
     presentation = yang_lee.center()
     if presentation.rank != 4:
         failures.append(f"Yang-Lee center rank {presentation.rank}, expected 4")
@@ -407,7 +407,7 @@ def test_criterion_6_degenerate_coverage():
     golden = (1 + math.sqrt(5)) / 2
     if verify_ring(ring) or abs(fp_dims(ring)[-1] - golden) >= TOL:
         failures.append("NG(Z1, 1) ring data wrong")
-    fib = load_ng2_spec(cyclic(1), (0,), cyclic(5), (2,))
+    fib, _ = load_ng2_spec(cyclic(1), (0,), cyclic(5), (2,))
     if fib.center().rank != 4:
         failures.append(f"NG(Z1,1) center rank {fib.center().rank}, expected 4")
     if abs(nu_from_center(fib.center(), "rho", 1)) >= TOL:

@@ -491,14 +491,14 @@ def test_weil_modular_data_examples():
 
 def test_orientation_calibration_flips_and_logs():
     # feed the wrong orientation of q' on Z/11; the nu_1 oracle must flip it
-    spec = load_ng2_spec(cyclic(7), (1,), cyclic(11), (2,))
-    assert any("replaced q' by -q'" in note for note in spec.provenance)
-    reference = load_ng2_spec(cyclic(7), (1,), cyclic(11), (-2,))
-    assert not any("replaced" in note for note in reference.provenance)
+    spec, notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (2,))
+    assert any("replaced q' by -q'" in note for note in notes)
+    reference, reference_notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (-2,))
+    assert not any("replaced" in note for note in reference_notes)
     assert spec.qp.values == reference.qp.values
 
 
 def test_orientation_calibration_failure_is_recorded():
     # the sign '-' Haagerup-Izumi data admits no orientation with nu_1 = 0
-    spec = load_hi_spec(cyclic(3), cyclic(13), (2,))
-    assert any("calibration failed" in note for note in spec.provenance)
+    _, notes = load_hi_spec(cyclic(3), cyclic(13), (2,))
+    assert any("calibration failed" in note for note in notes)

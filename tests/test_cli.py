@@ -222,6 +222,22 @@ def test_rigidity_specs_must_be_a_nonempty_list(capsys, specs):
     assert "list" in err
 
 
+def test_rigidity_pairs_are_bounded_before_any_spec_is_parsed(capsys, monkeypatch):
+    """rigidity may list a separator per pair of specs, so a list of more than
+    MAX_KMAX pairs exits 2 before any spec is parsed; 447 specs make 99681
+    pairs and run, even as copies of one spec."""
+    def no_spec(*args):
+        raise AssertionError("a spec was parsed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(indicators, "spec_from_json", no_spec)
+        code, out, err = run(capsys, "rigidity", "--specs", json.dumps([NG1_Z3] * 448))
+    assert (code, out) == (2, "")
+    assert err == f"error: 448 specs make 100128 pairs to compare, over {MAX_KMAX}\n"
+    code, out, _ = run(capsys, "rigidity", "--specs", json.dumps([NG1_Z3] * 447))
+    assert code == 0 and len(json.loads(out)["classes"]) == 1
+
+
 def test_unreadable_spec_file_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "indicators", "--spec", f"@{tmp_path / 'missing.json'}")
     assert code == 2

@@ -73,6 +73,8 @@ NG1_PAIR_OVER_BOUND = (
 HI_UNKNOWN_KEYS = HI_SPEC[:-1] + ',"qp":' + FORM1 + ',"zeta":"1/2"}'
 # the trivial group written as more cyclic factors than any group may list
 MANY_TRIVIAL_FACTORS = '{"cyclic_factors":[' + ",".join(["1"] * 8000) + "]}"
+# 448 specs make 100128 pairs, over the bound cli.MAX_KMAX on the pairs rigidity compares
+TOO_MANY_SPECS = "[" + ",".join([NG1_SPEC] * 448) + "]"
 HI_PAIR = "[" + HI_SPEC + "," + HI_SPEC.replace('"coeff":1', '"coeff":2') + "]"
 # the trivial group written two ways
 TRIVIAL_PAIR = """[
@@ -141,6 +143,7 @@ CASES = {
         "indicators", "--kmax", "3", "--spec", NG1_PERIOD_OVER_BOUND,
     ],
     "rigidity_period_over_bound": ["rigidity", "--specs", NG1_PAIR_OVER_BOUND],
+    "rigidity_too_many_specs": ["rigidity", "--specs", TOO_MANY_SPECS],
     "gauss_too_many_factors": [
         "gauss", "--group", MANY_TRIVIAL_FACTORS, "--form", '{"monomial":[]}',
     ],

@@ -84,7 +84,7 @@ def test_ng13_row4_denominator_normalization():
 
 def test_no_builtin_row_needed_an_orientation_flip():
     for row in builtin_rows():
-        assert not any("replaced" in note for note in row.spec.provenance), row.table_id
+        assert not any("replaced" in note for note in row.calibration), row.table_id
 
 
 def test_verify_row_ng7_passes():
