@@ -166,13 +166,15 @@ def is_json_int(value) -> bool:
 
 
 def group_from_json(data: dict) -> FiniteAbelianGroup:
-    """Read a group; ``ValueError`` unless ``data`` is {"cyclic_factors": [int, ...]}
-    of order at most :data:`MAX_ORDER`, checked before anything is enumerated.
+    """Read a group; ``ValueError`` unless ``data`` is {"cyclic_factors": [int, ...]},
+    with no other key, of order at most :data:`MAX_ORDER`, checked before anything
+    is enumerated.
 
     It lists at most ``MAX_ORDER.bit_length()`` factors, since a group of order
     at most :data:`MAX_ORDER` has fewer above 1: checking a form on it costs
     about rank^2 * order."""
-    factors = data.get("cyclic_factors") if isinstance(data, dict) else None
+    only_factors = isinstance(data, dict) and data.keys() == {"cyclic_factors"}
+    factors = data["cyclic_factors"] if only_factors else None
     if not isinstance(factors, list) or not all(is_json_int(n) for n in factors):
         raise ValueError('a group must be {"cyclic_factors": [int, ...]}')
     if len(factors) > MAX_ORDER.bit_length():

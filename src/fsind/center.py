@@ -9,9 +9,9 @@ functor.  That is exactly the data consumed by the indicator summation formula
 
 which never reads the fusion ring of C.  A presentation holds that data and
 nothing else.  The ring is only named, by the family of a
-:class:`fsind.indicators.CategorySpec`; the spec also keeps the table
-loader's notes and makes every check on the category's shape, and the
-builders below take the groups and forms it has checked.
+:class:`fsind.indicators.CategorySpec`; the spec makes every check on the
+category's shape, and the builders below take the groups and forms it has
+checked.
 
 Each twist is an integer numerator over the presentation's ``period`` N, the
 order of the T-matrix, so the periodicity of nu_k in k is exact: a builder

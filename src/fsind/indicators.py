@@ -81,11 +81,10 @@ class CategorySpec(namedtuple(
     :func:`spec_to_json`.  The Grothendieck ring is fixed by the family and G,
     so it is only named, by ``Family.ring``.
 
-    The only place a category's shape is checked: a known family with all
-    its parameters, the family's group if it fixes one, |G| odd where
-    required, G = F_{p^l}^* where required (NG1), each companion group (G', H)
-    of its order given |G|, each form on its group and non-degenerate.
-    Fields past ``group`` default to None, ``labels`` to ().
+    Every spec is checked here: a known family with all its parameters, the
+    shape rules of :meth:`Family.check_shape` (which :func:`spec_from_json`
+    also runs before it reads any form), and each form on its group and
+    non-degenerate.  Fields past ``group`` default to None, ``labels`` to ().
     Copy a spec with :func:`replace`, which makes these checks again.
     """
 
@@ -98,22 +97,12 @@ class CategorySpec(namedtuple(
         family = FAMILIES[self.family]
         if any(getattr(self, par.name) is None for par in family.params):
             raise ValueError(family.needs)
-        if family.group is not None and self.group.key != family.group.key:
-            raise ValueError(f"{family.name} lives over {family.group}")
-        n = self.group.order
-        if family.odd and n % 2 == 0:
-            raise ValueError(f"{family.name} requires |G| odd")
-        if family.field and math.lcm(*self.group.key) != n:  # cyclic iff its primes are distinct
-            raise ValueError("m = |G| - 1 near groups require a cyclic group")
-        if family.field and factor_prime_power(n + 1)[0] != self.p:  # G = F^*, |F| = |G| + 1
-            raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {self.p}")
+        family.check_shape(**self._asdict())
         phases = {}
         for par in family.params:
             value = getattr(self, par.name)
             if par.kind is PHASE:
                 phases[par.name] = qz(value)
-            if par.order is not None and value.order != par.order(n):
-                raise ValueError(f"|{par.shown}| must be {par.order(n)}, got {value.order}")
             if par.kind is FORM and value.group != getattr(self, par.on):
                 raise ValueError(f"{par.name} must live on {par.on}")
             if par.kind is FORM and not value.is_nondegenerate():
@@ -306,6 +295,23 @@ class Family(namedtuple("Family", (
     @property
     def needs(self) -> str:
         return f"{self.name} needs " + ", ".join(par.name for par in self.params)
+
+    def check_shape(self, group: FiniteAbelianGroup, **values) -> None:
+        """``ValueError`` unless G and the parameters in ``values`` that are not forms
+        fit the family: its one group if it fixes one, |G| odd where required,
+        G = F_{p^l}^* where required (NG1), each companion group (G', H) of its order."""
+        if self.group is not None and group.key != self.group.key:
+            raise ValueError(f"{self.name} lives over {self.group}")
+        n = group.order
+        if self.odd and n % 2 == 0:
+            raise ValueError(f"{self.name} requires |G| odd")
+        if self.field and math.lcm(*group.key) != n:  # cyclic iff its primes are distinct
+            raise ValueError("m = |G| - 1 near groups require a cyclic group")
+        if self.field and factor_prime_power(n + 1)[0] != values["p"]:  # G = F^*, |F| = |G| + 1
+            raise ValueError(f"|G| + 1 = {n + 1} is not a power of p = {values['p']}")
+        for par in (par for par in self.params if par.order is not None):
+            if (order := values[par.name].order) != par.order(n):
+                raise ValueError(f"|{par.shown}| must be {par.order(n)}, got {order}")
 
 
 # A period is the order of the twists, fixed by the groups: on an odd group the
@@ -557,7 +563,9 @@ def spec_from_json(data: dict) -> CategorySpec:
     no key but ``family``, ``group``, ``labels`` and the family's parameters is taken.
 
     Every size a spec enumerates is bounded by :data:`MAX_ORDER` before any form is
-    read: each group, |G|^2 (a center has about |G|^2 objects) and the period."""
+    read: each group, |G|^2 (a center has about |G|^2 objects) and the period.  The
+    family's shape rules (:meth:`Family.check_shape`) run between the last two, so
+    a companion group of the wrong order is refused before its form is built."""
     if not isinstance(data, dict):
         raise ValueError("a spec must be a JSON object")
     if "family" not in data:
@@ -583,6 +591,7 @@ def spec_from_json(data: dict) -> CategorySpec:
     for par in family.params:
         if par.kind is not FORM:
             values[par.name] = par.kind.from_json(data[par.name], None)
+    family.check_shape(**values)
     if (period := family.period(**values)) > MAX_ORDER:
         raise ValueError(f"period {period} exceeds {MAX_ORDER}")
     for par in family.params:

@@ -97,9 +97,6 @@ class QuadraticForm(namedtuple("QuadraticForm", "group values")):
         k %= self.den  # the values do not change, and no product outgrows den^2
         return QuadraticForm(self.group, tuple(k * v for v in self.values))
 
-    def negated(self) -> "QuadraticForm":
-        return self.scaled(-1)
-
     def is_nondegenerate(self) -> bool:
         """True when e is the only h with dq(., h) identically zero."""
         rows = self._generator_boundaries(self.group.shifts())
@@ -117,14 +114,6 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
         step = c % n * (den // n)  # c mod n gives the same values, as small integers
         values = [v + step * r * r for v in values for r in range(n)]
     return QuadraticForm(group, tuple(values))
-
-
-def half_form(q: QuadraticForm) -> QuadraticForm:
-    """The unique form f with 2f = q on a group of odd exponent."""
-    exponent = q.group.exponent
-    if exponent % 2 == 0:
-        raise ValueError("halving a form requires odd group exponent")
-    return q.scaled(pow(2, -1, exponent))
 
 
 def root_sums(weights: Mapping[int, complex], n: int, ks: Iterable[int]) -> Iterator[complex]:
@@ -192,9 +181,14 @@ def form_to_json(q: QuadraticForm) -> dict:
 
 def form_from_json(data: dict, group: FiniteAbelianGroup) -> QuadraticForm:
     """Read a form on ``group``; ``ValueError`` for any JSON that is not a valid
-    form, or whose own ``"group"``, if it has one, is another group."""
+    form, whose own ``"group"``, if it has one, is another group, or that has a key
+    but ``group`` and one of ``table`` and ``monomial``."""
     if not isinstance(data, dict):
         raise ValueError("a form must be a JSON object")
+    if unknown := sorted(set(data) - {"group", "table", "monomial"}, key=str):
+        raise ValueError(f"form has unknown key(s) {', '.join(map(repr, unknown))}")
+    if "table" in data and "monomial" in data:
+        raise ValueError("a form is given by a table or a monomial, not both")
     if "group" in data and group_from_json(data["group"]) != group:
         raise ValueError("form group does not match the ambient group")
     if "table" in data:
@@ -216,7 +210,8 @@ def form_from_json(data: dict, group: FiniteAbelianGroup) -> QuadraticForm:
         return QuadraticForm(group, tuple(int(a) for a in numerators))
     monomial = data.get("monomial", [])
     if not isinstance(monomial, list) or not all(
-        isinstance(entry, dict) and all(is_json_int(entry.get(key)) for key in ("factor", "coeff"))
+        isinstance(entry, dict) and entry.keys() == {"factor", "coeff"}
+        and all(is_json_int(value) for value in entry.values())
         for entry in monomial
     ):
         raise ValueError('a monomial form must be a list of {"factor": int, "coeff": int}')

@@ -9,12 +9,12 @@ Loading convention.  The printed form columns parametrize the center twists
 directly (theta_{A_g} = e^{2 pi i q_printed(g)}), while the evaluation
 formulas take the form q with <g, g> = e^{2 pi i * 2 q(g)}.  Since every
 group involved has odd exponent the bridge is exact: the loader stores
-q = q_printed / 2 (multiplication by the inverse of 2 mod the exponent).
-The convention is pinned by an oracle rather than trusted: after loading,
-nu_1(rho) = 0 must hold, and a failing row gets one chance at the opposite
-orientation of the second form before the failure is recorded in the row's
-``calibration`` notes, beside the bridge note.  With the bridge in place no
-bundled row needs a flip.
+q = q_printed / 2, each printed coefficient halved mod its cyclic factor.
+The convention is checked by an oracle rather than trusted: nu_1(rho) = 0
+must hold, and the outcome goes in the row's ``calibration`` notes beside the
+bridge note.  The loader repairs nothing.  The oracle fails on the four sign
+'-' Haagerup-Izumi rows, where no sign of q'' could help: every prime of
+|H| = |G|^2 + 4 is 1 mod 4, so -1 is a square mod |H| and -q'' is isometric to q''.
 
 Expected values are stored symbolically as (a, b, d) meaning (a + b*sqrt(d))/2
 with d < 0 read as i*sqrt(|d|); generic laws as a Jacobi-symbol pattern
@@ -31,8 +31,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, cyclic
-from .indicators import FAMILIES, ROUTES, CategorySpec, closed_form_nu, replace
-from .qforms import DEFAULT_TOL, format_real, half_form, jacobi_symbol, monomial_form
+from .indicators import ROUTES, CategorySpec, closed_form_nu
+from .qforms import DEFAULT_TOL, QuadraticForm, format_real, jacobi_symbol, monomial_form
 
 
 class ValueClaim(namedtuple("ValueClaim", "k text a b d")):
@@ -64,20 +64,18 @@ class TableRow(namedtuple(
 # Loading helpers
 
 
-def _calibrate(spec: CategorySpec, loaded: str, form: str) -> tuple[CategorySpec, str]:
-    """The nu_1(rho) = 0 oracle; on failure, retry with the last form negated.
-
-    ``loaded`` names what the "as loaded" note refers to and ``form`` the
-    printed name of the family's last form; returns the spec kept and a note
-    on the outcome.
-    """
+def _calibrate(spec: CategorySpec, loaded: str, failed: str) -> str:
+    """The nu_1(rho) = 0 oracle's note on ``spec``: it holds with ``loaded`` as
+    loaded, or it fails, and ``failed`` says for what."""
     if abs(2 * closed_form_nu(spec, 1)) < DEFAULT_TOL:
-        return spec, f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
-    last = FAMILIES[spec.family].params[-1].name
-    flipped = replace(spec, **{last: getattr(spec, last).negated()})
-    if abs(2 * closed_form_nu(flipped, 1)) < DEFAULT_TOL:
-        return flipped, f"orientation: replaced {form} by -{form} (nu_1 oracle)"
-    return spec, f"orientation: calibration failed, nu_1(rho) != 0 for either sign of {form}"
+        return f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
+    return f"orientation: calibration failed, nu_1(rho) != 0 {failed}"
+
+
+def _halved(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
+    """The monomial form of printed coefficients ``coeffs`` halved, c_i / 2 mod n_i."""
+    halves = (c * pow(2, -1, n) for c, n in zip(coeffs, group.cyclic_factors, strict=True))
+    return monomial_form(group, halves)
 
 
 def load_ng2_spec(
@@ -87,12 +85,12 @@ def load_ng2_spec(
     spec = CategorySpec(
         "NG2",
         group,
-        q=half_form(monomial_form(group, q_coeffs)),
+        q=_halved(group, q_coeffs),
         gp=gp,
-        qp=half_form(monomial_form(gp, qp_coeffs)),
+        qp=_halved(gp, qp_coeffs),
         labels=tuple(labels),
     )
-    spec, note = _calibrate(spec, "forms", "q'")
+    note = _calibrate(spec, "forms", "with forms as loaded")
     return spec, ("forms loaded as printed/2 (twist convention bridge)", note)
 
 
@@ -103,8 +101,7 @@ def load_hi_spec(
     spec = CategorySpec(
         "HI", group, h=h_group, qpp=monomial_form(h_group, qpp_coeffs), labels=tuple(labels)
     )
-    spec, note = _calibrate(spec, "q''", "q''")
-    return spec, (note,)
+    return spec, (_calibrate(spec, "q''", "for either sign of q''"),)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +298,7 @@ def _records(reports: list[RowReport]) -> list[dict]:
     records = []
     for report in reports:
         row = report.row
-        calibrated = "no"
-        if any("replaced" in note for note in row.calibration):
-            calibrated = "flipped"
-        elif any("failed" in note for note in row.calibration):
-            calibrated = "failed"
+        calibrated = "failed" if any("failed" in note for note in row.calibration) else "no"
         for check in report.checks:
             records.append(
                 {

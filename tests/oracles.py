@@ -83,7 +83,7 @@ def conjugate_spec(spec: CategorySpec) -> CategorySpec:
     flipped = {}
     for par in FAMILIES[spec.family].params:
         if par.kind is FORM:
-            flipped[par.name] = getattr(spec, par.name).negated()
+            flipped[par.name] = getattr(spec, par.name).scaled(-1)
         elif par.kind is PHASE:
             flipped[par.name] = -getattr(spec, par.name) % 1
     return replace(spec, **flipped)

@@ -137,6 +137,12 @@ def test_group_from_json_bounds_the_order():
             group_from_json({"cyclic_factors": factors})
 
 
+def test_group_from_json_takes_only_cyclic_factors():
+    for data in ({"cyclic_factors": [5], "order": 5}, {"cyclic_factor": [5]}, {}):
+        with pytest.raises(ValueError, match='a group must be {"cyclic_factors"'):
+            group_from_json(data)
+
+
 def test_group_from_json_bounds_the_number_of_factors():
     """A group lists at most MAX_ORDER.bit_length() = 20 cyclic factors, so a
     long list of 1s is refused before its position maps are built."""

@@ -489,13 +489,13 @@ def test_weil_modular_data_examples():
         weil_modular_data(monomial_form(cyclic(9), (3,)))
 
 
-def test_orientation_calibration_flips_and_logs():
-    # feed the wrong orientation of q' on Z/11; the nu_1 oracle must flip it
+def test_orientation_calibration_keeps_the_forms_as_loaded():
+    # the wrong orientation of q' on Z/11 fails the nu_1 oracle and is kept as printed
     spec, notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (2,))
-    assert any("replaced q' by -q'" in note for note in notes)
-    reference, reference_notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (-2,))
-    assert not any("replaced" in note for note in reference_notes)
-    assert spec.qp.values == reference.qp.values
+    assert notes[-1] == "orientation: calibration failed, nu_1(rho) != 0 with forms as loaded"
+    assert spec.qp.scaled(2).values == monomial_form(cyclic(11), (2,)).values
+    _, reference_notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (-2,))
+    assert reference_notes[-1] == "orientation: nu_1(rho) = 0 with forms as loaded"
 
 
 def test_orientation_calibration_failure_is_recorded():

@@ -318,6 +318,30 @@ def test_no_form_is_read_before_the_period_bound(capsys, monkeypatch, period):
         assert (code, out, err) == (2, "", f"error: period {period} exceeds 1000000\n"), argv
 
 
+# faults that the groups alone show: a companion group of the wrong order, |G| even
+SHAPE_FAULTS = {
+    "gp_order": ({**json.loads(NG2_SPEC), "gp": {"cyclic_factors": [999999]}},
+                 "|Gp| must be 7, got 999999"),
+    "h_order": ({"family": "HI", "group": {"cyclic_factors": [3]},
+                 "h": {"cyclic_factors": [999999]}, "qpp": json.loads(FORM1)},
+                "|H| must be 13, got 999999"),
+    "g_even": (json.loads(NG2_SPEC.replace("[3]", "[4]")), "NG2 requires |G| odd"),
+}
+
+
+@pytest.mark.parametrize("fault", SHAPE_FAULTS)
+def test_no_form_is_read_before_the_shape_rules(capsys, monkeypatch, fault):
+    """The family's rules on G and on G' or H read no form, so a spec that
+    breaks one exits 2 with its message before any of its forms is built."""
+    def no_form(*args):
+        raise AssertionError("a form was read")
+
+    monkeypatch.setattr(QuadraticForm, "__init__", no_form)
+    spec, message = SHAPE_FAULTS[fault]
+    code, out, err = run(capsys, "indicators", "--spec", json.dumps(spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_indicators_missing_family_is_a_usage_error(capsys):
     code, out, err = run(capsys, "indicators", "--spec", '{"group":{"cyclic_factors":[3]}}')
     assert code == 2

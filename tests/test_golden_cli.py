@@ -148,6 +148,15 @@ CASES = {
         "gauss", "--group", MANY_TRIVIAL_FACTORS, "--form", '{"monomial":[]}',
     ],
     "indicators_hi_unknown_key": ["indicators", "--path", "both", "--spec", HI_UNKNOWN_KEYS],
+    # a form takes only group, table and monomial, and not table with monomial
+    "gauss_form_unknown_key": [
+        "gauss", "--group", '{"cyclic_factors":[5]}',
+        "--form", '{"monomal":[{"factor":0,"coeff":1}]}',
+    ],
+    "gauss_form_table_and_monomial": [
+        "gauss", "--group", '{"cyclic_factors":[5]}',
+        "--form", '{"table":["0","1/5","4/5","4/5","1/5"],"monomial":[{"factor":0,"coeff":2}]}',
+    ],
     # the one threshold is fixed: no option sets it
     "tolerance_flag_is_unknown": ["--tolerance", "1e-9", "gauss", "--group", Z3, "--form", FORM1],
 }

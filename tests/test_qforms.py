@@ -15,7 +15,6 @@ from fsind.qforms import (
     form_to_json,
     gauss_sum,
     gauss_sums,
-    half_form,
     jacobi_symbol,
     monomial_form,
     qz,
@@ -134,7 +133,7 @@ def test_orthogonal_sum_multiplicativity_examples():
     assert abs(gauss_sum(orthogonal_sum(Q3, Q7)) - (-1)) < TOL
     trivial = monomial_form(cyclic(1), (0,))
     assert abs(gauss_sum(orthogonal_sum(Q3, trivial)) - 1j) < TOL
-    assert abs(gauss_sum(orthogonal_sum(Q3, Q3.negated())) - 1) < TOL
+    assert abs(gauss_sum(orthogonal_sum(Q3, Q3.scaled(-1))) - 1) < TOL
 
 
 def test_gauss_multiplicativity_catalog():
@@ -226,13 +225,6 @@ def test_boundary_determines_monomial_form_odd_order():
             seen[key] = a
 
 
-def test_half_form():
-    q = monomial_form(cyclic(7), (3,))
-    assert half_form(q).scaled(2).values == q.values
-    with pytest.raises(ValueError):
-        half_form(cyclic_metric_form(4))
-
-
 def test_form_validation():
     # numerators over 2 * exponent: 6 on Z/3, 10 on Z/5
     with pytest.raises(ValueError):
@@ -307,6 +299,26 @@ def test_form_json_group_key_must_match_the_ambient_group():
         form_from_json(data, cyclic(5))
     del data["group"]
     assert form_from_json(data, cyclic(3)).values == Q3.values
+
+
+def test_form_json_takes_only_its_own_keys():
+    """A key outside group, table and monomial is named, not ignored; a table
+    with a monomial is refused; a monomial entry takes only factor and coeff."""
+    z5, monomial = cyclic(5), [{"factor": 0, "coeff": 2}]
+    table = ["0", "1/5", "4/5", "4/5", "1/5"]
+    assert form_from_json({"monomial": monomial}, z5).values != form_from_json(
+        {"table": table}, z5).values
+    for data, message in (
+        ({"monomal": monomial}, "form has unknown key(s) 'monomal'"),
+        ({"monomial": monomial, "scale": 2, "Table": table},
+         "form has unknown key(s) 'Table', 'scale'"),
+        ({"table": table, "monomial": monomial}, "a table or a monomial, not both"),
+        ({"monomial": [{"factor": 0, "coeff": 2, "power": 3}]}, "a monomial form must be"),
+        ({"monomial": [{"factor": 0}]}, "a monomial form must be"),
+    ):
+        with pytest.raises(ValueError) as info:
+            form_from_json(data, z5)
+        assert message in str(info.value)
 
 
 def test_radical_of_degenerate_scaling():

@@ -1,11 +1,15 @@
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from fsind.indicators import closed_form_nu, replace
+from fsind.qforms import monomial_form
 from fsind.tables import (
     ClaimCheck,
     JacobiLawClaim,
@@ -13,6 +17,7 @@ from fsind.tables import (
     ValueClaim,
     builtin_rows,
     emit_report,
+    load_ng2_spec,
     verify_row,
     verify_tables,
 )
@@ -83,8 +88,52 @@ def test_ng13_row4_denominator_normalization():
 
 
 def test_no_builtin_row_needed_an_orientation_flip():
+    """Each row's last calibration note is the nu_1 oracle's outcome on the
+    forms as printed: it holds on 22 rows and fails on hi3 and hi5 rows 3-4."""
+    failed = "orientation: calibration failed, nu_1(rho) != 0 for either sign of q''"
+    outcomes = {}
     for row in builtin_rows():
-        assert not any("replaced" in note for note in row.calibration), row.table_id
+        *bridge, outcome = row.calibration
+        loaded = "forms" if row.spec.family == "NG2" else "q''"
+        assert outcome in (f"orientation: nu_1(rho) = 0 with {loaded} as loaded", failed)
+        assert bridge == (["forms loaded as printed/2 (twist convention bridge)"]
+                          if row.spec.family == "NG2" else [])
+        outcomes[row.table_id, row.row_id] = outcome
+    assert {key for key, outcome in outcomes.items() if outcome == failed} == {
+        ("hi3", 3), ("hi3", 4), ("hi5", 3), ("hi5", 4)
+    }
+    assert len(outcomes) == 26  # "as loaded" on the other 22
+
+
+def test_ng2_loader_halves_each_printed_coefficient():
+    """On every (G, G') of the bundled NG2 rows and every unit coefficient, the
+    loaded forms are the printed ones halved: q_loaded * 2 = q_printed."""
+    pairs = {(row.spec.group, row.spec.gp) for row in builtin_rows() if row.spec.family == "NG2"}
+    assert len(pairs) == 8
+    for group, gp in pairs:
+        q_units, qp_units = (
+            itertools.product(*([c for c in range(n) if math.gcd(c, n) == 1]
+                                for n in g.cyclic_factors))
+            for g in (group, gp)
+        )
+        for q_coeffs, qp_coeffs in itertools.product(q_units, list(qp_units)):
+            spec = load_ng2_spec(group, q_coeffs, gp, qp_coeffs)[0]
+            assert spec.q.scaled(2) == monomial_form(group, q_coeffs), (group, q_coeffs)
+            assert spec.qp.scaled(2) == monomial_form(gp, qp_coeffs), (gp, qp_coeffs)
+
+
+def test_hi_rows_negated_form_is_isometric():
+    """Every prime of |H| = |G|^2 + 4 is 1 mod 4, so -q'' takes the values of
+    q'' equally often and no sign of q'' changes nu_1: why the failed note
+    holds for either sign although only one is tried."""
+    for row in builtin_rows():
+        if row.spec.family != "HI":
+            continue
+        qpp = row.spec.qpp
+        assert Counter(qpp.values) == Counter(qpp.scaled(-1).values), row.row_id
+        flipped = replace(row.spec, qpp=qpp.scaled(-1))
+        # the same terms summed in another order
+        assert abs(closed_form_nu(flipped, 1) - closed_form_nu(row.spec, 1)) < 1e-12, row.row_id
 
 
 def test_verify_row_ng7_passes():
