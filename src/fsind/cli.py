@@ -11,9 +11,9 @@ threshold, ``qforms.DEFAULT_TOL``, and values below it print as 0;
 ``rigidity`` decides classes exactly and uses it only for each
 ``smallest_k``.
 
-The only bound here, :data:`MAX_KMAX`, caps the k a command evaluates and the
-spec pairs ``rigidity`` compares; ``indicators.spec_from_json`` bounds each
-spec's sizes.
+The only bound here, :data:`MAX_KMAX`, caps the k a command evaluates, each
+period ``rigidity`` tabulates and the spec pairs it compares;
+``indicators.spec_from_json`` bounds each spec's sizes.
 """
 
 from __future__ import annotations

@@ -57,6 +57,7 @@ from .qforms import (
     gauss_sums,
     phase_to_complex,
     qz,
+    rational_from_json,
     root_sums,
 )
 
@@ -214,9 +215,7 @@ def hi_closed_vector(
 
 def _ng1x_closed(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
     """NG1's closed form at p = 2, zeta1 = 1/4; NG1X's center keeps E1, E2."""
-    from fractions import Fraction
-
-    zeta1 = Fraction(1, 4)
+    zeta1 = qz("1/4")
     return [nu_ng1_closed(spec.group, 2, zeta1, k) for k in ks]
 
 
@@ -245,19 +244,9 @@ def _int_from_json(data, _) -> int:
     return data
 
 
-def _phase_from_json(data, _) -> Fraction:
-    if not (is_json_int(data) or isinstance(data, str)):
-        raise ValueError(f"expected an integer or a fraction string, got {data!r}")
-    from fractions import Fraction
-
-    try:
-        return Fraction(data)
-    except ZeroDivisionError as exc:  # "1/0"
-        raise ValueError(f"bad phase {data!r}: {exc}") from exc
-
-
 INT = ParamKind(int, _int_from_json, str)
-PHASE = ParamKind(lambda value: f"{value.numerator}/{value.denominator}", _phase_from_json, str)
+PHASE = ParamKind(lambda value: f"{value.numerator}/{value.denominator}",
+                  lambda data, _: rational_from_json(data), str)
 GROUP = ParamKind(group_to_json, lambda data, _: group_from_json(data), str)
 FORM = ParamKind(form_to_json, form_from_json, describe_form)
 

@@ -12,10 +12,12 @@ monomial forms, which is the identity the indicator formulas rely on.
 Since 2 q(g) = dq(g, g) has order dividing ord(g), every value is a multiple
 of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
 over den, checked once by the constructor, and every command reads them as
-numerators: exact ``Fraction`` phases appear only in :func:`qz` and the JSON
-``table`` format, and each of these imports ``fractions`` when it runs, so a
-command that reads or prints no exact rational never loads it (nor its
-``decimal`` and ``numbers``).  The exact values, boundaries and bicharacter of
+numerators: exact ``Fraction`` phases appear only in :func:`qz`, in
+:func:`rational_from_json`, the one place where JSON text becomes a
+``Fraction`` (a ``zeta1`` or a ``table`` entry), and in the printed ``table``
+format; each of these imports ``fractions`` when it runs, so a command that
+reads or prints no exact rational never loads it (nor its ``decimal`` and
+``numbers``).  The exact values, boundaries and bicharacter of
 a form, and orthogonal sums, are reference code in the test suite's
 ``oracles`` module, which no command runs.
 
@@ -49,6 +51,22 @@ def qz(value) -> Fraction:
     from fractions import Fraction
 
     return Fraction(value) % 1
+
+
+def rational_from_json(data) -> Fraction:
+    """The rational a JSON integer, or a string ``a`` or ``a/b`` of decimal digits
+    with b != 0 and an optional ``-`` before a, stands for; ``ValueError`` for any
+    other JSON, such as floats or decimal and exponent notation."""
+    import re
+    from fractions import Fraction
+
+    if is_json_int(data):
+        return Fraction(data)
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", data) if isinstance(data, str) else None
+    numerator, denominator = map(int, match.groups("1")) if match else (0, 0)
+    if denominator == 0:
+        raise ValueError(f"expected an integer or a fraction string, got {data!r}")
+    return Fraction(numerator, denominator)
 
 
 def phase_to_complex(a: Fraction | float) -> complex:
@@ -192,19 +210,10 @@ def form_from_json(data: dict, group: FiniteAbelianGroup) -> QuadraticForm:
     if "group" in data and group_from_json(data["group"]) != group:
         raise ValueError("form group does not match the ambient group")
     if "table" in data:
-        table = data["table"]
-        if not isinstance(table, list) or not all(
-            isinstance(entry, (int, float, str)) and not isinstance(entry, bool)
-            for entry in table
-        ):
-            raise ValueError("a form table must be a list of numbers or fraction strings")
-        from fractions import Fraction
-
+        if not isinstance(data["table"], list):
+            raise ValueError("a form table must be a list")
         den = 2 * group.exponent
-        try:
-            numerators = [Fraction(entry) * den for entry in table]
-        except (ZeroDivisionError, OverflowError) as exc:  # "1/0", Infinity
-            raise ValueError(f"bad form table entry: {exc}") from exc
+        numerators = [rational_from_json(entry) * den for entry in data["table"]]
         if any(a.denominator != 1 for a in numerators):
             raise ValueError(f"table values must be multiples of 1/{den}")
         return QuadraticForm(group, tuple(int(a) for a in numerators))

@@ -200,12 +200,18 @@ def test_group_bound_of_a_spec_is_inclusive():
         json.dumps({**NG1_Z3, "p": 2.0}),
         json.dumps({**NG1_Z3, "zeta1": 0.25}),
         json.dumps({**NG1_Z3, "zeta1": "1/0"}),
+        # a phase in decimal, exponent or signed notation, or with a space
+        json.dumps({**NG1_Z3, "zeta1": "0.25"}),
+        json.dumps({**NG1_Z3, "zeta1": "1e5"}),
+        json.dumps({**NG1_Z3, "zeta1": "+1/4"}),
+        json.dumps({**NG1_Z3, "zeta1": " 1/4"}),
         json.dumps({**NG1_Z3, "labels": [1]}),
         json.dumps({**NG1_Z3, "family": []}),
         "[" * 100_000,  # nested deeper than the JSON decoder recurses
     ],
     ids=["list", "p-null", "zeta1-null", "p-string", "p-float", "zeta1-float",
-         "zeta1-zero-den", "labels-list", "family-list", "deep-nesting"],
+         "zeta1-zero-den", "zeta1-decimal", "zeta1-exponent", "zeta1-plus", "zeta1-space",
+         "labels-list", "family-list", "deep-nesting"],
 )
 def test_malformed_specs_are_usage_errors(capsys, spec):
     code, out, err = run(capsys, "indicators", "--spec", spec)
@@ -367,10 +373,14 @@ NG2_SPEC_Q_ON_FACTOR_1 = json.dumps(
         # multiples of 1/10, but dq(1, 2) != 2 dq(1, 1): not a quadratic form
         ("gauss", "--group", Z5, "--form", '{"table":["0","1/10","3/10","3/10","1/10"]}'),
         # JSON of the wrong shape: a monomial entry that is not an object,
-        # a table entry that is not a number, a group that is not a factor list
+        # a table entry that is no integer or fraction string, a group that is not
+        # a factor list
         ("gauss", "--group", Z5, "--form", '{"monomial":[1]}'),
         ("gauss", "--group", Z5, "--form", '{"table":[0,null,0,0,0]}'),
         ("gauss", "--group", '{"cyclic_factors":[null]}', "--form", FORM1),
+        # a quadratic form's values, but as a JSON float or in exponent notation
+        ("gauss", "--group", '{"cyclic_factors":[2]}', "--form", '{"table":[0,0.25]}'),
+        ("gauss", "--group", Z5, "--form", '{"table":["0","2e-1","8e-1","8e-1","2e-1"]}'),
     ],
 )
 def test_bad_forms_are_usage_errors(capsys, argv):
@@ -616,7 +626,7 @@ def test_usage_error_exit_code(capsys):
 # Generated command lines, within fixed size bounds: every group of order
 # <= 30, every zeta1 denominator <= 30, --kmax <= 60, q <= 32.
 junk = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 40), st.floats(), st.text("01/-x", max_size=4),
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(), st.text("01/-x.e+ ", max_size=4),
     st.lists(st.integers(-1, 3), max_size=2), st.dictionaries(st.sampled_from("ab"), st.none()),
 )
 group_json = st.one_of(

@@ -214,14 +214,15 @@ def test_golden_set_is_complete(exit_codes):
 
 def _python(*args: str, text: bool = True, **kwargs) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with arguments ``args`` that finds fsind and
-    these tests; stdout and stderr are captured unless ``kwargs`` redirect them.
-    Its stdout is block-buffered, as when a user redirects it to a file."""
+    these tests; stdout and stderr are captured, and it is stopped after 300 s,
+    unless ``kwargs`` say otherwise.  Its stdout is block-buffered, as when a
+    user redirects it to a file."""
     root = GOLDEN.parent.parent
     path = [str(root / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     env.pop("PYTHONUNBUFFERED", None)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
-    return subprocess.run([sys.executable, *args], env=env, text=text, timeout=300, **streams)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "timeout": 300, **kwargs}
+    return subprocess.run([sys.executable, *args], env=env, text=text, **options)
 
 
 def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -278,6 +279,20 @@ def test_start_up_loads_no_fractions():
     for name in sorted(set(CASES) - set(exact)):
         result = _run_python(run_main, *CASES[name])
         assert result.stderr.splitlines()[-1] == "[]", (name, result.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gauss", "--group", '{"cyclic_factors":[3]}',
+     "--form", '{"table":["0","1e99999999","1e99999999"]}'),
+    ("indicators", "--kmax", "3", "--path", "closed",
+     "--spec", NG1_SPEC.replace('"1/4"', '"1e99999999"')),
+], ids=["gauss-table", "indicators-zeta1"])
+def test_exponent_notation_exits_2_at_once(argv):
+    """A rational in exponent notation is refused as it is read: Python's
+    `Fraction` would expand 1e99999999 to an integer of 10^8 digits."""
+    result = _python("-m", "fsind", *argv, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: expected an integer or a fraction string, got '1e99999999'\n"
 
 
 # one case per command that exits 0; beside them, the verify-tables case that

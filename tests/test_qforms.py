@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from fsind.qforms import (
     jacobi_symbol,
     monomial_form,
     qz,
+    rational_from_json,
 )
 
 from fsind.indicators import closed_vector
@@ -319,6 +321,28 @@ def test_form_json_takes_only_its_own_keys():
         with pytest.raises(ValueError) as info:
             form_from_json(data, z5)
         assert message in str(info.value)
+
+
+def test_rational_from_json_takes_integers_and_fraction_strings_only():
+    for data, expected in ((7, 7), ("-3/7", Fraction(-3, 7)), ("0", 0), ("00/07", 0)):
+        assert rational_from_json(data) == expected
+    for data in (0.25, True, "1e5", "1/-2", "1/0", "", "/", None, [1]):
+        with pytest.raises(ValueError) as info:
+            rational_from_json(data)
+        assert str(info.value) == f"expected an integer or a fraction string, got {data!r}"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text("0123456789/-+.eE _", max_size=8))
+def test_rational_from_json_reads_exactly_the_fraction_strings(text):
+    """A string is read iff it is a, -a, a/b or -a/b in decimal digits with
+    b != 0, and then as int(a) / int(b)."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+    if match and int(match[2] or 1):
+        assert rational_from_json(text) == Fraction(int(match[1]), int(match[2] or 1))
+    else:
+        with pytest.raises(ValueError, match="^expected an integer or a fraction string"):
+            rational_from_json(text)
 
 
 def test_radical_of_degenerate_scaling():
