@@ -6,9 +6,9 @@ reproduction.  All output is deterministic: identical invocations produce
 byte-identical bytes.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
-error, or a write error on stdout.  Floats are compared at one fixed
-threshold, ``qforms.DEFAULT_TOL``, and values below it print as 0;
-``rigidity`` decides classes exactly and uses it only for each
+error, a write error on stdout, or running out of memory.  Floats are
+compared at one fixed threshold, ``qforms.DEFAULT_TOL``, and values below it
+print as 0; ``rigidity`` decides classes exactly and uses it only for each
 ``smallest_k``.
 
 The only bound here, :data:`MAX_KMAX`, caps the k a command evaluates, each
@@ -233,6 +233,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except OSError as exc:
         print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return USAGE_ERROR
     return code
 

@@ -2,8 +2,8 @@
 
 Three independent evaluation routes are provided and cross-checked:
 
-* :func:`center_vector` sums twists over a center presentation
-  (:func:`nu_from_center` is its one-k, per-object reference),
+* :func:`center_vector` sums rho's twist histogram, counted by the center
+  builders (:func:`nu_from_center` is its one-k, term-by-term reference),
 * :func:`closed_vector`, the per-family closed forms (:func:`closed_form_nu`
   is its one-k case),
 * :func:`nu_agl_bruteforce`, the classical character-theoretic indicator of
@@ -46,7 +46,6 @@ from .center import (
     center_ng1,
     center_ng1_exceptional7,
     center_ng2,
-    twist_histogram,
 )
 from .qforms import (
     DEFAULT_TOL,
@@ -114,7 +113,7 @@ class CategorySpec(namedtuple(
         return FAMILIES[self.family].rho_label(self.group)
 
     def center(self) -> CenterPresentation:
-        """The center's modular data, built anew on each call: a spec keeps nothing."""
+        """rho's twist histogram of the center, counted anew on each call: a spec keeps nothing."""
         return FAMILIES[self.family].center(self)
 
     def period(self) -> int:
@@ -141,36 +140,29 @@ def replace(spec: CategorySpec, **changes) -> CategorySpec:
 
 
 def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> complex:
-    """The center-summation formula for one k; k * twist is reduced in integers.
+    """The center-summation formula for one k, term by term over rho's twist
+    histogram; k * twist is reduced in integers.
 
-    The scalar reference for :func:`center_vector`.
+    The scalar reference for :func:`center_vector`.  ``target`` is rho's label:
+    a presentation holds rho's histogram only, so it is not read.
     """
-    objects = [obj for obj in presentation.objects if obj.mult.get(target)]
-    if not objects:
-        raise ValueError(f"unknown base simple {target!r}")
     period = presentation.period
     total = 0j
-    for obj in objects:
-        qdim = presentation.at_d(obj.qdim)
-        phase = k * obj.twist % period / period
-        total += cmath.exp(2j * math.pi * phase) * qdim * obj.mult[target]
+    for twist, pair in sorted(presentation.histogram.items()):
+        phase = k * twist % period / period
+        total += cmath.exp(2j * math.pi * phase) * presentation.at_d(pair)
     return total / presentation.at_d(presentation.dim)
 
 
-def center_vector(
-    presentation: CenterPresentation, target: str, ks: Iterable[int]
-) -> list[complex]:
-    """nu_k(target) for each k in ``ks`` by the center formula."""
-    return list(histogram_vector(presentation, twist_histogram(presentation, target), ks))
+def center_vector(presentation: CenterPresentation, ks: Iterable[int]) -> list[complex]:
+    """nu_k(rho) for each k in ``ks`` by the center formula."""
+    return list(histogram_vector(presentation, ks))
 
 
-def histogram_vector(
-    presentation: CenterPresentation, histogram: dict, ks: Iterable[int]
-) -> Iterator[complex]:
-    """Yield the center formula for each k in ``ks``, in order, from a twist
-    histogram of the presentation, read at d and keyed by twist numerator over
-    the period."""
-    weights = {twist: presentation.at_d(pair) for twist, pair in histogram.items()}
+def histogram_vector(presentation: CenterPresentation, ks: Iterable[int]) -> Iterator[complex]:
+    """Yield the center formula for each k in ``ks``, in order, from rho's twist
+    histogram read at d."""
+    weights = {twist: presentation.at_d(pair) for twist, pair in presentation.histogram.items()}
     dim = presentation.at_d(presentation.dim)
     return (total / dim for total in root_sums(weights, presentation.period, ks))
 
@@ -374,7 +366,7 @@ def closed_vector(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
 
 
 ROUTES = {  # route -> nu_k(rho) for each k
-    "center": lambda spec, ks: center_vector(spec.center(), spec.rho_label(), ks),
+    "center": lambda spec, ks: center_vector(spec.center(), ks),
     "closed": closed_vector,
 }
 
@@ -414,13 +406,13 @@ def rigidity_report(specs) -> RigidityReport:
     for spec, ring in zip(specs, rings):
         if ring != rings[0]:
             raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
-    centers = [spec.center() for spec in specs]
-    keys = [(twist_histogram(c, s.rho_label()), c.period, c.dim) for c, s in zip(centers, specs)]
+    centers = [spec.center() for spec in specs]  # rho's counted histograms
+    keys = [(c.histogram, c.period, c.dim) for c in centers]
     first = [keys.index(key) for key in keys]  # the first spec of each spec's class
     drawn = {}  # first spec of each class -> (period, values drawn so far, the rest)
     for i in sorted(set(first)):  # each class's values from the histogram of its key
-        histogram, period, _ = keys[i]
-        drawn[i] = period, [], histogram_vector(centers[i], histogram, range(1, period + 1))
+        period = centers[i].period
+        drawn[i] = period, [], histogram_vector(centers[i], range(1, period + 1))
 
     def value(i: int, k: int) -> complex:  # nu_k of class i, drawn on first read
         period, values, rest = drawn[i]
@@ -552,7 +544,7 @@ def spec_from_json(data: dict) -> CategorySpec:
     no key but ``family``, ``group``, ``labels`` and the family's parameters is taken.
 
     Every size a spec enumerates is bounded by :data:`MAX_ORDER` before any form is
-    read: each group, |G|^2 (a center has about |G|^2 objects) and the period.  The
+    read: each group, |G|^2 (a center's rank, counted, not listed) and the period.  The
     family's shape rules (:meth:`Family.check_shape`) run between the last two, so
     a companion group of the wrong order is refused before its form is built."""
     if not isinstance(data, dict):

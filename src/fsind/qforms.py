@@ -56,14 +56,19 @@ def qz(value) -> Fraction:
 def rational_from_json(data) -> Fraction:
     """The rational a JSON integer, or a string ``a`` or ``a/b`` of decimal digits
     with b != 0 and an optional ``-`` before a, stands for; ``ValueError`` for any
-    other JSON, such as floats or decimal and exponent notation."""
+    other JSON, such as floats or decimal and exponent notation, and for more
+    digits than the interpreter converts to an integer."""
     import re
     from fractions import Fraction
 
     if is_json_int(data):
         return Fraction(data)
     match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", data) if isinstance(data, str) else None
-    numerator, denominator = map(int, match.groups("1")) if match else (0, 0)
+    try:
+        numerator, denominator = map(int, match.groups("1")) if match else (0, 0)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise ValueError(f"fraction string {data[:20]!r}... of {len(data)} characters "
+                         "has too many digits") from None
     if denominator == 0:
         raise ValueError(f"expected an integer or a fraction string, got {data!r}")
     return Fraction(numerator, denominator)
@@ -134,22 +139,28 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
     return QuadraticForm(group, tuple(values))
 
 
-def root_sums(weights: Mapping[int, complex], n: int, ks: Iterable[int]) -> Iterator[complex]:
-    """Yield sum_r weights[r] * e^{2 pi i k r / n} for each k in ``ks``, in order.
+def root_sums(weights: Mapping[int, float], n: int, ks: Iterable[int]) -> Iterator[complex]:
+    """Yield sum_r weights[r] * e^{2 pi i k r / n} for each k in ``ks``, in order,
+    for real weights.
 
     Each term reads one table of the n-th roots of unity, built on the first
-    draw, at the exact integer index k*r mod n, and each residue of k mod n is
-    summed once, so the values are exactly periodic in k with period n.  A
-    caller that stops drawing early pays for the table and the k it drew.
+    draw, at the exact integer index j*r mod n, in ascending r.  Each residue k
+    of k mod n is summed once, at j = min(k, n - k), and read as the conjugate
+    of residue j when j != k, since the weights are real.  So the values are
+    exactly periodic in k with period n, a full period costs about half its
+    residues, and a value depends only on the weights, not on the order in
+    which the mapping lists them or the k are drawn.  A caller that stops
+    drawing early pays for the table and the k it drew.
     """
     roots = [cmath.exp(2j * math.pi * (r / n)) for r in range(n)]
-    buckets = [(r, w) for r, w in weights.items() if w]
+    buckets = sorted((r, w) for r, w in weights.items() if w)
     sums: dict[int, complex] = {}
     for k in ks:
         k %= n
-        if k not in sums:
-            sums[k] = sum((w * roots[k * r % n] for r, w in buckets), 0j)
-        yield sums[k]
+        j = min(k, n - k)
+        if j not in sums:
+            sums[j] = sum((w * roots[j * r % n] for r, w in buckets), 0j)
+        yield sums[j] if j == k else sums[j].conjugate()
 
 
 def gauss_sums(q: QuadraticForm, scales: Iterable[int]) -> list[complex]:

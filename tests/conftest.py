@@ -27,8 +27,9 @@ def parser_choices(command: str, option: str) -> tuple:
 
 
 def p_plus(presentation) -> complex:
-    """p+ = sum_V theta_V qdim(V)^2 over the objects of a center presentation,
-    which equals dim C for a Drinfeld center (Mueger 2003)."""
+    """p+ = sum_V theta_V qdim(V)^2 over a center's object list
+    (``oracles.center_objects``), which equals dim C for a Drinfeld center
+    (Mueger 2003)."""
     period = presentation.period
     return sum(
         phase_to_complex(Fraction(obj.twist, period)) * presentation.at_d(obj.qdim) ** 2

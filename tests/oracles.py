@@ -2,9 +2,10 @@
 
 Each function here is an independent restatement that some test checks the
 program against: exact Q/Z values, boundaries and bicharacters of a form,
-orthogonal sums, Weil modular data, the complex-conjugate class of a spec,
-whole-period indicator vectors and the small NG1 equivalence classes.  No
-command runs any of it, so none of it lives in ``src/fsind``, and no module
+orthogonal sums, Weil modular data, the simple objects of each family's
+Drinfeld center with their twist histograms, the complex-conjugate class of a
+spec, whole-period indicator vectors and the small NG1 equivalence classes.
+No command runs any of it, so none of it lives in ``src/fsind``, and no module
 there imports this one (``tests/test_routes.py`` pins that).
 
 Two kinds of reference code stay in ``src/fsind``: :mod:`fsind.fusion` and
@@ -20,7 +21,15 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from fsind.abelian import FiniteAbelianGroup, GroupElement, cyclic, factor_prime_power
+from fsind.abelian import (
+    RHO_LABEL,
+    FiniteAbelianGroup,
+    GroupElement,
+    cyclic,
+    factor_prime_power,
+    grho_label,
+    group_label,
+)
 from fsind.indicators import FAMILIES, FORM, PHASE, ROUTES, CategorySpec, replace
 from fsind.qforms import QuadraticForm, phase_to_complex
 
@@ -72,6 +81,186 @@ def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[
     phases = [phase_to_complex(value(q, g)) for g in elems]
     T = [[phase if i == j else 0j for j in range(len(elems))] for i, phase in enumerate(phases)]
     return S, T
+
+
+# ---------------------------------------------------------------------------
+# Center objects
+#
+# Each family's Drinfeld center as its list of simple objects, each with its
+# sector, twist, quantum dimension and the multiplicities of its image under
+# the forgetful functor: the tube-algebra centers that ``fsind.center`` counts
+# rho's twist histogram from without listing them.  The tests read every
+# simple's multiplicities off these lists, and check each counted histogram
+# against :func:`twist_histogram` of the list.
+
+
+class CenterObject(namedtuple("CenterObject", (
+    "sector",  # A, Sigma, B, C, E, E1, E2, unit or D
+    "twist",  # theta_X = e^{2 pi i twist / period}
+    "qdim",  # (a, b): qdim(X) = a + b * d
+    "mult",  # base simple label -> multiplicity of F(X)
+))):
+    __slots__ = ()
+
+
+class CenterObjects(namedtuple("CenterObjects", (
+    "objects",  # a tuple of CenterObject
+    "period",  # the order of the T-matrix, over which every twist is written
+    "d",  # the Frobenius-Perron dimension of rho, at which every (a, b) is read
+    "dim",  # dim C = A + B * d, so qdim(Z(C)) = (dim C)^2
+))):
+    __slots__ = ()
+
+    @property
+    def rank(self) -> int:
+        return len(self.objects)
+
+    def at_d(self, pair: tuple[int, int]) -> float:
+        return pair[0] + pair[1] * self.d
+
+
+def _objects(rows, den: int, d: float, dim: tuple[int, int]) -> CenterObjects:
+    """Objects from rows (sector, twist numerator over den, qdim, mult), with
+    den and every numerator divided by their gcd, so the period is exact."""
+    step = math.gcd(den, *(row[1] for row in rows))
+    period = den // step
+    objects = tuple(
+        CenterObject(sector, twist // step % period, qdim, mult)
+        for sector, twist, qdim, mult in rows
+    )
+    return CenterObjects(objects, period, d, dim)
+
+
+def twist_histogram(objects: CenterObjects, target: str) -> dict:
+    """Each twist numerator -> qdim(V) * [F(V) : target] summed over its
+    objects V, as a pair (a, b).  Over one period, d and dim C, equal
+    histograms are exactly equal nu_k(target) at every k."""
+    histogram: dict[int, tuple[int, int]] = {}
+    for obj in objects.objects:
+        mult = obj.mult.get(target, 0)
+        if mult:
+            a, b = histogram.get(obj.twist, (0, 0))
+            histogram[obj.twist] = (a + obj.qdim[0] * mult, b + obj.qdim[1] * mult)
+    if not histogram:
+        raise ValueError(f"unknown base simple {target!r}")
+    return histogram
+
+
+def _ng1_rows(group: FiniteAbelianGroup, den: int) -> list:
+    """The A, Sigma and B rows of an m = |G| - 1 center, G cyclic, twists over
+    den: B_{g,phi} for g in G and each nontrivial character phi of G."""
+    n, scale = group.order, den // group.exponent
+    elems = group.elements()
+    labels = [group_label(g) for g in elems]
+    rows = [("A", 0, (1, 0), {label: 1}) for label in labels]
+    rows.append(("Sigma", 0, (n, 0), dict.fromkeys(labels, 1)))
+    for g, label in zip(elems, labels):
+        mult = {RHO_LABEL: 1, label: 1}
+        rows += [
+            ("B", -group.character_value(phi, g) * scale, (n + 1, 0), mult)
+            for phi in elems[1:]
+        ]
+    return rows
+
+
+def ng1_objects(group: FiniteAbelianGroup, p: int, zeta1: Fraction) -> CenterObjects:
+    """The center of the near-group family with m = |G| - 1, object by object.
+
+    Takes G cyclic with |G| + 1 = p^ell, the unit group of F_{p^ell}, as
+    :class:`CategorySpec` checks, and reads only ell.  Here d = |G|, so every
+    dimension is an integer, written with b = 0.  ``zeta1`` is the exact
+    phase of the half-braiding scalar entering the C-object twists.
+    """
+    n = group.order
+    ell = factor_prime_power(n + 1)[1]
+    den = math.lcm(n, p, zeta1.denominator)
+    rows = _ng1_rows(group, den)
+    # C^psi for psi in the dual of the additive group (Z/p)^ell; psi(1) pairs
+    # psi with the multiplicative unit, i.e. with coordinate vector (1,0,...,0).
+    zeta = int(zeta1 * den)
+    rows += [
+        ("C", -zeta - f[0] * (den // p), (n, 0), {RHO_LABEL: 1})
+        for f in FiniteAbelianGroup((p,) * ell).elements()
+    ]
+    return _objects(rows, den, n, (n * (n + 1), 0))
+
+
+def ng1x_objects() -> CenterObjects:
+    """The exceptional |G| = 7 center, object by object: C-objects replaced by
+    E_1, E_2."""
+    rows = _ng1_rows(cyclic(7), 28)
+    rows += [("E1", 7, (14, 0), {RHO_LABEL: 2}), ("E2", 21, (14, 0), {RHO_LABEL: 2})]
+    return _objects(rows, 28, 7, (56, 0))
+
+
+def ng2_objects(
+    group: FiniteAbelianGroup,
+    q: QuadraticForm,
+    gp: FiniteAbelianGroup,
+    qp: QuadraticForm,
+) -> CenterObjects:
+    """The center of the near-group family with m = |G|, |G| odd, object by object.
+
+    The second metric group (G', q') has order |G| + 4 and supplies the
+    E-object twists; q and q' are non-degenerate forms on G and G'.
+    """
+    n = group.order
+    den = math.lcm(q.den, qp.den)
+    v = [x * (den // q.den) for x in q.values]
+    vp = [x * (den // qp.den) for x in qp.values]
+    elems = group.elements()
+    labels = [group_label(g) for g in elems]
+    rho = {RHO_LABEL: 1}
+    rows = [("A", 2 * v[i], (1, 0), {label: 1}) for i, label in enumerate(labels)]
+    rows += [("B", 2 * v[i], (1, 1), {RHO_LABEL: 1, label: 1}) for i, label in enumerate(labels)]
+    for i, g in enumerate(elems):
+        rows += [
+            ("C", v[group.index(group.add(g, elems[j]))] - v[i] - v[j], (2, 1),
+             {RHO_LABEL: 1, labels[i]: 1, labels[j]: 1})
+            for j in range(i + 1, n)
+        ]
+    e_twists = [2 * vp[x] for x in gp.pairs()]
+    rows += [("E", 2 * v[i] + t, (0, 1), rho) for i in range(n) for t in e_twists]
+    return _objects(rows, den, (n + math.sqrt(n * n + 4 * n)) / 2, (2 * n, n))
+
+
+def hi_objects(
+    group: FiniteAbelianGroup, h_group: FiniteAbelianGroup, qpp: QuadraticForm
+) -> CenterObjects:
+    """The center of a Haagerup-Izumi category with |G| odd, object by object.
+
+    The metric group (H, q'') has order |G|^2 + 4 = 2m + 1 and the D-object
+    twists are m * q''(x) on unordered pairs {x, -x}; q'' is non-degenerate.
+    C_{h,phi} runs over pairs {h, -h} of G and all characters phi of G.
+    """
+    n = group.order
+    m = (h_group.order - 1) // 2
+    den = math.lcm(group.exponent, qpp.den)
+    scale = den // group.exponent
+    elems = group.elements()
+    unit_label = group_label(group.identity)
+    all_grho = {grho_label(g): 1 for g in elems}
+    rows = [("unit", 0, (1, 0), {unit_label: 1}), ("B", 0, (1, n), {unit_label: 1, **all_grho})]
+    # characters psi != trivial of G, one per pair {psi, conj(psi)}
+    rows += [("A", 0, (2, n), {unit_label: 2, **all_grho})] * ((n - 1) // 2)
+    for h in (elems[x] for x in group.pairs()):
+        mult = {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho}
+        rows += [("C", group.character_value(phi, h) * scale, (2, n), mult) for phi in elems]
+    rows += [
+        ("D", m * qpp.values[x] * (den // qpp.den), (0, n), all_grho) for x in h_group.pairs()
+    ]
+    return _objects(rows, den, (n + math.sqrt(n * n + 4)) / 2, (2 * n, n * n))
+
+
+def center_objects(spec: CategorySpec) -> CenterObjects:
+    """The object list of ``spec``'s center."""
+    if spec.family == "NG1":
+        return ng1_objects(spec.group, spec.p, spec.zeta1)
+    if spec.family == "NG1X":
+        return ng1x_objects()
+    if spec.family == "NG2":
+        return ng2_objects(spec.group, spec.q, spec.gp, spec.qp)
+    return hi_objects(spec.group, spec.h, spec.qpp)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from fsind.tables import builtin_rows, load_ng2_spec, verify_row
 
 from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog, p_plus
 from oracles import (
+    center_objects,
     conjugate_spec,
     indicator_vector,
     ng1_equivalence_classes,
@@ -298,7 +299,7 @@ def test_criterion_5_p_plus_red_set_is_pinned():
     red = {("hi3", 3), ("hi3", 4), ("hi5", 3), ("hi5", 4)}
     rows = builtin_rows()
     for row in rows:
-        pres = row.spec.center()
+        pres = center_objects(row.spec)
         ratio = p_plus(pres) / pres.at_d(pres.dim)
         expected = pres.d**2 if (row.table_id, row.row_id) in red else 1
         if abs(ratio - expected) >= TOL * expected:

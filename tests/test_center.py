@@ -18,11 +18,11 @@ from fsind.abelian import (
     prime_factors,
 )
 from fsind.center import (
+    CenterPresentation,
     center_hi,
     center_ng1,
     center_ng1_exceptional7,
     center_ng2,
-    twist_histogram,
 )
 from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
 from fsind.indicators import CategorySpec, center_vector
@@ -30,8 +30,14 @@ from fsind.qforms import DEFAULT_TOL, monomial_form, phase_to_complex
 from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
 from oracles import (
     boundary,
+    center_objects,
+    hi_objects,
     indicator_vector,
     ng1_equivalence_classes,
+    ng1_objects,
+    ng1x_objects,
+    ng2_objects,
+    twist_histogram,
     value,
     weil_modular_data,
 )
@@ -48,8 +54,8 @@ def _twists(pres, sector):
 
 
 def test_center_ng1_object_count_and_twists():
-    pres = center_ng1(cyclic(2), 3, Fraction(0))
-    assert pres.rank == 2 + 1 + 2 * 1 + 3 == 8
+    pres = ng1_objects(cyclic(2), 3, Fraction(0))
+    assert pres.rank == 2 + 1 + 2 * 1 + 3 == 8 == center_ng1(cyclic(2), 3, Fraction(0)).rank
     # B-objects at g = e carry trivial twist for every character
     assert _twists(pres, "B")[:1] == [0]
     # C twists collapse to equal values at p | k
@@ -79,9 +85,7 @@ def test_center_ng1_accepts_cyclic_groups_with_trivial_or_coprime_factors(
     for zeta1 in (Fraction(0), Fraction(1, 4)):
         spec = CategorySpec("NG1", FiniteAbelianGroup(factors), p=p, zeta1=zeta1)
         reference = CategorySpec("NG1", cyclic(cyclic_order), p=p, zeta1=zeta1)
-        pres, ref = spec.center(), reference.center()
-        assert (pres.rank, pres.period, pres.dim) == (ref.rank, ref.period, ref.dim)
-        assert twist_histogram(pres, "rho") == twist_histogram(ref, "rho")
+        assert spec.center() == reference.center()
         for path in ("center", "closed"):
             vec, ref_vec = indicator_vector(spec, path), indicator_vector(reference, path)
             assert vec.period == ref_vec.period
@@ -89,8 +93,8 @@ def test_center_ng1_accepts_cyclic_groups_with_trivial_or_coprime_factors(
 
 
 def test_center_ng1_exceptional7():
-    pres = center_ng1_exceptional7()
-    assert pres.rank == 7 + 1 + 7 * 6 + 2 == 52
+    pres = ng1x_objects()
+    assert pres.rank == 7 + 1 + 7 * 6 + 2 == 52 == center_ng1_exceptional7().rank
     e1 = next(o for o in pres.objects if o.sector == "E1")
     e2 = next(o for o in pres.objects if o.sector == "E2")
     assert e1.mult == {"rho": 2} and e2.mult == {"rho": 2}
@@ -103,7 +107,7 @@ def test_center_ng1_exceptional7():
 
 
 def test_center_ng2_counts_and_twists():
-    pres = center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG)
+    pres = ng2_objects(cyclic(3), Q3, cyclic(7), Q7NEG)
     sectors = [obj.sector for obj in pres.objects]
     assert sectors.count("A") == 3
     assert sectors.count("B") == 3
@@ -111,16 +115,17 @@ def test_center_ng2_counts_and_twists():
     assert sectors.count("E") == 9  # |G| (|G|+3) / 2
     assert _twists(pres, "A")[0] == 0  # A_(0)
     assert _twists(pres, "B")[1] == Fraction(2, 3)  # B_(1): 2 q(1)
-    assert pres.period == 21
+    assert pres.period == 21 == center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG).period
 
 
 def test_center_ng2_count_formula_g5():
     q5 = monomial_form(cyclic(5), (1,))
     q9 = monomial_form(cyclic(9), (1,))
-    pres = center_ng2(cyclic(5), q5, cyclic(9), q9)
+    pres = ng2_objects(cyclic(5), q5, cyclic(9), q9)
     sectors = [obj.sector for obj in pres.objects]
     assert sectors.count("C") == 5 * 4 // 2
     assert sectors.count("E") == 5 * 8 // 2
+    assert pres.rank == 5 + 5 + 10 + 20 == center_ng2(cyclic(5), q5, cyclic(9), q9).rank
 
 
 def test_center_ng2_validation():
@@ -149,7 +154,7 @@ def test_spec_checks_each_form_on_its_group():
 
 
 def test_center_hi_counts_and_mults():
-    pres = center_hi(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,)))
+    pres = hi_objects(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,)))
     sectors = [obj.sector for obj in pres.objects]
     assert sectors.count("D") == 6  # (|G|^2 + 3) / 2
     assert sectors.count("C") == 3  # one pair, three chars
@@ -160,19 +165,19 @@ def test_center_hi_counts_and_mults():
 
 
 def test_center_hi_yang_lee_has_four_objects():
-    pres = center_hi(cyclic(1), cyclic(5), monomial_form(cyclic(5), (1,)))
-    assert pres.rank == 4
+    pres = hi_objects(cyclic(1), cyclic(5), monomial_form(cyclic(5), (1,)))
+    assert pres.rank == 4 == center_hi(cyclic(1), cyclic(5), monomial_form(cyclic(5), (1,))).rank
     assert sorted(o.sector for o in pres.objects) == ["B", "D", "D", "unit"]
 
 
 @pytest.mark.parametrize(
     "pres,ring",
     [
-        (center_ng1(cyclic(2), 3, Fraction(0)), make_near_group_ring(cyclic(2), 1)),
-        (center_ng1_exceptional7(), make_near_group_ring(cyclic(7), 6)),
-        (center_ng2(cyclic(3), Q3, cyclic(7), Q7NEG), make_near_group_ring(cyclic(3), 3)),
+        (ng1_objects(cyclic(2), 3, Fraction(0)), make_near_group_ring(cyclic(2), 1)),
+        (ng1x_objects(), make_near_group_ring(cyclic(7), 6)),
+        (ng2_objects(cyclic(3), Q3, cyclic(7), Q7NEG), make_near_group_ring(cyclic(3), 3)),
         (
-            center_hi(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,))),
+            hi_objects(cyclic(3), cyclic(13), monomial_form(cyclic(13), (1,))),
             make_hi_ring(cyclic(3)),
         ),
     ],
@@ -244,7 +249,7 @@ def test_center_dimension_identity_is_exact():
     specs = _identity_specs()
     assert {spec.family for spec in specs} == set(ROOT_POLYNOMIAL)
     for spec in specs:
-        pres = spec.center()
+        pres = center_objects(spec)
         m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
         assert abs(pres.d**2 - (m * pres.d + c)) < 1e-9 * pres.d**2, spec.describe()
         squares = [_squared(obj.qdim, m, c) for obj in pres.objects]
@@ -256,7 +261,7 @@ def test_induction_dimension_identity_is_exact():
     """sum_V qdim(V) [F(V) : X] = d_X dim C in Z[d] for every simple X of C,
     the dimension of the induction of X."""
     for spec in _identity_specs():
-        pres = spec.center()
+        pres = center_objects(spec)
         m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
         totals = {}  # simple X -> sum_V qdim(V) [F(V) : X]
         for obj in pres.objects:
@@ -278,7 +283,7 @@ def test_object_dimension_is_its_image_dimension():
     forgetful functor keeps dimensions."""
     objects = 0
     for spec in _identity_specs():
-        pres = spec.center()
+        pres = center_objects(spec)
         m, c = ROOT_POLYNOMIAL[spec.family](spec.group.order)
         invertible = {group_label(g) for g in spec.group.elements()}
         for obj in pres.objects:
@@ -296,10 +301,10 @@ def test_p_plus_equals_dim_exactly_when_nu1_vanishes():
     specs = _identity_specs()
     unequal = 0
     for spec in specs:
-        pres = spec.center()
+        pres = center_objects(spec)
         dim = pres.at_d(pres.dim)
         equal = abs(p_plus(pres) - dim) <= DEFAULT_TOL * abs(dim)
-        nu1 = center_vector(pres, spec.rho_label(), [1])[0]
+        nu1 = center_vector(spec.center(), [1])[0]
         assert equal == (abs(nu1) < DEFAULT_TOL), spec.describe()
         unequal += not equal
     assert (len(specs), unequal) == (183, 78)  # both outcomes occur
@@ -337,6 +342,37 @@ def test_period_formula_is_the_center_period():
     assert len(specs) == 183 + 36 + 18 + 90
 
 
+def _ladder_specs():
+    """Seeded NG2 specs over the benchmark's ladder groups, unit coefficients
+    drawn for each cyclic factor of G and then of G'."""
+    rng = random.Random(31)
+    specs = []
+    for g, gp in (((21,), (25,)), ((3, 7), (5, 5)), ((51,), (55,))):
+        group, gp = FiniteAbelianGroup(g), FiniteAbelianGroup(gp)
+        for _ in range(3):
+            q, qp = rng.choice(_unit_forms(group)), rng.choice(_unit_forms(gp))
+            specs.append(CategorySpec("NG2", group, q=q, gp=gp, qp=qp))
+    return specs
+
+
+def test_counted_histogram_is_the_listed_one():
+    """Each builder's counted histogram, period, d, dim C and rank are those
+    summed from the center's object list, on every identity spec (the bundled
+    rows among them) and on seeded ladder specs; the center vectors of the two
+    histograms are the same floats over a whole period."""
+    specs = _identity_specs() + _ladder_specs()
+    for spec in specs:
+        counted, listed = spec.center(), center_objects(spec)
+        summed = CenterPresentation(
+            twist_histogram(listed, spec.rho_label()),
+            listed.period, listed.d, listed.dim, listed.rank,
+        )
+        assert counted == summed, spec.describe()
+        ks = range(1, spec.period() + 1)
+        assert center_vector(counted, ks) == center_vector(summed, ks), spec.describe()
+    assert len(specs) == 183 + 9
+
+
 @functools.cache
 def _simple_vectors():
     """(spec, its center, nu_k(X) for k = 0..N-1 for every simple X) for each
@@ -344,7 +380,7 @@ def _simple_vectors():
     value of k lies at index k mod N."""
     data = []
     for spec in _identity_specs():
-        pres = spec.center()
+        pres = center_objects(spec)
         labels = {label for obj in pres.objects for label in obj.mult}
         vectors = {}
         for label in labels:
@@ -469,7 +505,7 @@ def test_integer_twists_match_exact_phases():
     specs = _identity_specs()
     assert {spec.family for spec in specs} == {"NG1", "NG1X", "NG2", "HI"}
     for spec in specs:
-        pres = spec.center()
+        pres = center_objects(spec)
         assert math.gcd(pres.period, *(obj.twist for obj in pres.objects)) == 1
         assert all(0 <= obj.twist < pres.period for obj in pres.objects)
         sectors = {obj.sector: _twists(pres, obj.sector) for obj in pres.objects}

@@ -220,6 +220,27 @@ def test_malformed_specs_are_usage_errors(capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_digit_string_over_the_int_limit_is_a_usage_error(capsys):
+    """A fraction string with more digits than Python converts to an integer
+    exits 2 with a message that shows the string, not Python's setting."""
+    spec = json.dumps({**NG1_Z3, "zeta1": "1/" + "1" * 5000})
+    code, out, err = run(capsys, "indicators", "--kmax", "3", "--path", "closed", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err == ("error: fraction string '1/111111111111111111'... of 5002 characters "
+                   "has too many digits\n")
+
+
+def test_memory_error_is_a_usage_error(capsys, monkeypatch):
+    """A command that runs out of memory prints one error line and exits 2, not
+    a traceback with exit 1, the code of a failed verification."""
+    def no_memory(spec, ks):
+        raise MemoryError
+
+    monkeypatch.setitem(indicators.ROUTES, "center", no_memory)
+    code, out, err = run(capsys, "indicators", "--spec", NG2_SPEC)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("specs", ["5", "{}", "[]"])
 def test_rigidity_specs_must_be_a_nonempty_list(capsys, specs):
     code, out, err = run(capsys, "rigidity", "--specs", specs)

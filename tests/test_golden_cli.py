@@ -295,6 +295,25 @@ def test_exponent_notation_exits_2_at_once(argv):
     assert result.stderr == "error: expected an integer or a fraction string, got '1e99999999'\n"
 
 
+def test_ng2_over_z995_runs_in_160_mb():
+    """NG2 over Z/995 with G' = Z/999, a center of rank 995 * 998 within every
+    cap, runs both routes in a child whose address space is capped at 160 MB:
+    rho's twist histogram is counted, not summed over listed objects, which
+    took 342 MB."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
+
+    unit = {"monomial": [{"factor": 0, "coeff": 1}]}
+    spec = {"family": "NG2", "group": {"cyclic_factors": [995]}, "q": unit,
+            "gp": {"cyclic_factors": [999]}, "qp": unit}
+    result = _python("-m", "fsind", "indicators", "--path", "both", "--kmax", "3",
+                     "--spec", json.dumps(spec), preexec_fn=cap, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert [value["deviation"] for value in json.loads(result.stdout)["values"]] == ["0"] * 3
+
+
 # one case per command that exits 0; beside them, the verify-tables case that
 # exits 1 and a usage error
 COMMAND_CASES = [

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -330,6 +331,16 @@ def test_rational_from_json_takes_integers_and_fraction_strings_only():
         with pytest.raises(ValueError) as info:
             rational_from_json(data)
         assert str(info.value) == f"expected an integer or a fraction string, got {data!r}"
+
+
+def test_rational_from_json_refuses_more_digits_than_int_converts():
+    limit = sys.get_int_max_str_digits() or pytest.skip("this interpreter converts any length")
+    assert rational_from_json("1/" + "1" * limit).numerator == 1
+    for data in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "-" + "1" * (limit + 1) + "/3"):
+        with pytest.raises(ValueError) as info:
+            rational_from_json(data)
+        assert str(info.value) == (f"fraction string {data[:20]!r}... of {len(data)} "
+                                   "characters has too many digits")
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ route function's code object and of every code object nested in it (lambdas,
 comprehensions, generators), and follow each name that resolves, in the
 reading function's module, to a function or class defined in fsind.  They
 check that the closed and center routes share only the ``root_sums`` kernel,
+that the center route counts no power of G as the closed route's theta_k(e) does,
 that the AGL code reads nothing of fsind but ``abelian``, and that no module
 of the program imports the tests' reference code in ``oracles``.
 """
@@ -108,8 +109,8 @@ def test_the_walk_sees_each_route_body():
     agl_names, agl = reach(AGL_CODE)
     assert {qforms.gauss_sums, qforms.root_sums, qforms.qz} <= closed
     assert {"power_count", "gauss_sums"} <= closed_names
-    assert {center.twist_histogram, center._presentation, qforms.root_sums} <= centers
-    assert {"character_value", "pairs", "twist_histogram"} <= center_names
+    assert {center._pairing_counts, center._presentation, qforms.root_sums} <= centers
+    assert {"elements", "pairs", "histogram"} <= center_names
     assert {abelian.factor_prime_power, abelian.prime_factors} <= agl
     assert {"mul", "factor_prime_power"} <= agl_names
 
@@ -123,7 +124,7 @@ def test_closed_route_reaches_no_center_name():
 
 def test_center_route_reaches_no_closed_formula_and_no_gauss_sum():
     names, objects = reach(CENTER_ROUTE)
-    bad = names & (CLOSED_NAMES | TABLE_NAMES)
+    bad = names & (CLOSED_NAMES | TABLE_NAMES | {"power_count"})
     names |= {obj.__name__ for obj in objects}
     bad |= {name for name in names if name.startswith("gauss_sum")}
     assert not bad, sorted(bad)
