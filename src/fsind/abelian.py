@@ -121,13 +121,6 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "cyclic_factors")):
         gcds = [math.gcd(k, n) for n in self.cyclic_factors]
         return math.prod(d if r % d == 0 else 0 for r, d in zip(h, gcds))
 
-    def character_value(self, h: GroupElement, g: GroupElement) -> int:
-        """Phase of the standard pairing as an integer numerator over
-        :attr:`exponent`: chi_h(g) = e^{2 pi i character_value(h, g) / exponent},
-        with the numerator in [0, exponent)."""
-        e = self.exponent
-        return sum(hi * gi * (e // n) for hi, gi, n in zip(h, g, self.cyclic_factors)) % e
-
 
 def cyclic(n: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup((n,))

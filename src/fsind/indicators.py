@@ -9,10 +9,12 @@ Three independent evaluation routes are provided and cross-checked:
 * :func:`nu_agl_bruteforce`, the classical character-theoretic indicator of
   the affine group AGL_1(F_q), computed in exact rational arithmetic.
 
-The first two evaluate many k at once through :func:`fsind.qforms.root_sums`,
-the center route on its twist histogram and the closed route on the
-histograms of its forms' values; they share nothing else, and
-``tests/test_routes.py`` pins that by the names each route's code reads.
+The first two read every value from maps k -> value made by
+:func:`fsind.qforms.root_sums`, which sums each residue of k once, on first
+use: the center route's map (:func:`center_values`) on its twist histogram,
+the closed route's (:func:`fsind.qforms.gauss_values`) on the histograms of
+its forms' values.  They share nothing else, and ``tests/test_routes.py``
+pins that by the names each route's code reads.
 
 A :class:`CategorySpec` pins down one monoidal-equivalence class; its full
 indicator vector over one period is the invariant rigidity compares, decided
@@ -27,7 +29,7 @@ import cmath
 import itertools
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 from .abelian import (
     MAX_ORDER,
@@ -53,7 +55,7 @@ from .qforms import (
     describe_form,
     form_from_json,
     form_to_json,
-    gauss_sums,
+    gauss_values,
     phase_to_complex,
     qz,
     rational_from_json,
@@ -156,15 +158,16 @@ def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> com
 
 def center_vector(presentation: CenterPresentation, ks: Iterable[int]) -> list[complex]:
     """nu_k(rho) for each k in ``ks`` by the center formula."""
-    return list(histogram_vector(presentation, ks))
+    return list(map(center_values(presentation), ks))
 
 
-def histogram_vector(presentation: CenterPresentation, ks: Iterable[int]) -> Iterator[complex]:
-    """Yield the center formula for each k in ``ks``, in order, from rho's twist
-    histogram read at d."""
+def center_values(presentation: CenterPresentation) -> Callable[[int], complex]:
+    """The map k -> nu_k(rho) by the center formula, from rho's twist histogram
+    read at d."""
     weights = {twist: presentation.at_d(pair) for twist, pair in presentation.histogram.items()}
+    total = root_sums(weights, presentation.period)
     dim = presentation.at_d(presentation.dim)
-    return (total / dim for total in root_sums(weights, presentation.period, ks))
+    return lambda k: total(k) / dim
 
 
 def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) -> complex:
@@ -185,11 +188,10 @@ def ng2_closed_vector(
     ks: Iterable[int],
 ) -> list[complex]:
     """theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2 for each k in ``ks``, the
-    m = |G| family, from one Gauss-sum vector per form."""
-    ks = list(ks)
-    scales = [2 * k for k in ks]
-    products = (a * b for a, b in zip(gauss_sums(q, scales), gauss_sums(qp, scales)))
-    return _half_sums(group, ks, products)
+    m = |G| family, from one Gauss-sum map per form."""
+    theta, theta_p = gauss_values(q), gauss_values(qp)
+    e = group.identity
+    return [group.power_count(k, e) / 2 + theta(2 * k) * theta_p(2 * k) / 2 for k in ks]
 
 
 def hi_closed_vector(
@@ -199,21 +201,16 @@ def hi_closed_vector(
     ks: Iterable[int],
 ) -> list[complex]:
     """theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1 for each k in ``ks``,
-    from one Gauss-sum vector."""
-    ks = list(ks)
+    from one Gauss-sum map."""
     m = (h_group.order - 1) // 2
-    return _half_sums(group, ks, gauss_sums(qpp, [k * m for k in ks]))
+    theta, e = gauss_values(qpp), group.identity
+    return [group.power_count(k, e) / 2 + theta(k * m) / 2 for k in ks]
 
 
 def _ng1x_closed(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
     """NG1's closed form at p = 2, zeta1 = 1/4; NG1X's center keeps E1, E2."""
     zeta1 = qz("1/4")
     return [nu_ng1_closed(spec.group, 2, zeta1, k) for k in ks]
-
-
-def _half_sums(group: FiniteAbelianGroup, ks: list[int], gauss: Iterable[complex]) -> list[complex]:
-    """theta_k(e)/2 + Gauss/2 for each k in ``ks`` and its Gauss term."""
-    return [group.power_count(k, group.identity) / 2 + term / 2 for k, term in zip(ks, gauss)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +388,10 @@ def rigidity_report(specs) -> RigidityReport:
     twist histograms of rho over equal periods.  Floats enter only the smallest
     separating k, the first k where two classes differ by more than
     ``DEFAULT_TOL``, scanned once per pair of classes up to the lcm of their
-    periods; a pair with no such k raises ``ValueError``.  Each class draws its
-    values in order k = 1, 2, ... as its pairs read them and keeps them for
-    its other pairs, so it is evaluated only up to the largest smallest
-    separating k of its pairs (and over one whole period at most).
+    periods; a pair with no such k raises ``ValueError``.  Each class keeps one
+    map k -> nu_k (:func:`center_values`) for all its pairs, so it sums each
+    residue it reads once, and reads k only up to the largest smallest
+    separating k of its pairs: at most period // 2 + 1 residues.
 
     The known inseparable pairs (the two |G| = 13 near-group pairs and the
     Haagerup-Izumi pairs) also share their centers' modular data; it is an
@@ -409,21 +406,11 @@ def rigidity_report(specs) -> RigidityReport:
     centers = [spec.center() for spec in specs]  # rho's counted histograms
     keys = [(c.histogram, c.period, c.dim) for c in centers]
     first = [keys.index(key) for key in keys]  # the first spec of each spec's class
-    drawn = {}  # first spec of each class -> (period, values drawn so far, the rest)
-    for i in sorted(set(first)):  # each class's values from the histogram of its key
-        period = centers[i].period
-        drawn[i] = period, [], histogram_vector(centers[i], range(1, period + 1))
-
-    def value(i: int, k: int) -> complex:  # nu_k of class i, drawn on first read
-        period, values, rest = drawn[i]
-        while len(values) < min(k, period):
-            values.append(next(rest))
-        return values[(k - 1) % period]
-
+    nu = {i: center_values(centers[i]) for i in sorted(set(first))}  # first spec of each class
     smallest = {}  # (i, j) and (j, i) for first specs i < j -> smallest separating k
-    for i, j in itertools.combinations(drawn, 2):
-        ks = range(1, math.lcm(drawn[i][0], drawn[j][0]) + 1)
-        k = next((k for k in ks if abs(value(i, k) - value(j, k)) > DEFAULT_TOL), None)
+    for i, j in itertools.combinations(nu, 2):
+        ks = range(1, math.lcm(centers[i].period, centers[j].period) + 1)
+        k = next((k for k in ks if abs(nu[i](k) - nu[j](k)) > DEFAULT_TOL), None)
         if k is None:
             raise ValueError(f"{specs[i].describe()} and {specs[j].describe()} differ, "
                              f"but by at most {DEFAULT_TOL} at every k")
@@ -431,7 +418,7 @@ def rigidity_report(specs) -> RigidityReport:
     pairs = itertools.combinations(range(len(specs)), 2)
     return RigidityReport(
         math.lcm(*(spec.period() for spec in specs)),
-        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in drawn),
+        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in nu),
         tuple((i, j, smallest[first[i], first[j]]) for i, j in pairs if first[i] != first[j]),
     )
 

@@ -21,6 +21,11 @@ reads or prints no exact rational never loads it (nor its ``decimal`` and
 a form, and orthogonal sums, are reference code in the test suite's
 ``oracles`` module, which no command runs.
 
+Gauss sums and the center formula are both root-of-unity sums over a
+histogram: :func:`root_sums` makes the one map k -> sum_r w_r e^{2 pi i k r / n}
+that every such value is read from, summing each residue of k once, on first
+use; :func:`gauss_values` is its Gauss-sum map.
+
 The one float threshold ``DEFAULT_TOL`` and :func:`format_real`, the decimal
 format of every command's output, live here too: ``fsind gauss`` loads nothing
 above this module.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 
 from .abelian import FiniteAbelianGroup, group_from_json, group_to_json, is_json_int
 
@@ -139,40 +144,44 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
     return QuadraticForm(group, tuple(values))
 
 
-def root_sums(weights: Mapping[int, float], n: int, ks: Iterable[int]) -> Iterator[complex]:
-    """Yield sum_r weights[r] * e^{2 pi i k r / n} for each k in ``ks``, in order,
-    for real weights.
+def root_sums(weights: Mapping[int, float], n: int) -> Callable[[int], complex]:
+    """The map k -> sum_r weights[r] * e^{2 pi i k r / n}, for real weights.
 
-    Each term reads one table of the n-th roots of unity, built on the first
-    draw, at the exact integer index j*r mod n, in ascending r.  Each residue k
-    of k mod n is summed once, at j = min(k, n - k), and read as the conjugate
-    of residue j when j != k, since the weights are real.  So the values are
-    exactly periodic in k with period n, a full period costs about half its
-    residues, and a value depends only on the weights, not on the order in
-    which the mapping lists them or the k are drawn.  A caller that stops
-    drawing early pays for the table and the k it drew.
+    Each residue j = min(k mod n, n - k mod n) is summed once, on first use, and
+    k reads it as its conjugate when j != k mod n, since the weights are real.
+    Each sum reads one table of the n-th roots of unity, built on the first
+    residue, at the exact integer index j*r mod n, in ascending r.  So the values
+    are exactly periodic in k with period n, a full period costs about half its
+    residues, and a value depends only on the weights and k, not on the order in
+    which the mapping lists them or in which the k are asked.
     """
-    roots = [cmath.exp(2j * math.pi * (r / n)) for r in range(n)]
     buckets = sorted((r, w) for r, w in weights.items() if w)
+    roots: list[complex] = []
     sums: dict[int, complex] = {}
-    for k in ks:
+
+    def value(k: int) -> complex:
         k %= n
         j = min(k, n - k)
         if j not in sums:
+            if not roots:
+                roots.extend(cmath.exp(2j * math.pi * (r / n)) for r in range(n))
             sums[j] = sum((w * roots[j * r % n] for r, w in buckets), 0j)
-        yield sums[j] if j == k else sums[j].conjugate()
+        return sums[j] if j == k else sums[j].conjugate()
+
+    return value
 
 
-def gauss_sums(q: QuadraticForm, scales: Iterable[int]) -> list[complex]:
-    """Theta(G, k q) = |G|^{-1/2} sum_g e^{2 pi i k q(g)} for each k in ``scales``,
-    from one histogram of q's numerators."""
+def gauss_values(q: QuadraticForm) -> Callable[[int], complex]:
+    """The map k -> Theta(G, k q) = |G|^{-1/2} sum_g e^{2 pi i k q(g)}, from one
+    histogram of q's numerators."""
+    theta = root_sums(Counter(q.values), q.den)
     norm = math.sqrt(q.group.order)
-    return [total / norm for total in root_sums(Counter(q.values), q.den, scales)]
+    return lambda k: theta(k) / norm
 
 
 def gauss_sum(q: QuadraticForm) -> complex:
     """Theta(G, q) = |G|^{-1/2} sum_g e^{2 pi i q(g)}."""
-    return gauss_sums(q, (1,))[0]
+    return gauss_values(q)(1)
 
 
 def jacobi_symbol(a: int, n: int) -> int:

@@ -20,6 +20,21 @@ ABELIAN_GROUPS_LE_13 = [
 ]
 
 
+class CountedWeight(float):
+    """A weight of ``qforms.root_sums`` that appends to ``seen`` each root of
+    unity it is multiplied by: the kernel multiplies every weight once per
+    residue it sums."""
+
+    def __new__(cls, value, seen: list):
+        self = super().__new__(cls, value)
+        self.seen = seen
+        return self
+
+    def __mul__(self, other):
+        self.seen.append(other)
+        return float(self) * other
+
+
 def parser_choices(command: str, option: str) -> tuple:
     """The choices the ``fsind`` parser offers for ``option`` of ``command``."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,10 +1,11 @@
 """Reference code that only the tests call.
 
 Each function here is an independent restatement that some test checks the
-program against: exact Q/Z values, boundaries and bicharacters of a form,
-orthogonal sums, Weil modular data, the simple objects of each family's
-Drinfeld center with their twist histograms, the complex-conjugate class of a
-spec, whole-period indicator vectors and the small NG1 equivalence classes.
+program against: the character pairing of a group, exact Q/Z values,
+boundaries and bicharacters of a form, orthogonal sums, Weil modular data,
+the simple objects of each family's Drinfeld center with their twist
+histograms, the complex-conjugate class of a spec, whole-period indicator
+vectors and the small NG1 equivalence classes.
 No command runs any of it, so none of it lives in ``src/fsind``, and no module
 there imports this one (``tests/test_routes.py`` pins that).
 
@@ -36,6 +37,14 @@ from fsind.qforms import QuadraticForm, phase_to_complex
 
 # ---------------------------------------------------------------------------
 # Groups and forms
+
+
+def character_value(group: FiniteAbelianGroup, h: GroupElement, g: GroupElement) -> int:
+    """Phase of the standard pairing as an integer numerator over the group's
+    exponent: chi_h(g) = e^{2 pi i character_value(group, h, g) / exponent},
+    with the numerator in [0, exponent)."""
+    e = group.exponent
+    return sum(hi * gi * (e // n) for hi, gi, n in zip(h, g, group.cyclic_factors)) % e
 
 
 def direct_sum(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> FiniteAbelianGroup:
@@ -157,7 +166,7 @@ def _ng1_rows(group: FiniteAbelianGroup, den: int) -> list:
     for g, label in zip(elems, labels):
         mult = {RHO_LABEL: 1, label: 1}
         rows += [
-            ("B", -group.character_value(phi, g) * scale, (n + 1, 0), mult)
+            ("B", -character_value(group, phi, g) * scale, (n + 1, 0), mult)
             for phi in elems[1:]
         ]
     return rows
@@ -245,7 +254,7 @@ def hi_objects(
     rows += [("A", 0, (2, n), {unit_label: 2, **all_grho})] * ((n - 1) // 2)
     for h in (elems[x] for x in group.pairs()):
         mult = {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho}
-        rows += [("C", group.character_value(phi, h) * scale, (2, n), mult) for phi in elems]
+        rows += [("C", character_value(group, phi, h) * scale, (2, n), mult) for phi in elems]
     rows += [
         ("D", m * qpp.values[x] * (den // qpp.den), (0, n), all_grho) for x in h_group.pairs()
     ]

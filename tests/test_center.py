@@ -31,6 +31,7 @@ from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
 from oracles import (
     boundary,
     center_objects,
+    character_value,
     hi_objects,
     indicator_vector,
     ng1_equivalence_classes,
@@ -436,6 +437,25 @@ def test_invertible_indicators_count_roots_of_unity():
             assert np.abs(vectors[group_label(g)] - killed).max() < TOL, spec.describe()
 
 
+def test_higher_central_charges_are_positive_reals():
+    """p_n = sum_V theta_V^n qdim(V)^2 over the simples V of the center is a
+    positive real for every n coprime to N, on each bundled row: a Drinfeld
+    center is Witt-trivial, so each of its higher central charges is 1 (Ng,
+    Rowell, Wang & Zhang, *Higher central charges and Witt groups*, 2022).
+    It holds on the rows of the nu_1 red set too, so it cannot see them."""
+    rows = builtin_rows()
+    for row in rows:
+        pres = center_objects(row.spec)
+        period = pres.period
+        weights = {}  # twist numerator -> sum of qdim(V)^2 over its simples V
+        for obj in pres.objects:
+            weights[obj.twist] = weights.get(obj.twist, 0) + pres.at_d(obj.qdim) ** 2
+        for n in (n for n in range(1, period + 1) if math.gcd(n, period) == 1):
+            p = sum(w * phase_to_complex(n * t % period / period) for t, w in weights.items())
+            assert p.real > 0 and abs(p.imag) <= TOL * p.real, (row.spec.describe(), n, p)
+    assert len(rows) == 26
+
+
 def test_first_indicator_is_one_on_the_unit_only_but_the_red_set():
     """nu_1(X) = [X = 1] for every simple X of the 26 rows and the 9 NG1
     classes, but on every g rho of hi3 and hi5 rows 3-4, where it is 1: the
@@ -468,7 +488,7 @@ def _expected_twists(spec):
     elems = group.elements()
 
     def character(h, g):
-        return Fraction(group.character_value(h, g), group.exponent)
+        return Fraction(character_value(group, h, g), group.exponent)
 
     if spec.family in ("NG1", "NG1X"):
         twists = {

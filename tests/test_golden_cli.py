@@ -314,6 +314,33 @@ def test_ng2_over_z995_runs_in_160_mb():
     assert [value["deviation"] for value in json.loads(result.stdout)["values"]] == ["0"] * 3
 
 
+def _bounded() -> None:
+    """Cap this process, a child about to exec, at 96 MB of address space and
+    10 s of CPU time."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+
+EXIT_2_CASES = sorted(
+    name for name, code in json.loads((GOLDEN / "exit_codes.json").read_bytes()).items()
+    if code == 2
+)
+
+
+@pytest.mark.parametrize("name", EXIT_2_CASES)
+def test_exit_2_cases_end_within_a_resource_bound(name):
+    """Each golden case that exits 2 does so as `python -m fsind` in a child
+    capped by `_bounded`, one child at a time, with a one-line error and no
+    traceback: the bound is never what ends it."""
+    result = _python("-m", "fsind", *CASES[name], preexec_fn=_bounded)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines()[-1].startswith(("error:", "fsind: error:")), result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    assert "out of memory" not in result.stderr, result.stderr
+
+
 # one case per command that exits 0; beside them, the verify-tables case that
 # exits 1 and a usage error
 COMMAND_CASES = [

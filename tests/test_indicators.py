@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parser_choices
+from conftest import CountedWeight, parser_choices
 from fsind import indicators
 from fsind.abelian import FiniteAbelianGroup, cyclic, group_label
 from fsind.center import center_ng1_exceptional7, center_ng2
@@ -313,18 +313,17 @@ def test_rigidity_examples():
 
 
 
-def _count_draws(monkeypatch) -> list[int]:
-    """Wrap ``indicators.root_sums``; the list gets one count per call of the
-    values drawn from it, in the order of the calls' first draws."""
+def _count_draws(monkeypatch) -> list[list[complex]]:
+    """Wrap ``indicators.root_sums``; the list gets one list per map it makes,
+    in the order they are made, with one root per residue that map sums: the
+    products taken by one of its weights."""
     drawn = []
     root_sums = indicators.root_sums
 
-    def counted(*args):
-        slot = len(drawn)
-        drawn.append(0)
-        for value in root_sums(*args):
-            drawn[slot] += 1
-            yield value
+    def counted(weights, n):
+        drawn.append([])
+        r = min(r for r, w in weights.items() if w)
+        return root_sums({**weights, r: CountedWeight(weights[r], drawn[-1])}, n)
 
     monkeypatch.setattr(indicators, "root_sums", counted)
     return drawn
@@ -337,7 +336,7 @@ def test_rigidity_coprime_periods_stops_at_first_separator(monkeypatch):
     specs = [CategorySpec("NG1", cyclic(3), p=2, zeta1=Fraction(1, d)) for d in (9973, 9967)]
     drawn = _count_draws(monkeypatch)
     report = rigidity_report(specs)
-    assert drawn == [2, 2]
+    assert list(map(len, drawn)) == [2, 2]
     assert report.period == math.lcm(*(indicator_vector(s).period for s in specs))
     assert report.period > 10**8
     assert report.classes == ((0,), (1,))
@@ -494,8 +493,9 @@ def test_rigidity_refuses_to_merge_classes_within_tolerance(monkeypatch):
     monkeypatch.setattr(indicators, "DEFAULT_TOL", 10)
     with pytest.raises(ValueError, match="differ"):
         rigidity_report(specs)
-    # the scan ran to the lcm, so it read each class over its whole period
-    assert drawn == [spec.period() for spec in specs]
+    # the scan ran to the lcm, so it read each class over its whole period,
+    # which sums every residue of the period once
+    assert list(map(len, drawn)) == [spec.period() // 2 + 1 for spec in specs]
 
 
 def _rigidity_by_whole_vectors(specs, tol=TOL):

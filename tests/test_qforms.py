@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -16,17 +17,18 @@ from fsind.qforms import (
     form_from_json,
     form_to_json,
     gauss_sum,
-    gauss_sums,
+    gauss_values,
     jacobi_symbol,
     monomial_form,
     qz,
     rational_from_json,
+    root_sums,
 )
 
 from fsind.indicators import closed_vector
 from fsind.tables import builtin_rows
 
-from conftest import ABELIAN_GROUPS_LE_13, cyclic_metric_form, metric_group_catalog
+from conftest import ABELIAN_GROUPS_LE_13, CountedWeight, cyclic_metric_form, metric_group_catalog
 from oracles import bicharacter, boundary, orthogonal_sum, value
 
 TOL = 1e-9
@@ -109,11 +111,54 @@ def test_gauss_sums_match_direct_loop():
     ]
     for q in forms:
         scales = range(-2, 2 * q.den + 3)
-        sums = gauss_sums(q, scales)
+        sums = list(map(gauss_values(q), scales))
         for k, theta in zip(scales, sums):
             assert abs(theta - direct_gauss_sum(q.scaled(k))) < ROUTE_TOL, (q.group, k)
         assert sums[2 : 2 + q.den] == sums[2 + q.den : 2 + 2 * q.den]  # exactly periodic
         assert gauss_sum(q) == sums[3]
+
+
+def test_root_sums_value_does_not_depend_on_the_order_of_k_or_of_weights():
+    """Real weights on a few residues, irrational like the center route's, on
+    moduli of both parities: each k, negative and beyond n too, reads the same
+    float whatever order the k are asked in and the weights are listed in."""
+    rng = random.Random(11)
+    for n in (1, 2, 7, 12, 51):
+        weights = {r: rng.uniform(-3, 3) * math.sqrt(2) for r in rng.sample(range(n), min(n, 6))}
+        ks = list(range(-2 * n - 1, 2 * n + 2))
+        values = root_sums(weights, n)
+        reference = {k: values(k) for k in ks}  # ascending
+        for k, total in reference.items():
+            direct = sum(w * cmath.exp(2j * math.pi * k * r / n) for r, w in weights.items())
+            assert abs(total - direct) < ROUTE_TOL, (n, k)
+            mirror = reference[-k] if 2 * k % n == 0 else reference[-k].conjugate()
+            assert total == reference[k % n] == mirror, (n, k)
+        for order in (ks[::-1], rng.sample(ks, len(ks)), ks + ks[::-1] + ks):
+            values = root_sums(weights, n)
+            assert [values(k) for k in order] == [reference[k] for k in order], n
+        entries = list(weights.items())
+        for listed in (entries[::-1], rng.sample(entries, len(entries))):
+            values = root_sums(dict(listed), n)
+            assert [values(k) for k in ks] == list(reference.values()), n
+
+
+def test_root_sums_sums_each_residue_at_most_once_from_one_roots_table(monkeypatch):
+    """A map sums each residue j in [0, n/2] that an asked k reads once, and no
+    other, from one table of the n roots of unity."""
+    exps = []
+    exp = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda z: exps.append(z) or exp(z))
+    for n in (1, 2, 7, 12, 51):
+        exps.clear()
+        seen = []  # with its weight at r = 1, residue j reads root j: e^{2 pi i j / n}
+        values = root_sums({**dict.fromkeys(range(n), 0.5), 1 % n: CountedWeight(1.0, seen)}, n)
+        asked = [5, -5, 0, n, 1, 2 * n - 1, -1, 3 * n + 2, n // 2, 5 * n + 5, 0]
+        for k in asked:
+            values(k)
+        summed = [round(cmath.phase(root) * n / (2 * math.pi)) % n for root in seen]
+        assert len(summed) == len(set(summed)), (n, summed)  # no residue twice
+        assert set(summed) == {min(k % n, -k % n) for k in asked} <= set(range(n // 2 + 1))
+        assert len(exps) == n  # the roots table, built once
 
 
 def test_closed_vectors_match_direct_gauss_loop():

@@ -26,11 +26,10 @@ CLOSED_ROUTE = (
     indicators.ng2_closed_vector,
     indicators.hi_closed_vector,
     indicators._ng1x_closed,
-    indicators._half_sums,
 )
 CENTER_ROUTE = tuple(
     obj for obj in vars(center).values() if getattr(obj, "__module__", None) == center.__name__
-) + (indicators.center_vector, indicators.histogram_vector, indicators.nu_from_center)
+) + (indicators.center_vector, indicators.center_values, indicators.nu_from_center)
 AGL_CODE = (
     indicators.AGLGroup,
     indicators.build_agl,
@@ -107,8 +106,8 @@ def test_the_walk_sees_each_route_body():
     closed_names, closed = reach(CLOSED_ROUTE)
     center_names, centers = reach(CENTER_ROUTE)
     agl_names, agl = reach(AGL_CODE)
-    assert {qforms.gauss_sums, qforms.root_sums, qforms.qz} <= closed
-    assert {"power_count", "gauss_sums"} <= closed_names
+    assert {qforms.gauss_values, qforms.root_sums, qforms.qz} <= closed
+    assert {"power_count", "gauss_values"} <= closed_names
     assert {center._pairing_counts, center._presentation, qforms.root_sums} <= centers
     assert {"elements", "pairs", "histogram"} <= center_names
     assert {abelian.factor_prime_power, abelian.prime_factors} <= agl
