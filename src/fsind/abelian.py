@@ -115,9 +115,7 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "cyclic_factors")):
 
     def power_count(self, k: int, h: GroupElement) -> int:
         """Number of g with k*g = h: per factor, gcd(k, n) solutions if that
-        gcd divides the residue of h, else none."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
+        gcd divides the residue of h, else none; k may be any integer."""
         gcds = [math.gcd(k, n) for n in self.cyclic_factors]
         return math.prod(d if r % d == 0 else 0 for r, d in zip(h, gcds))
 

@@ -96,7 +96,7 @@ def cmd_indicators(args) -> int:
     _check_kmax(kmax)
     ks = range(1, kmax + 1)
     routes = ("center", "closed") if args.path == "both" else (args.path,)
-    vectors = {route: ROUTES[route](spec, ks) for route in routes}
+    vectors = {route: list(map(ROUTES[route](spec), ks)) for route in routes}
     values = []
     for i, k in enumerate(ks):
         entry: dict = {"k": k}
@@ -160,12 +160,14 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_agl(args) -> int:
-    from .indicators import CategorySpec, closed_vector, nu_agl_bruteforce
+    from .indicators import CategorySpec, closed_values, nu_agl_bruteforce
 
     _check_kmax(args.kmax)
-    q, ks = args.q, range(1, args.kmax + 1)
-    brute = [float(nu) for nu in nu_agl_bruteforce(q, ks)]
+    q = args.q
+    brute = nu_agl_bruteforce(q)
     p = factor_prime_power(q)[0]
+    # Rep(AGL_1(F_q)) is the near group NG(F_q^*, q - 2) with zeta1 = 0
+    closed = closed_values(CategorySpec("NG1", cyclic(q - 1), p=p, zeta1=0))
     if q == 2:
         print(
             "warning: q = 2 is degenerate (|G| = 1; rho is the sign character of Z/2)",
@@ -173,9 +175,8 @@ def cmd_agl(args) -> int:
         )
     print(f"# AGL_1(F_{q}): order {q * (q - 1)}, characteristic {p}")
     print("k nu_bruteforce nu_closed deviation")
-    # Rep(AGL_1(F_q)) is the near group NG(F_q^*, q - 2) with zeta1 = 0
-    closed = closed_vector(CategorySpec("NG1", cyclic(q - 1), p=p, zeta1=0), ks)
-    for k, nu, value in zip(ks, brute, closed):
+    for k in range(1, args.kmax + 1):
+        nu, value = float(brute(k)), closed(k)
         print(k, *(format_real(x) for x in (nu, value.real, abs(nu - value))))
     return 0
 

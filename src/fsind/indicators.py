@@ -1,20 +1,21 @@
 """Frobenius-Schur indicators of the distinguished non-invertible object rho.
 
-Three independent evaluation routes are provided and cross-checked:
+Three independent evaluation routes are provided and cross-checked, each a
+map k -> nu_k(rho) made once per spec or q:
 
-* :func:`center_vector` sums rho's twist histogram, counted by the center
+* :func:`center_values` sums rho's twist histogram, counted by the center
   builders (:func:`nu_from_center` is its one-k, term-by-term reference),
-* :func:`closed_vector`, the per-family closed forms (:func:`closed_form_nu`
+* :func:`closed_values`, the per-family closed forms (:func:`closed_form_nu`
   is its one-k case),
 * :func:`nu_agl_bruteforce`, the classical character-theoretic indicator of
   the affine group AGL_1(F_q), computed in exact rational arithmetic.
 
-The first two read every value from maps k -> value made by
+The first two read every root-of-unity sum from maps k -> value made by
 :func:`fsind.qforms.root_sums`, which sums each residue of k once, on first
-use: the center route's map (:func:`center_values`) on its twist histogram,
-the closed route's (:func:`fsind.qforms.gauss_values`) on the histograms of
-its forms' values.  They share nothing else, and ``tests/test_routes.py``
-pins that by the names each route's code reads.
+use: the center route's on its twist histogram, the closed route's
+(:func:`fsind.qforms.gauss_values`) on the histograms of its forms' values.
+They share nothing else, and ``tests/test_routes.py`` pins that by the names
+each route's code reads.  :data:`ROUTES` names the first two.
 
 A :class:`CategorySpec` pins down one monoidal-equivalence class; its full
 indicator vector over one period is the invariant rigidity compares, decided
@@ -29,7 +30,7 @@ import cmath
 import itertools
 import math
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from .abelian import (
     MAX_ORDER,
@@ -145,7 +146,7 @@ def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> com
     """The center-summation formula for one k, term by term over rho's twist
     histogram; k * twist is reduced in integers.
 
-    The scalar reference for :func:`center_vector`.  ``target`` is rho's label:
+    The scalar reference for :func:`center_values`.  ``target`` is rho's label:
     a presentation holds rho's histogram only, so it is not read.
     """
     period = presentation.period
@@ -154,11 +155,6 @@ def nu_from_center(presentation: CenterPresentation, target: str, k: int) -> com
         phase = k * twist % period / period
         total += cmath.exp(2j * math.pi * phase) * presentation.at_d(pair)
     return total / presentation.at_d(presentation.dim)
-
-
-def center_vector(presentation: CenterPresentation, ks: Iterable[int]) -> list[complex]:
-    """nu_k(rho) for each k in ``ks`` by the center formula."""
-    return list(map(center_values(presentation), ks))
 
 
 def center_values(presentation: CenterPresentation) -> Callable[[int], complex]:
@@ -170,47 +166,46 @@ def center_values(presentation: CenterPresentation) -> Callable[[int], complex]:
     return lambda k: total(k) / dim
 
 
-def nu_ng1_closed(group: FiniteAbelianGroup, p: int, zeta1: Fraction, k: int) -> complex:
-    """(theta_k(e) - 1) + conj(zeta1)^k [p | k] for the m = |G| - 1 family."""
-    value = complex(group.power_count(k, group.identity) - 1)
-    if k % p == 0:
-        phase = (-k * qz(zeta1)) % 1
-        # exact at phase 1/2, where e^{pi i} carries 1.2e-16 imaginary noise
-        value += -1 if 2 * phase == 1 else phase_to_complex(phase)
-    return value
+def ng1_closed_values(
+    group: FiniteAbelianGroup, p: int, zeta1: Fraction
+) -> Callable[[int], complex]:
+    """The map k -> (theta_k(e) - 1) + conj(zeta1)^k [p | k], the m = |G| - 1 family."""
+    zeta1, e = qz(zeta1), group.identity
+
+    def nu(k: int) -> complex:
+        value = complex(group.power_count(k, e) - 1)
+        if k % p == 0:
+            phase = (-k * zeta1) % 1
+            # exact at phase 1/2, where e^{pi i} carries 1.2e-16 imaginary noise
+            value += -1 if 2 * phase == 1 else phase_to_complex(phase)
+        return value
+
+    return nu
 
 
-def ng2_closed_vector(
+def ng2_closed_values(
     group: FiniteAbelianGroup,
     q: QuadraticForm,
     gp: FiniteAbelianGroup,
     qp: QuadraticForm,
-    ks: Iterable[int],
-) -> list[complex]:
-    """theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2 for each k in ``ks``, the
-    m = |G| family, from one Gauss-sum map per form."""
+) -> Callable[[int], complex]:
+    """The map k -> theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2, the m = |G|
+    family, from one Gauss-sum map per form."""
     theta, theta_p = gauss_values(q), gauss_values(qp)
     e = group.identity
-    return [group.power_count(k, e) / 2 + theta(2 * k) * theta_p(2 * k) / 2 for k in ks]
+    return lambda k: group.power_count(k, e) / 2 + theta(2 * k) * theta_p(2 * k) / 2
 
 
-def hi_closed_vector(
+def hi_closed_values(
     group: FiniteAbelianGroup,
-    h_group: FiniteAbelianGroup,
+    h: FiniteAbelianGroup,
     qpp: QuadraticForm,
-    ks: Iterable[int],
-) -> list[complex]:
-    """theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1 for each k in ``ks``,
-    from one Gauss-sum map."""
-    m = (h_group.order - 1) // 2
+) -> Callable[[int], complex]:
+    """The map k -> theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1, from one
+    Gauss-sum map."""
+    m = (h.order - 1) // 2
     theta, e = gauss_values(qpp), group.identity
-    return [group.power_count(k, e) / 2 + theta(k * m) / 2 for k in ks]
-
-
-def _ng1x_closed(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
-    """NG1's closed form at p = 2, zeta1 = 1/4; NG1X's center keeps E1, E2."""
-    zeta1 = qz("1/4")
-    return [nu_ng1_closed(spec.group, 2, zeta1, k) for k in ks]
+    return lambda k: group.power_count(k, e) / 2 + theta(k * m) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,7 @@ class Family(namedtuple("Family", (
     "ring",  # the Grothendieck ring's name; with G it fixes the ring
     "rho_label",  # G -> the label of rho
     "center",  # CategorySpec -> CenterPresentation
-    "closed",  # (CategorySpec, ks) -> nu_k(rho) for each k
+    "closed",  # CategorySpec -> the map k -> nu_k(rho) by the closed form
     "period",  # the spec's fields but its forms, as keywords -> N, the order of T
     "odd",  # |G| must be odd
     "field",  # G must be F^* for a field F of characteristic p
@@ -304,7 +299,7 @@ FAMILIES: dict[str, Family] = {
             ring="NG(G,|G|-1)",
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1(s.group, s.p, s.zeta1),
-            closed=lambda s, ks: [nu_ng1_closed(s.group, s.p, s.zeta1, k) for k in ks],
+            closed=lambda s: ng1_closed_values(s.group, s.p, s.zeta1),
             period=lambda group, p, zeta1, **_: math.lcm(group.order, p, zeta1.denominator),
             field=True,
         ),
@@ -314,7 +309,8 @@ FAMILIES: dict[str, Family] = {
             ring="NG(G,|G|-1)",
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng1_exceptional7(),
-            closed=_ng1x_closed,
+            # NG1's closed form at p = 2, zeta1 = 1/4; NG1X's center keeps E1, E2
+            closed=lambda s: ng1_closed_values(s.group, 2, qz("1/4")),
             period=lambda **_: 28,
             group=cyclic(7),
         ),
@@ -328,7 +324,7 @@ FAMILIES: dict[str, Family] = {
             ring="NG(G,|G|)",
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp),
-            closed=lambda s, ks: ng2_closed_vector(s.group, s.q, s.gp, s.qp, ks),
+            closed=lambda s: ng2_closed_values(s.group, s.q, s.gp, s.qp),
             period=lambda group, gp, **_: math.lcm(group.exponent, gp.exponent),
             odd=True,
         ),
@@ -341,7 +337,7 @@ FAMILIES: dict[str, Family] = {
             ring="HI(G)",
             rho_label=lambda group: grho_label(group.identity),
             center=lambda s: center_hi(s.group, s.h, s.qpp),
-            closed=lambda s, ks: hi_closed_vector(s.group, s.h, s.qpp, ks),
+            closed=lambda s: hi_closed_values(s.group, s.h, s.qpp),
             period=lambda group, h, **_: math.lcm(group.exponent, h.exponent),
             odd=True,
         ),
@@ -349,22 +345,22 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+def closed_values(spec: CategorySpec) -> Callable[[int], complex]:
+    """The map k -> nu_k(rho) by the family's closed form."""
+    return FAMILIES[spec.family].closed(spec)
+
+
 def closed_form_nu(spec: CategorySpec, k: int) -> complex:
-    return closed_vector(spec, (k,))[0]
-
-
-def closed_vector(spec: CategorySpec, ks: Iterable[int]) -> list[complex]:
-    """nu_k(rho) for each k in ``ks`` by the family's closed form."""
-    return FAMILIES[spec.family].closed(spec, ks)
+    return closed_values(spec)(k)
 
 
 # ---------------------------------------------------------------------------
 # Routes and rigidity
 
 
-ROUTES = {  # route -> nu_k(rho) for each k
-    "center": lambda spec, ks: center_vector(spec.center(), ks),
-    "closed": closed_vector,
+ROUTES = {  # route -> (spec -> the map k -> nu_k(rho))
+    "center": lambda spec: center_values(spec.center()),
+    "closed": closed_values,
 }
 
 
@@ -489,11 +485,11 @@ def agl_rho_character(agl: AGLGroup, x) -> int:
     return agl.q - 1 if a == 0 else -1
 
 
-def nu_agl_bruteforce(q: int, ks: Iterable[int]) -> list[Fraction]:
-    """(1/|Gamma|) sum_gamma rho(gamma^k) for each k in ``ks``, exactly.
+def nu_agl_bruteforce(q: int) -> Callable[[int], Fraction]:
+    """The map k -> (1/|Gamma|) sum_gamma rho(gamma^k), exact.
 
-    Each element's powers e, x, x^2, ... are walked once by group
-    multiplication until they return to e, and each k reads every cycle at k
+    Each element's powers e, x, x^2, ... are walked once, by group
+    multiplication until they return to e, and the map reads every cycle at k
     mod its length; rho is real, so nu_{-k} = nu_k.
     """
     from fractions import Fraction
@@ -507,10 +503,9 @@ def nu_agl_bruteforce(q: int, ks: Iterable[int]) -> list[Fraction]:
             values.append(agl_rho_character(agl, power))
             power = agl.mul(power, x)
         cycles[tuple(values)] += 1
-    return [
-        Fraction(sum(n * values[k % len(values)] for values, n in cycles.items()), agl.order)
-        for k in ks
-    ]
+    return lambda k: Fraction(
+        sum(n * values[k % len(values)] for values, n in cycles.items()), agl.order
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -271,10 +271,10 @@ def verify_row(row: TableRow) -> RowReport:
             cases.append((claim.k, claim.text, claim.expected()))
         else:
             cases += [(k, f"{claim.text} at k={k}", claim.expected(k)) for k in claim.sample_ks]
-    ks = [k for k, _, _ in cases]
-    closed_values, center_values = (ROUTES[route](spec, ks) for route in ("closed", "center"))
+    closed_nu, center_nu = (ROUTES[route](spec) for route in ("closed", "center"))
     checks = []
-    for (k, text, expected), closed, center in zip(cases, closed_values, center_values):
+    for k, text, expected in cases:
+        closed, center = closed_nu(k), center_nu(k)
         deviation = max(abs(closed - expected), abs(center - expected))
         passed = deviation < DEFAULT_TOL
         checks.append(ClaimCheck(k, text, expected, closed, center, deviation, passed))

@@ -301,7 +301,7 @@ def indicator_vector(spec: CategorySpec, path: str = "center") -> IndicatorVecto
     if path not in ROUTES:
         raise ValueError(f"unknown path {path!r}")
     period = spec.period()
-    return IndicatorVector(period, tuple(ROUTES[path](spec, range(1, period + 1))))
+    return IndicatorVector(period, tuple(map(ROUTES[path](spec), range(1, period + 1))))
 
 
 def ng1_equivalence_classes(order: int) -> list[CategorySpec]:

@@ -52,8 +52,9 @@ def test_power_count_examples():
     assert cyclic(2).power_count(2, (0,)) == 2
     assert Z9.power_count(6, (0,)) == 3  # equals gcd(6, 9)
     assert Z3.power_count(3, (0,)) == 3
-    with pytest.raises(ValueError):
-        Z3.power_count(-1, (0,))
+    for k in range(10):  # k g = h exactly when (-k)(-g) = h
+        for h in Z9.elements():
+            assert Z9.power_count(-k, h) == Z9.power_count(k, h)
 
 
 # groups used for the exhaustive power-count sweeps; orders reach 64

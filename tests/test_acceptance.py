@@ -15,7 +15,7 @@ show in the suite:
   conjugation, and every other claim must reproduce.
 * criterion 5 (nu_1 = 0) stays red: the four sign '-' Haagerup-Izumi rows
   yield nu_1(rho) = 1.  This is a program fault.  ``center_hi`` and
-  ``hi_closed_vector`` always use the Frobenius-Perron root
+  ``hi_closed_values`` always use the Frobenius-Perron root
   d = (n + sqrt(n^2 + 4))/2, while for these twists (q'' in the non-residue
   class) only the other root, (n - sqrt(n^2 + 4))/2, gives a center with
   nu_1 = 0.  The fix changes reference outputs of the benchmark, so it has
@@ -33,7 +33,7 @@ from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_rin
 from fsind.indicators import (
     CategorySpec,
     closed_form_nu,
-    closed_vector,
+    closed_values,
     factor_prime_power,
     nu_agl_bruteforce,
     nu_from_center,
@@ -130,8 +130,9 @@ def test_criterion_3_classical_crosscheck():
         p, _ = factor_prime_power(q)
         # Rep(AGL_1(F_q)) is NG(F_q^*, q - 2) with zeta1 = 0, the "AGL" class
         spec = CategorySpec("NG1", cyclic(q - 1), p=p, zeta1=Fraction(0))
-        ks = range(1, 31)
-        for k, closed, brute in zip(ks, closed_vector(spec, ks), nu_agl_bruteforce(q, ks)):
+        closed_nu, brute_nu = closed_values(spec), nu_agl_bruteforce(q)
+        for k in range(1, 31):
+            closed, brute = closed_nu(k), brute_nu(k)
             if closed.imag != 0 or closed.real != brute:
                 failures.append(f"q={q} k={k}: brute {brute} != closed {closed}")
             center = nu_from_center(spec.center(), "rho", k)
@@ -250,7 +251,7 @@ def test_criterion_5_nu1_vanishes_for_all_specs():
     """nu_1(rho) = 0 for all 26 bundled specs.
 
     Fails on the four sign '-' HI rows (hi3 and hi5, rows 3-4), which give
-    nu_1 = 1 because ``center_hi`` and ``hi_closed_vector`` fix dim rho to the
+    nu_1 = 1 because ``center_hi`` and ``hi_closed_values`` fix dim rho to the
     Frobenius-Perron root.  With the root (n - sqrt(n^2 + 4))/2 these rows
     give nu_1 = 0; see the README, "Known data issues".
     """
@@ -417,8 +418,9 @@ def test_criterion_6_degenerate_coverage():
 
     # AGL at q = 2: rho degenerates to the sign character of Z/2
     agl2 = CategorySpec("NG1", cyclic(1), p=2, zeta1=Fraction(0))
-    ks = range(1, 11)
-    for k, closed, brute in zip(ks, closed_vector(agl2, ks), nu_agl_bruteforce(2, ks)):
+    closed_nu, brute_nu = closed_values(agl2), nu_agl_bruteforce(2)
+    for k in range(1, 11):
+        closed, brute = closed_nu(k), brute_nu(k)
         expected = 1 if k % 2 == 0 else 0
         if brute != expected:
             failures.append(f"AGL q=2 k={k}")

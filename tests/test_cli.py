@@ -233,7 +233,7 @@ def test_digit_string_over_the_int_limit_is_a_usage_error(capsys):
 def test_memory_error_is_a_usage_error(capsys, monkeypatch):
     """A command that runs out of memory prints one error line and exits 2, not
     a traceback with exit 1, the code of a failed verification."""
-    def no_memory(spec, ks):
+    def no_memory(spec):
         raise MemoryError
 
     monkeypatch.setitem(indicators.ROUTES, "center", no_memory)

@@ -314,13 +314,16 @@ def test_ng2_over_z995_runs_in_160_mb():
     assert [value["deviation"] for value in json.loads(result.stdout)["values"]] == ["0"] * 3
 
 
-def _bounded() -> None:
-    """Cap this process, a child about to exec, at 96 MB of address space and
-    10 s of CPU time."""
-    import resource
+def _capped(megabytes: int, seconds: int):
+    """A ``preexec_fn`` that caps a child about to exec at ``megabytes`` of
+    address space and ``seconds`` of CPU time."""
+    def cap() -> None:
+        import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
-    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds))
+
+    return cap
 
 
 EXIT_2_CASES = sorted(
@@ -332,11 +335,47 @@ EXIT_2_CASES = sorted(
 @pytest.mark.parametrize("name", EXIT_2_CASES)
 def test_exit_2_cases_end_within_a_resource_bound(name):
     """Each golden case that exits 2 does so as `python -m fsind` in a child
-    capped by `_bounded`, one child at a time, with a one-line error and no
+    capped at 96 MB and 10 s of CPU, one child at a time, with a one-line error and no
     traceback: the bound is never what ends it."""
-    result = _python("-m", "fsind", *CASES[name], preexec_fn=_bounded)
+    result = _python("-m", "fsind", *CASES[name], preexec_fn=_capped(96, 10))
     assert result.returncode == 2, result.stderr
     assert result.stderr.splitlines()[-1].startswith(("error:", "fsind: error:")), result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    assert "out of memory" not in result.stderr, result.stderr
+
+
+# inputs at the edges of the caps, each within every one of them
+CAP_EDGE_CASES = {
+    # 447 specs make 99681 pairs, the most rigidity compares
+    "rigidity_447_specs": ["rigidity", "--specs", "[" + ",".join([NG2_README] * 447) + "]"],
+    "indicators_kmax_cap": [
+        "indicators", "--kmax", "100000", "--path", "both", "--spec", NG2_README,
+    ],
+    "agl_q64_kmax_cap": ["agl", "--q", "64", "--kmax", "100000"],
+    "gauss_order_cap": ["gauss", "--group", '{"cyclic_factors":[1000000]}', "--form", FORM1],
+    "gauss_z999999": ["gauss", "--group", '{"cyclic_factors":[999999]}', "--form", FORM1],
+    # 2^19 elements on 19 factors: checking the form costs rank^2 |G| time, rank |G| memory
+    "gauss_19_factors_of_2": [
+        "gauss", "--group", '{"cyclic_factors":[' + ",".join(["2"] * 19) + "]}",
+        "--form", '{"monomial":[]}',
+    ],
+}
+OVER_BUDGET = pytest.mark.xfail(
+    strict=True, reason="runs out of memory under the cap; ROADMAP item 5's work budget"
+)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=OVER_BUDGET) if name == "gauss_19_factors_of_2" else name
+    for name in CAP_EDGE_CASES
+])
+def test_cap_edge_cases_end_within_a_resource_bound(name):
+    """Each input at the edge of the caps runs as `python -m fsind` in a child
+    capped at 256 MB and 20 s of CPU, one child at a time, and exits 0 with no
+    traceback: the bound is never what ends it."""
+    result = _python("-m", "fsind", *CAP_EDGE_CASES[name], stdout=subprocess.DEVNULL,
+                     preexec_fn=_capped(256, 20))
+    assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr, result.stderr
     assert "out of memory" not in result.stderr, result.stderr
 

@@ -18,13 +18,13 @@ from fsind.indicators import (
     CategorySpec,
     agl_rho_character,
     build_agl,
-    center_vector,
+    center_values,
     closed_form_nu,
-    closed_vector,
+    closed_values,
     factor_prime_power,
+    ng1_closed_values,
     nu_agl_bruteforce,
     nu_from_center,
-    nu_ng1_closed,
     replace,
     rigidity_report,
     spec_from_json,
@@ -44,10 +44,10 @@ def _row_spec(table_id, row_id):
 
 
 def test_nu_ng1_closed_examples():
-    assert abs(nu_ng1_closed(cyclic(2), 3, Fraction(0), 2) - 1) < TOL
-    assert abs(nu_ng1_closed(cyclic(3), 2, Fraction(0), 3) - 2) < TOL
+    assert abs(ng1_closed_values(cyclic(2), 3, Fraction(0))(2) - 1) < TOL
+    assert abs(ng1_closed_values(cyclic(3), 2, Fraction(0))(3) - 2) < TOL
     for n, p in ((1, 2), (2, 3), (3, 2), (4, 5), (6, 7), (7, 2), (8, 3)):
-        assert abs(nu_ng1_closed(cyclic(n), p, Fraction(0), 1)) < TOL
+        assert abs(ng1_closed_values(cyclic(n), p, Fraction(0))(1)) < TOL
 
 
 NG1X = CategorySpec("NG1X", cyclic(7))
@@ -175,18 +175,19 @@ def test_build_agl_small_groups():
 
 
 def test_agl_bruteforce_examples():
-    assert nu_agl_bruteforce(3, [2]) == [1]
-    assert nu_agl_bruteforce(4, [3]) == [2]
+    assert nu_agl_bruteforce(3)(2) == 1
+    assert nu_agl_bruteforce(4)(3) == 2
     for q in (3, 4, 5, 8, 9):
-        assert nu_agl_bruteforce(q, [1]) == [0]
+        assert nu_agl_bruteforce(q)(1) == 0
 
 
 def _assert_agl_closed_route(q: int, ks) -> None:
     """The brute force equals NG1's closed route on the AGL class
     NG(F_q^*, q - 2) with zeta1 = 0, exactly: equal real part, imaginary part 0."""
     spec = CategorySpec("NG1", cyclic(q - 1), p=factor_prime_power(q)[0], zeta1=Fraction(0))
-    for k, closed, brute in zip(ks, closed_vector(spec, ks), nu_agl_bruteforce(q, ks)):
-        assert closed.imag == 0 and closed.real == brute, k
+    closed, brute = closed_values(spec), nu_agl_bruteforce(q)
+    for k in ks:
+        assert closed(k).imag == 0 and closed(k).real == brute(k), k
 
 
 def test_agl_matches_ng1_closed_form():
@@ -231,13 +232,13 @@ def test_agl_bruteforce_matches_closed_form_over_two_periods(q):
 def test_agl_period_walk_matches_square_and_multiply():
     for q in _prime_powers(27):
         agl = build_agl(q)
-        ks = range(61)
-        vector = nu_agl_bruteforce(q, ks)
-        for k, brute in zip(ks, vector):
+        brute = nu_agl_bruteforce(q)
+        period = math.lcm(factor_prime_power(q)[0], q - 1)  # the exponent of AGL_1(F_q)
+        for k in range(61):
             total = sum(agl_rho_character(agl, _power(agl, x, k)) for x in agl.elements)
-            assert brute == Fraction(total, agl.order), (q, k)
-        # rho is real, so nu_{-k} = nu_k
-        assert nu_agl_bruteforce(q, [-k for k in ks]) == vector, q
+            assert brute(k) == Fraction(total, agl.order), (q, k)
+            assert brute(-k) == brute(k), (q, k)  # rho is real, so nu_{-k} = nu_k
+            assert brute(k + period) == brute(k), (q, k)
 
 
 def test_indicator_vector_periodicity_is_exact():
@@ -245,12 +246,12 @@ def test_indicator_vector_periodicity_is_exact():
         pres, target = spec.center(), spec.rho_label()
         period = spec.period()
         ks = range(1, 2 * period + 1)
-        for values in (center_vector(pres, ks), closed_vector(spec, ks)):
+        for values in ([*map(center_values(pres), ks)], [*map(closed_values(spec), ks)]):
             assert values[:period] == values[period:]  # identical floats
             # real weights: nu_{N-k} is exactly the conjugate of nu_k
             assert all(values[period - 1 - k] == values[k - 1].conjugate() for k in ks[:period])
         vec = indicator_vector(spec)
-        assert vec.values == tuple(center_vector(pres, ks)[:period])
+        assert vec.values == tuple(map(center_values(pres), ks[:period]))
         for k in range(1, period + 1):
             again = nu_from_center(pres, target, k + period)
             assert again == nu_from_center(pres, target, k)  # phases are exact
@@ -279,7 +280,7 @@ def test_center_vector_matches_scalar_reference():
     for spec in specs:
         pres, target = spec.center(), spec.rho_label()
         ks = range(1, spec.period() + 1)
-        for k, value in zip(ks, center_vector(pres, ks)):
+        for k, value in zip(ks, map(center_values(pres), ks)):
             assert abs(value - nu_from_center(pres, target, k)) < 1e-12, (spec.describe(), k)
 
 
@@ -372,9 +373,29 @@ def test_one_route_map_serves_vectors_and_cli():
     assert set(indicators.ROUTES) == {"center", "closed"}
     for path, route in indicators.ROUTES.items():
         vec = indicator_vector(spec, path)
-        assert vec.values == tuple(route(spec, range(1, spec.period() + 1)))
+        assert vec.values == tuple(map(route(spec), range(1, spec.period() + 1)))
     with pytest.raises(ValueError, match="unknown path"):
         indicator_vector(spec, "both")
+
+
+@pytest.mark.parametrize("path", sorted(indicators.ROUTES))
+def test_each_route_is_one_map_over_every_integer(path):
+    """A route's map takes every integer k, negative ones too: a fresh map asked
+    in shuffled order gives the same floats, the values repeat exactly with
+    period N, and nu_{-k} is the conjugate of nu_k."""
+    specs = [_row_spec("ng3", 1), _row_spec("hi3", 1), _row_spec("ng9", 3), NG1X]
+    specs += [CategorySpec("NG1", cyclic(3), p=2, zeta1=Fraction(1, 3)),
+              CategorySpec("NG1", cyclic(8), p=3, zeta1=Fraction(0))]
+    route, rng = indicators.ROUTES[path], random.Random(0)
+    for spec in specs:
+        n = spec.period()
+        ks = range(-2 * n, 2 * n + 1)
+        values = dict(zip(ks, map(route(spec), ks)))
+        shuffled = rng.sample(ks, len(ks))
+        assert dict(zip(shuffled, map(route(spec), shuffled))) == values, spec.describe()
+        for k in ks:
+            assert k + n not in values or values[k + n] == values[k], (spec.describe(), k)
+            assert abs(values[-k] - values[k].conjugate()) < 1e-12, (spec.describe(), k)
 
 
 def test_ring_name_agrees_with_ring_equality():
@@ -616,8 +637,8 @@ ng1_specs = st.builds(
 @given(st.one_of(ng2_specs(), hi_specs()))
 def test_center_and_closed_routes_agree_over_a_period(spec):
     ks = range(1, spec.period() + 1)
-    center = center_vector(spec.center(), ks)
-    for k, z, w in zip(ks, center, closed_vector(spec, ks)):
+    center, closed = center_values(spec.center()), closed_values(spec)
+    for k, z, w in zip(ks, map(center, ks), map(closed, ks)):
         assert abs(z - w) < TOL, (spec.describe(), k)
 
 

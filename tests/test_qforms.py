@@ -25,7 +25,7 @@ from fsind.qforms import (
     root_sums,
 )
 
-from fsind.indicators import closed_vector
+from fsind.indicators import closed_values
 from fsind.tables import builtin_rows
 
 from conftest import ABELIAN_GROUPS_LE_13, CountedWeight, cyclic_metric_form, metric_group_catalog
@@ -165,7 +165,7 @@ def test_closed_vectors_match_direct_gauss_loop():
     for row in builtin_rows():
         spec = row.spec
         ks = range(1, spec.period() + 1)
-        for k, value in zip(ks, closed_vector(spec, ks)):
+        for k, value in zip(ks, map(closed_values(spec), ks)):
             if spec.family == "NG2":
                 product = direct_gauss_sum(spec.q.scaled(2 * k)) * direct_gauss_sum(
                     spec.qp.scaled(2 * k)

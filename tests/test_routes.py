@@ -22,14 +22,13 @@ from fsind import abelian, center, cli, fusion, indicators, qforms, tables
 MODULES = (abelian, qforms, center, fusion, indicators, tables, cli)
 
 CLOSED_ROUTE = (
-    indicators.nu_ng1_closed,
-    indicators.ng2_closed_vector,
-    indicators.hi_closed_vector,
-    indicators._ng1x_closed,
+    indicators.ng1_closed_values,
+    indicators.ng2_closed_values,
+    indicators.hi_closed_values,
 )
 CENTER_ROUTE = tuple(
     obj for obj in vars(center).values() if getattr(obj, "__module__", None) == center.__name__
-) + (indicators.center_vector, indicators.center_values, indicators.nu_from_center)
+) + (indicators.center_values, indicators.nu_from_center)
 AGL_CODE = (
     indicators.AGLGroup,
     indicators.build_agl,
@@ -38,7 +37,7 @@ AGL_CODE = (
 )
 
 # names that hand a caller the closed formulas, or the family table that holds them
-CLOSED_NAMES = {fn.__name__ for fn in CLOSED_ROUTE} | {"closed", "closed_vector", "closed_form_nu"}
+CLOSED_NAMES = {fn.__name__ for fn in CLOSED_ROUTE} | {"closed", "closed_values", "closed_form_nu"}
 TABLE_NAMES = {"FAMILIES", "ROUTES"}
 
 
