@@ -88,25 +88,12 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "cyclic_factors")):
             idx = idx * n + r
         return idx
 
-    def _images(self, digit_maps) -> list[int]:
-        """Positions of the images of all elements, in element order, under the
-        per-factor residue maps r -> digit_maps[i][r]."""
-        positions = [0]
-        for n, digit in zip(self.cyclic_factors, digit_maps):
-            positions = [p * n + digit[r] for p in positions for r in range(n)]
-        return positions
-
     def negation(self) -> list[int]:
         """negation[x] is the position of -g for the element g at position x."""
-        return self._images([[-r % n for r in range(n)] for n in self.cyclic_factors])
-
-    def shifts(self) -> list[list[int]]:
-        """shifts[j][x] is the position of g + e_j for the element g at position x."""
-        factors = self.cyclic_factors
-        return [
-            self._images([[(r + (i == j)) % n for r in range(n)] for i, n in enumerate(factors)])
-            for j in range(self.rank)
-        ]
+        positions = [0]
+        for n in self.cyclic_factors:
+            positions = [p * n + -r % n for p in positions for r in range(n)]
+        return positions
 
     def pairs(self) -> list[int]:
         """One position per unordered pair {g, -g}, g != e: the smaller one, so an
@@ -161,9 +148,8 @@ def group_from_json(data: dict) -> FiniteAbelianGroup:
     with no other key, of order at most :data:`MAX_ORDER`, checked before anything
     is enumerated.
 
-    It lists at most ``MAX_ORDER.bit_length()`` factors, since a group of order
-    at most :data:`MAX_ORDER` has fewer above 1: checking a form on it costs
-    about rank^2 * order."""
+    It lists at most ``MAX_ORDER.bit_length()`` factors: a group of order at most
+    :data:`MAX_ORDER` has fewer above 1, and a form reads rank^2 generator pairs, 1s included."""
     only_factors = isinstance(data, dict) and data.keys() == {"cyclic_factors"}
     factors = data["cyclic_factors"] if only_factors else None
     if not isinstance(factors, list) or not all(is_json_int(n) for n in factors):

@@ -86,7 +86,10 @@ def phase_to_complex(a: Fraction | float) -> complex:
 
 class QuadraticForm(namedtuple("QuadraticForm", "group values")):
     """q: G -> Q/Z as integer numerators over :attr:`den`, in element order;
-    ``ValueError`` unless q(0) = 0, q(-g) = q(g) and dq is bi-additive."""
+    ``ValueError`` unless q(g) = sum_i q(e_i) g_i^2 + sum_{i<j} dq(e_i, e_j) g_i g_j
+    on the generators e_i, of orders n_i, and that sum is well defined on G: each
+    n_j kills every dq(e_i, e_j) and n_j^2 q(e_j).  This holds exactly when
+    q(0) = 0, q(-g) = q(g) and dq is bi-additive."""
 
     __slots__ = ()
 
@@ -98,37 +101,52 @@ class QuadraticForm(namedtuple("QuadraticForm", "group values")):
         den, group, values = self.den, self.group, self.values  # as reduced by __new__
         if len(values) != group.order:
             raise ValueError("value table does not match group order")
-        if values[0] != 0:
-            raise ValueError("quadratic form must vanish at the identity")
-        if any(values[x] != values[y] for x, y in enumerate(group.negation())):
-            raise ValueError("q(-g) != q(g)")
-        # dq is bi-additive iff dq(e_i, g + e_j) = dq(e_i, g) + dq(e_i, e_j) for
-        # all i, j, g: the cocycle identity dq(a + b, c) + dq(a, b) =
-        # dq(a, b + c) + dq(b, c) carries additivity from generators to all of G.
-        shifts = group.shifts()
-        for row in self._generator_boundaries(shifts):
-            for shift in shifts:
-                step = row[shift[0]]
-                if any(row[s] != (row[x] + step) % den for x, s in enumerate(shift)):
-                    raise ValueError("the boundary dq is not bi-additive")
+        (diagonal, gram), factors = self._generator_data(), group.cyclic_factors
+        if any(n * b % den for row in gram for b, n in zip(row, factors)) or any(
+            n * n * a % den for a, n in zip(diagonal, factors)
+        ) or _expand(factors, diagonal, gram, den) != list(values):
+            raise ValueError("not a quadratic form: q(0) = 0, q(-g) = q(g) and a "
+                             "bi-additive boundary dq do not all hold")
 
     @property
     def den(self) -> int:
         return 2 * self.group.exponent
 
-    def _generator_boundaries(self, shifts) -> list[list[int]]:
-        """rows[i][x] = den * dq(e_i, g) mod den for the element g at position x."""
-        v, den = self.values, self.den
-        return [[(v[s] - v[x] - v[shift[0]]) % den for x, s in enumerate(shift)] for shift in shifts]
+    def _generator_data(self) -> tuple[list[int], list[list[int]]]:
+        """([q(e_i) for each i], [[dq(e_i, e_j) for each j] for each i]) as numerators."""
+        group, factors, v = self.group, self.group.cyclic_factors, self.values
+        basis = [tuple(int(k == i) % n for k, n in enumerate(factors)) for i in range(len(factors))]
+        diagonal = [v[group.index(e)] for e in basis]
+        return diagonal, [[(v[group.index(group.add(e, f))] - a - b) % self.den
+                           for f, b in zip(basis, diagonal)] for e, a in zip(basis, diagonal)]
 
     def scaled(self, k: int) -> "QuadraticForm":
         k %= self.den  # the values do not change, and no product outgrows den^2
         return QuadraticForm(self.group, tuple(k * v for v in self.values))
 
     def is_nondegenerate(self) -> bool:
-        """True when e is the only h with dq(., h) identically zero."""
-        rows = self._generator_boundaries(self.group.shifts())
-        return sum(not any(row[x] for row in rows) for x in range(self.group.order)) == 1
+        """True when h = e alone has each row dq(e_i, h) = sum_j dq(e_i, e_j) h_j zero."""
+        factors, zero = self.group.cyclic_factors, [True] * self.group.order
+        for row in self._generator_data()[1]:
+            zero = [z and not r for z, r in zip(zero, _linear(factors, row, self.den))]
+        return sum(zero) == 1
+
+
+def _linear(factors, coeffs, den: int) -> list[int]:
+    """sum_i coeffs[i] g_i mod den at each g of the first len(coeffs) factors, in order."""
+    values = [0]
+    for c, n in zip(coeffs, factors):
+        values = [(v + c * r) % den for v in values for r in range(n)]
+    return values
+
+
+def _expand(factors, diagonal, gram, den: int) -> list[int]:
+    """sum_j g_j (diagonal[j] g_j + sum_{i<j} gram[j][i] g_i) mod den at each g, in order."""
+    values = [0]
+    for j, (a, n) in enumerate(zip(diagonal, factors)):
+        cross = _linear(factors, gram[j][:j], den)
+        values = [(v + r * (a * r + c)) % den for v, c in zip(values, cross) for r in range(n)]
+    return values
 
 
 def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
@@ -136,12 +154,9 @@ def monomial_form(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != group.rank:
         raise ValueError(f"expected {group.rank} coefficients, got {coeffs!r}")
-    den = 2 * group.exponent
-    values = [0]
-    for c, n in zip(coeffs, group.cyclic_factors):
-        step = c % n * (den // n)  # c mod n gives the same values, as small integers
-        values = [v + step * r * r for v in values for r in range(n)]
-    return QuadraticForm(group, tuple(values))
+    den, factors = 2 * group.exponent, group.cyclic_factors
+    diagonal = [c % n * (den // n) for c, n in zip(coeffs, factors)]  # c mod n: the same form
+    return QuadraticForm(group, _expand(factors, diagonal, [[0] * group.rank] * group.rank, den))
 
 
 def root_sums(weights: Mapping[int, float], n: int) -> Callable[[int], complex]:
@@ -262,10 +277,9 @@ def describe_form(q: QuadraticForm) -> str:
 
 
 def _monomial_coefficients(q: QuadraticForm) -> tuple[int, ...] | None:
-    """Recover per-factor coefficients if q is monomial, else None."""
-    group = q.group
-    coeffs = tuple(  # from q(e_i) = c_i / n_i
-        q.values[shift[0]] * n // q.den % n
-        for shift, n in zip(group.shifts(), group.cyclic_factors)
-    )
-    return coeffs if monomial_form(group, coeffs).values == q.values else None
+    """c_i = n_i q(e_i) if dq(e_i, e_j) = 0 for i != j and each n_i q(e_i) is an integer."""
+    diagonal, gram = q._generator_data()
+    coeffs = [divmod(a * n, q.den) for a, n in zip(diagonal, q.group.cyclic_factors)]
+    if any(any(row[:i]) for i, row in enumerate(gram)) or any(r for _, r in coeffs):
+        return None
+    return tuple(c for c, _ in coeffs)

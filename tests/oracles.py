@@ -2,7 +2,8 @@
 
 Each function here is an independent restatement that some test checks the
 program against: the character pairing of a group, exact Q/Z values,
-boundaries and bicharacters of a form, orthogonal sums, Weil modular data,
+boundaries and bicharacters of a form, the rank^2 |G| check of a quadratic
+table and the order of a form's radical, orthogonal sums, Weil modular data,
 the simple objects of each family's Drinfeld center with their twist
 histograms, the complex-conjugate class of a spec, whole-period indicator
 vectors and the small NG1 equivalence classes.
@@ -74,6 +75,34 @@ def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     s1, s2 = den // q1.den, den // q2.den
     values = tuple(v1 * s1 + v2 * s2 for v1 in q1.values for v2 in q2.values)
     return QuadraticForm(group, values)
+
+
+def is_quadratic_table(group: FiniteAbelianGroup, values) -> bool:
+    """Whether numerators over 2 * exponent, in element order, form a quadratic
+    form, checked as the constructor once did in rank^2 |G| steps: q(0) = 0 and
+    q(-g) = q(g), then dq(e_i, g + e_j) = dq(e_i, g) + dq(e_i, e_j) for all i, j
+    and g, since the cocycle identity dq(a + b, c) + dq(a, b) = dq(a, b + c) +
+    dq(b, c) carries additivity from the generators to all of G."""
+    den, elems = 2 * group.exponent, group.elements()
+    values = [v % den for v in values]
+    if values[0] != 0 or any(values[group.index(group.neg(g))] != v
+                             for g, v in zip(elems, values)):
+        return False
+    basis = [tuple(int(i == j) % n for i, n in enumerate(group.cyclic_factors))
+             for j in range(group.rank)]
+    shifts = [[group.index(group.add(g, e)) for g in elems] for e in basis]
+    rows = [[(values[s] - values[x] - values[shift[0]]) % den for x, s in enumerate(shift)]
+            for shift in shifts]
+    return all(
+        row[s] == (row[x] + row[shift[0]]) % den
+        for row in rows for shift in shifts for x, s in enumerate(shift)
+    )
+
+
+def radical_order(q: QuadraticForm) -> int:
+    """|rad q|: the number of h with dq(g, h) = 0 for every g."""
+    elems = q.group.elements()
+    return sum(all(boundary(q, g, h) == 0 for g in elems) for h in elems)
 
 
 def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[complex]]]:

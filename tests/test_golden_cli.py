@@ -344,6 +344,7 @@ def test_exit_2_cases_end_within_a_resource_bound(name):
     assert "out of memory" not in result.stderr, result.stderr
 
 
+GROUP_19_FACTORS_OF_2 = '{"cyclic_factors":[' + ",".join(["2"] * 19) + "]}"
 # inputs at the edges of the caps, each within every one of them
 CAP_EDGE_CASES = {
     # 447 specs make 99681 pairs, the most rigidity compares
@@ -354,21 +355,14 @@ CAP_EDGE_CASES = {
     "agl_q64_kmax_cap": ["agl", "--q", "64", "--kmax", "100000"],
     "gauss_order_cap": ["gauss", "--group", '{"cyclic_factors":[1000000]}', "--form", FORM1],
     "gauss_z999999": ["gauss", "--group", '{"cyclic_factors":[999999]}', "--form", FORM1],
-    # 2^19 elements on 19 factors: checking the form costs rank^2 |G| time, rank |G| memory
+    # 2^19 elements on 19 factors, the most factors above 1 within the order cap
     "gauss_19_factors_of_2": [
-        "gauss", "--group", '{"cyclic_factors":[' + ",".join(["2"] * 19) + "]}",
-        "--form", '{"monomial":[]}',
+        "gauss", "--group", GROUP_19_FACTORS_OF_2, "--form", '{"monomial":[]}',
     ],
 }
-OVER_BUDGET = pytest.mark.xfail(
-    strict=True, reason="runs out of memory under the cap; ROADMAP item 5's work budget"
-)
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=OVER_BUDGET) if name == "gauss_19_factors_of_2" else name
-    for name in CAP_EDGE_CASES
-])
+@pytest.mark.parametrize("name", CAP_EDGE_CASES)
 def test_cap_edge_cases_end_within_a_resource_bound(name):
     """Each input at the edge of the caps runs as `python -m fsind` in a child
     capped at 256 MB and 20 s of CPU, one child at a time, and exits 0 with no
@@ -378,6 +372,29 @@ def test_cap_edge_cases_end_within_a_resource_bound(name):
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr, result.stderr
     assert "out of memory" not in result.stderr, result.stderr
+
+
+def test_table_form_on_19_factors_of_2_ends_within_a_resource_bound(tmp_path):
+    """`gauss` on a 524,288-entry table read from a file, over the 19 factors of 2,
+    runs in a child capped at 256 MB and 20 s of CPU, exits 0 with no traceback and
+    prints the Gauss sum of q(g) = sum_i g_i^2 / 4 + sum_i g_i g_{i+1} / 2, which a
+    2 x 2 transfer matrix sums over the chain of factors: the form is not monomial,
+    so its whole table is checked."""
+    quarters = [0]  # digit by digit: the new last digit r adds r^2/4 + r g_last/2
+    for _ in range(19):
+        quarters = [(v + r + 2 * r * (x & 1)) % 4 for x, v in enumerate(quarters) for r in (0, 1)]
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"table": [f"{v}/4" for v in quarters]}), encoding="utf-8")
+    result = _python("-m", "fsind", "gauss", "--group", GROUP_19_FACTORS_OF_2,
+                     "--form", f"@{form}", preexec_fn=_capped(256, 20))
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    ends = [1, 1j]  # sum over chains of the last digit r of i^(sum g_i) (-1)^(sum g_i g_{i+1})
+    for _ in range(18):
+        ends = [ends[0] + ends[1], 1j * (ends[0] - ends[1])]
+    theta = sum(ends) / 2 ** 9.5
+    re, im = map(float, result.stdout.split()[:2])
+    assert abs(complex(re, im) - theta) < 1e-9, (result.stdout, theta)
 
 
 # one case per command that exits 0; beside them, the verify-tables case that

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from fsind.abelian import FiniteAbelianGroup, cyclic
 from fsind.qforms import (
     QuadraticForm,
+    describe_form,
     form_from_json,
     form_to_json,
     gauss_sum,
@@ -29,7 +31,14 @@ from fsind.indicators import closed_values
 from fsind.tables import builtin_rows
 
 from conftest import ABELIAN_GROUPS_LE_13, CountedWeight, cyclic_metric_form, metric_group_catalog
-from oracles import bicharacter, boundary, orthogonal_sum, value
+from oracles import (
+    bicharacter,
+    boundary,
+    is_quadratic_table,
+    orthogonal_sum,
+    radical_order,
+    value,
+)
 
 TOL = 1e-9
 ROUTE_TOL = 1e-12  # histogram sums against direct loops: same terms, other order
@@ -285,6 +294,89 @@ def test_form_validation():
         QuadraticForm(group=cyclic(5), values=(0, 1, 3, 3, 1))
     with pytest.raises(ValueError, match="bi-additive"):
         form_from_json({"table": ["0", "1/10", "3/10", "3/10", "1/10"]}, cyclic(5))
+
+
+# cyclic groups of both parities, elementary abelian groups and mixed exponents,
+# where some n_i kills less than den = 2 * exponent does
+FORM_CHECK_GROUPS = [(2,), (4,), (8,), (2, 2, 2), (2, 4), (3, 3), (3, 9), (15,)]
+TABLE_KINDS = ("valid", "one value changed", "odd", "q(0) != 0", "any generator data")
+
+
+def _expansion(group, diagonal, cross, den):
+    """sum_i diagonal[i] g_i^2 + sum_{i<j} cross[i][j] g_i g_j mod den at each g,
+    with residues g_i in [0, n_i), in element order."""
+    rank = group.rank
+    return [
+        (sum(a * r * r for a, r in zip(diagonal, g))
+         + sum(cross[i][j] * g[i] * g[j] for i in range(rank) for j in range(i + 1, rank))) % den
+        for g in group.elements()
+    ]
+
+
+def _drawn_tables(group, rng, draws):
+    """(kind, numerators) for ``draws`` rounds of :data:`TABLE_KINDS`: a valid form
+    from random generator data (q(e_i) in 1/(2 n_i) Z for even n_i, dq(e_i, e_j) in
+    1/gcd(n_i, n_j) Z), that form with one value changed, plus a character, and plus
+    a constant, and the expansion of generator data each valid or uniform at random,
+    which only the sum's well-definedness refuses."""
+    factors, den, elems = group.cyclic_factors, 2 * group.exponent, group.elements()
+    steps = [den // n // (2 - n % 2) for n in factors]
+    cross_steps = [[den // math.gcd(n, m) for m in factors] for n in factors]
+
+    def draw(step, valid):
+        return rng.randrange(den) // step * step if valid else rng.randrange(den)
+
+    for _ in range(draws):
+        diagonal = [draw(step, True) for step in steps]
+        cross = [[draw(step, True) for step in row] for row in cross_steps]
+        valid = _expansion(group, diagonal, cross, den)
+        yield "valid", valid
+        changed = list(valid)
+        changed[rng.randrange(group.order)] += rng.randrange(1, den)
+        yield "one value changed", changed
+        character = [rng.randrange(n) * (den // n) for n in factors]
+        yield "odd", [v + sum(c * r for c, r in zip(character, g)) for v, g in zip(valid, elems)]
+        yield "q(0) != 0", [v + rng.randrange(1, den) for v in valid]
+        diagonal = [draw(step, rng.random() < 0.5) for step in steps]
+        cross = [[draw(step, rng.random() < 0.5) for step in row] for row in cross_steps]
+        yield "any generator data", _expansion(group, diagonal, cross, den)
+
+
+def test_form_check_accepts_what_the_rank_squared_check_accepts():
+    """On seeded tables of every kind over :data:`FORM_CHECK_GROUPS`, the
+    constructor accepts exactly the tables the reference rank^2 |G| check accepts,
+    and refuses the others as not bi-additive; on each form it accepts,
+    ``is_nondegenerate`` says whether the radical is trivial, and ``describe_form``
+    prints ``[c/n,...]`` exactly when the form is ``monomial_form`` of those c."""
+    rng = random.Random(20151)
+    verdicts, shapes = set(), set()  # (kind, accepted); (non-degenerate, monomial)
+    for factors in FORM_CHECK_GROUPS:
+        group = FiniteAbelianGroup(factors)
+        monomials = {
+            monomial_form(group, coeffs).values: coeffs
+            for coeffs in itertools.product(*map(range, factors))
+        }
+        for kind, values in _drawn_tables(group, rng, 30):
+            quadratic = is_quadratic_table(group, values)
+            try:
+                q = QuadraticForm(group, values)
+            except ValueError as error:
+                assert not quadratic, (factors, kind, values)
+                assert "bi-additive" in str(error)
+                verdicts.add((kind, False))
+                continue
+            assert quadratic, (factors, kind, values)
+            verdicts.add((kind, True))
+            nondegenerate = radical_order(q) == 1
+            assert q.is_nondegenerate() == nondegenerate, (factors, values)
+            coeffs = monomials.get(q.values)
+            described = None if coeffs is None else "[" + ",".join(
+                f"{c}/{n}" for c, n in zip(coeffs, factors)) + "]"
+            assert describe_form(q) == (described or "<table>"), (factors, values)
+            shapes.add((nondegenerate, coeffs is not None))
+    kinds = {(kind, verdict) for kind in TABLE_KINDS for verdict in (False, True)}
+    assert verdicts == kinds - {("valid", False), ("q(0) != 0", True)}
+    assert shapes == set(itertools.product((False, True), repeat=2))
 
 
 monomial_inputs = st.sampled_from(ABELIAN_GROUPS_LE_13).flatmap(
