@@ -384,7 +384,9 @@ def rigidity_report(specs) -> RigidityReport:
     twist histograms of rho over equal periods.  Floats enter only the smallest
     separating k, the first k where two classes differ by more than
     ``DEFAULT_TOL``, scanned once per pair of classes up to the lcm of their
-    periods; a pair with no such k raises ``ValueError``.  Each class keeps one
+    periods; a pair with no such k raises ``ValueError``.  Each spec's center is
+    counted, looked up by that exact key and dropped, so what is held at once
+    grows with the classes, not the specs: each class keeps its period and one
     map k -> nu_k (:func:`center_values`) for all its pairs, so it sums each
     residue it reads once, and reads k only up to the largest smallest
     separating k of its pairs: at most period // 2 + 1 residues.
@@ -399,23 +401,32 @@ def rigidity_report(specs) -> RigidityReport:
     for spec, ring in zip(specs, rings):
         if ring != rings[0]:
             raise ValueError(f"{spec.describe()} does not have the ring of {specs[0].describe()}")
-    centers = [spec.center() for spec in specs]  # rho's counted histograms
-    keys = [(c.histogram, c.period, c.dim) for c in centers]
-    first = [keys.index(key) for key in keys]  # the first spec of each spec's class
-    nu = {i: center_values(centers[i]) for i in sorted(set(first))}  # first spec of each class
-    smallest = {}  # (i, j) and (j, i) for first specs i < j -> smallest separating k
-    for i, j in itertools.combinations(nu, 2):
-        ks = range(1, math.lcm(centers[i].period, centers[j].period) + 1)
-        k = next((k for k in ks if abs(nu[i](k) - nu[j](k)) > DEFAULT_TOL), None)
+    # exact key -> (period, map k -> nu_k, spec indices) of each class, in
+    # first-occurrence order; each spec's counted center is dropped after its lookup
+    by_key: dict[tuple, tuple[int, Callable[[int], complex], list[int]]] = {}
+    for i, spec in enumerate(specs):
+        center = spec.center()
+        key = (frozenset(center.histogram.items()), center.period, center.dim)
+        if key not in by_key:
+            by_key[key] = (center.period, center_values(center), [])
+        by_key[key][2].append(i)
+    classes = list(by_key.values())
+    smallest = {}  # (a, b) and (b, a) for classes a < b -> smallest separating k
+    for a, b in itertools.combinations(range(len(classes)), 2):
+        (period_a, nu_a, members_a), (period_b, nu_b, members_b) = classes[a], classes[b]
+        ks = range(1, math.lcm(period_a, period_b) + 1)
+        k = next((k for k in ks if abs(nu_a(k) - nu_b(k)) > DEFAULT_TOL), None)
         if k is None:
-            raise ValueError(f"{specs[i].describe()} and {specs[j].describe()} differ, "
+            first_a, first_b = specs[members_a[0]], specs[members_b[0]]
+            raise ValueError(f"{first_a.describe()} and {first_b.describe()} differ, "
                              f"but by at most {DEFAULT_TOL} at every k")
-        smallest[i, j] = smallest[j, i] = k
+        smallest[a, b] = smallest[b, a] = k
+    owner = {i: a for a, (_, _, members) in enumerate(classes) for i in members}
     pairs = itertools.combinations(range(len(specs)), 2)
     return RigidityReport(
         math.lcm(*(spec.period() for spec in specs)),
-        tuple(tuple(j for j, f in enumerate(first) if f == i) for i in nu),
-        tuple((i, j, smallest[first[i], first[j]]) for i, j in pairs if first[i] != first[j]),
+        tuple(tuple(members) for _, _, members in classes),
+        tuple((i, j, smallest[owner[i], owner[j]]) for i, j in pairs if owner[i] != owner[j]),
     )
 
 

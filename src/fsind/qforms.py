@@ -14,12 +14,13 @@ of 1/den with den = 2 * exponent(G).  Forms are stored as integer numerators
 over den, checked once by the constructor, and every command reads them as
 numerators: exact ``Fraction`` phases appear only in :func:`qz`, in
 :func:`rational_from_json`, the one place where JSON text becomes a
-``Fraction`` (a ``zeta1`` or a ``table`` entry), and in the printed ``table``
-format; each of these imports ``fractions`` when it runs, so a command that
-reads or prints no exact rational never loads it (nor its ``decimal`` and
-``numbers``).  The exact values, boundaries and bicharacter of
-a form, and orthogonal sums, are reference code in the test suite's
-``oracles`` module, which no command runs.
+``Fraction`` (a ``zeta1``), and in the printed ``table`` format; each of these
+imports ``fractions`` when it runs, so a command that reads or prints no exact
+rational never loads it (nor its ``decimal`` and ``numbers``).  A ``table``
+entry is read by the same strict reader, as an integer numerator and
+denominator, and never becomes a ``Fraction``.  The exact values, boundaries
+and bicharacter of a form, and orthogonal sums, are reference code in the test
+suite's ``oracles`` module, which no command runs.
 
 Gauss sums and the center formula are both root-of-unity sums over a
 histogram: :func:`root_sums` makes the one map k -> sum_r w_r e^{2 pi i k r / n}
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from collections import Counter, namedtuple
 from collections.abc import Callable, Mapping
 
@@ -58,17 +60,18 @@ def qz(value) -> Fraction:
     return Fraction(value) % 1
 
 
-def rational_from_json(data) -> Fraction:
-    """The rational a JSON integer, or a string ``a`` or ``a/b`` of decimal digits
-    with b != 0 and an optional ``-`` before a, stands for; ``ValueError`` for any
-    other JSON, such as floats or decimal and exponent notation, and for more
-    digits than the interpreter converts to an integer."""
-    import re
-    from fractions import Fraction
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
+
+def _ratio_from_json(data) -> tuple[int, int]:
+    """(a, b) for the rational a/b that a JSON integer (b = 1), or a string ``a`` or
+    ``a/b`` of decimal digits with b != 0 and an optional ``-`` before a, stands
+    for, unreduced; ``ValueError`` for any other JSON, such as floats or decimal
+    and exponent notation, and for more digits than the interpreter converts to
+    an integer."""
     if is_json_int(data):
-        return Fraction(data)
-    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", data) if isinstance(data, str) else None
+        return data, 1
+    match = _RATIO.fullmatch(data) if isinstance(data, str) else None
     try:
         numerator, denominator = map(int, match.groups("1")) if match else (0, 0)
     except ValueError:  # over sys.get_int_max_str_digits()
@@ -76,7 +79,14 @@ def rational_from_json(data) -> Fraction:
                          "has too many digits") from None
     if denominator == 0:
         raise ValueError(f"expected an integer or a fraction string, got {data!r}")
-    return Fraction(numerator, denominator)
+    return numerator, denominator
+
+
+def rational_from_json(data) -> Fraction:
+    """The rational :func:`_ratio_from_json` reads, as a ``Fraction``."""
+    from fractions import Fraction
+
+    return Fraction(*_ratio_from_json(data))
 
 
 def phase_to_complex(a: Fraction | float) -> complex:
@@ -248,10 +258,10 @@ def form_from_json(data: dict, group: FiniteAbelianGroup) -> QuadraticForm:
         if not isinstance(data["table"], list):
             raise ValueError("a form table must be a list")
         den = 2 * group.exponent
-        numerators = [rational_from_json(entry) * den for entry in data["table"]]
-        if any(a.denominator != 1 for a in numerators):
+        numerators = [_numerator(entry, den) for entry in data["table"]]
+        if None in numerators:  # after every entry is read, so a malformed one is named first
             raise ValueError(f"table values must be multiples of 1/{den}")
-        return QuadraticForm(group, tuple(int(a) for a in numerators))
+        return QuadraticForm(group, numerators)
     monomial = data.get("monomial", [])
     if not isinstance(monomial, list) or not all(
         isinstance(entry, dict) and entry.keys() == {"factor", "coeff"}
@@ -266,6 +276,13 @@ def form_from_json(data: dict, group: FiniteAbelianGroup) -> QuadraticForm:
             raise ValueError(f"no cyclic factor {factor} in {list(group.cyclic_factors)}")
         coeffs[factor] += entry["coeff"]
     return monomial_form(group, coeffs)
+
+
+def _numerator(entry, den: int) -> int | None:
+    """den * a/b for the entry a/b, or None unless b divides a * den."""
+    a, b = _ratio_from_json(entry)
+    numerator, rest = divmod(a * den, b)
+    return None if rest else numerator
 
 
 def describe_form(q: QuadraticForm) -> str:

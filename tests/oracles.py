@@ -3,7 +3,8 @@
 Each function here is an independent restatement that some test checks the
 program against: the character pairing of a group, exact Q/Z values,
 boundaries and bicharacters of a form, the rank^2 |G| check of a quadratic
-table and the order of a form's radical, orthogonal sums, Weil modular data,
+table, a form table read one ``Fraction`` per entry, the order of a form's
+radical, orthogonal sums, Weil modular data,
 the simple objects of each family's Drinfeld center with their twist
 histograms, the complex-conjugate class of a spec, whole-period indicator
 vectors and the small NG1 equivalence classes.
@@ -20,6 +21,7 @@ the benchmark moves them.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -97,6 +99,32 @@ def is_quadratic_table(group: FiniteAbelianGroup, values) -> bool:
         row[s] == (row[x] + row[shift[0]]) % den
         for row in rows for shift in shifts for x, s in enumerate(shift)
     )
+
+
+def table_form_by_fractions(table, group: FiniteAbelianGroup) -> QuadraticForm:
+    """The form a JSON ``table`` stands for on ``group``, read one ``Fraction``
+    per entry, as the reader once did: each entry a JSON integer (not a bool) or a
+    string a or a/b of decimal digits with b != 0 and an optional ``-`` before a,
+    and only then each a multiple of 1/den, den = 2 * exponent.  The same
+    ``ValueError`` text as the program's reader for any other table."""
+    values = []
+    for entry in table:
+        if isinstance(entry, int) and not isinstance(entry, bool):
+            values.append(Fraction(entry))
+            continue
+        match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", entry) if isinstance(entry, str) else None
+        try:
+            a, b = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+        except ValueError:
+            raise ValueError(f"fraction string {entry[:20]!r}... of {len(entry)} characters "
+                             "has too many digits") from None
+        if b == 0:
+            raise ValueError(f"expected an integer or a fraction string, got {entry!r}")
+        values.append(Fraction(a, b))
+    den = 2 * group.exponent
+    if any((v * den).denominator != 1 for v in values):
+        raise ValueError(f"table values must be multiples of 1/{den}")
+    return QuadraticForm(group, tuple(int(v * den) for v in values))
 
 
 def radical_order(q: QuadraticForm) -> int:

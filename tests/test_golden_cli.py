@@ -374,6 +374,29 @@ def test_cap_edge_cases_end_within_a_resource_bound(name):
     assert "out of memory" not in result.stderr, result.stderr
 
 
+def test_rigidity_on_70_specs_near_the_period_cap_ends_within_a_resource_bound():
+    """`rigidity` on 70 NG2 specs over Z/313 with Z/317 (period 99,221, within
+    the cap), 35 labelled copies of each of two classes whose smallest separating
+    k is 1, runs in a child capped at 256 MB and 20 s of CPU, like the cap edge
+    cases: each spec's counted center is dropped once its class is known, where
+    keeping every spec's center took about 3.6 MB per spec and ran out of memory."""
+    def unit(coeff):
+        return {"monomial": [{"factor": 0, "coeff": coeff}]}
+
+    specs = [  # 5 is not a square mod 313, so it flips the sign of Theta(G, 2q)
+        {"family": "NG2", "group": {"cyclic_factors": [313]}, "q": unit(coeff),
+         "gp": {"cyclic_factors": [317]}, "qp": unit(1), "labels": {"copy": i}}
+        for i, coeff in enumerate([1, 5] * 35)
+    ]
+    result = _python("-m", "fsind", "rigidity", "--specs", json.dumps(specs),
+                     preexec_fn=_capped(256, 20))
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert list(map(len, report["classes"])) == [35, 35]
+    assert {separator["smallest_k"] for separator in report["separators"]} == {1}
+    assert len(report["separators"]) == 35 * 35
+
+
 def test_table_form_on_19_factors_of_2_ends_within_a_resource_bound(tmp_path):
     """`gauss` on a 524,288-entry table read from a file, over the 19 factors of 2,
     runs in a child capped at 256 MB and 20 s of CPU, exits 0 with no traceback and

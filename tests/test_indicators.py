@@ -546,9 +546,41 @@ def _report_triple(specs):
     return report.period, report.classes, report.separators
 
 
+# three NG2 classes over (Z/21, Z/25) by the coefficients of (q, q'), and the
+# smallest k that separates each two of them
+SHUFFLED_CLASSES = {"a": (1, 1), "b": (1, 2), "c": (2, 1)}
+SHUFFLED_SEPARATORS = {"ab": 5, "ac": 1, "bc": 1}
+
+
+def _shuffled_copies():
+    """Three differently labelled copies of each class of :data:`SHUFFLED_CLASSES`,
+    shuffled; copy i scales q by 4^i, a square unit mod 21, so it is written with
+    another coefficient but has the same class."""
+    z21, z25 = cyclic(21), cyclic(25)
+    specs = [
+        CategorySpec("NG2", z21, q=monomial_form(z21, (c * 4**i,)), gp=z25,
+                     qp=monomial_form(z25, (cp,)), labels=(("class", tag), ("copy", str(i))))
+        for tag, (c, cp) in SHUFFLED_CLASSES.items() for i in range(3)
+    ]
+    random.Random(35).shuffle(specs)
+    return specs
+
+
 def test_lazy_rigidity_matches_whole_vector_scan_on_fixed_groups():
-    for specs in _fixed_groups():
+    for specs in _fixed_groups() + [_shuffled_copies()]:
         assert _report_triple(specs) == _rigidity_by_whole_vectors(specs)
+    # repeated classes: each spec is looked up in the class of its first copy
+    specs = _shuffled_copies()
+    tags = [dict(spec.labels)["class"] for spec in specs]
+    report = rigidity_report(specs)
+    assert report.classes == tuple(
+        tuple(i for i, tag in enumerate(tags) if tag == first) for first in dict.fromkeys(tags)
+    )
+    assert len(report.classes) == 3 and len(set(tags[:3])) < 3  # some class repeats early
+    assert report.separators == tuple(
+        (i, j, SHUFFLED_SEPARATORS["".join(sorted(tags[i] + tags[j]))])
+        for i, j in itertools.combinations(range(len(specs)), 2) if tags[i] != tags[j]
+    )
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

@@ -37,6 +37,7 @@ from oracles import (
     is_quadratic_table,
     orthogonal_sum,
     radical_order,
+    table_form_by_fractions,
     value,
 )
 
@@ -491,6 +492,57 @@ def test_rational_from_json_reads_exactly_the_fraction_strings(text):
     else:
         with pytest.raises(ValueError, match="^expected an integer or a fraction string"):
             rational_from_json(text)
+
+
+OVER_LONG = "1" * (sys.get_int_max_str_digits() + 1)  # past what int() converts, if it limits
+NOT_A_RATIONAL = (0.5, 2.0, True, None, [1], "1e5", "-2E-1", "2.5", " 1", "+1", "1/-2", "1/0",
+                  "0/0", "", "/", OVER_LONG, "1/" + OVER_LONG, "-" + OVER_LONG + "/3")
+
+
+def _table_entries(numerator: int, den: int):
+    """Two strategies for one JSON table entry at a value numerator/den: valid
+    entries, the value written as an unreduced fraction string, maybe shifted by a
+    whole number and so with a negative numerator, or a JSON integer where the
+    value is whole; and bad ones, a fraction string that is not a multiple of
+    1/den or a string or JSON value that is not a rational at all."""
+    def written(shift, scale):
+        return f"{(numerator + shift * den) * scale}/{den * scale}"
+
+    valid = st.builds(written, st.integers(-3, 3), st.integers(1, 5))
+    if numerator == 0:
+        valid = st.one_of(valid, st.integers(-3, 3), st.integers(-3, 3).map(str))
+    off = st.tuples(st.integers(-50, 50), st.integers(1, 50)).filter(
+        lambda ab: ab[0] * den % ab[1]).map(lambda ab: f"{ab[0]}/{ab[1]}")
+    return valid, st.one_of(off, st.sampled_from(NOT_A_RATIONAL))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(ABELIAN_GROUPS_LE_13), st.data())
+def test_table_reader_matches_the_fraction_reference(factors, data):
+    """A ``table`` form is read from integer numerators and denominators with the
+    same result as one ``Fraction`` per entry (``oracles.table_form_by_fractions``):
+    the same form, or a ``ValueError`` with the same text.  The table is a
+    monomial form's, each value written its own way, with up to three entries
+    replaced by one that is not a multiple of 1/den or not a rational."""
+    group = FiniteAbelianGroup(factors)
+    coeffs = data.draw(st.lists(st.integers(0, 12), min_size=group.rank, max_size=group.rank))
+    q = monomial_form(group, coeffs)
+    bad = data.draw(st.sets(st.sampled_from(range(group.order)), max_size=3))
+    table = []
+    for i, v in enumerate(q.values):
+        valid, invalid = _table_entries(v, q.den)
+        table.append(data.draw(invalid if i in bad else valid))
+
+    def read(reader):
+        try:
+            return reader(table, group).values
+        except ValueError as error:
+            return str(error)
+
+    expected = read(table_form_by_fractions)
+    assert read(lambda table, group: form_from_json({"table": table}, group)) == expected
+    assert not bad or isinstance(expected, str)
+    assert bad or expected == q.values
 
 
 def test_radical_of_degenerate_scaling():
