@@ -74,9 +74,6 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "cyclic_factors")):
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_factors))
 
-    def neg(self, a: GroupElement) -> GroupElement:
-        return tuple((-x) % n for x, n in zip(a, self.cyclic_factors))
-
     def elements(self) -> list[GroupElement]:
         """All elements in lexicographic order, identity first."""
         return [tuple(g) for g in itertools.product(*(range(n) for n in self.cyclic_factors))]

@@ -11,9 +11,9 @@ compared at one fixed threshold, ``qforms.DEFAULT_TOL``, and values below it
 print as 0; ``rigidity`` decides classes exactly and uses it only for each
 ``smallest_k``.
 
-The only bound here, :data:`MAX_KMAX`, caps the k a command evaluates, each
-period ``rigidity`` tabulates and the spec pairs it compares;
-``indicators.spec_from_json`` bounds each spec's sizes.
+:data:`MAX_KMAX` caps the k a command evaluates, each period ``rigidity``
+tabulates and the spec pairs it compares, and :data:`MAX_FILE_BYTES` what an
+``@file`` argument reads; ``indicators.spec_from_json`` bounds each spec's sizes.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .qforms import DEFAULT_TOL, form_from_json, format_real, gauss_sum, phase_t
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 MAX_KMAX = 100_000  # bounds the time and memory of one indicators, rigidity or agl run
+# bounds what one @file argument reads: a `table` form, the largest input, lists at
+# most abelian.MAX_ORDER entries, and 64 bytes each is ample for any of them
+MAX_FILE_BYTES = 64 << 20
 # the names of indicators.ROUTES and the table ids of tables.builtin_rows(), in
 # the rows' order, which tests pin these to
 PATHS = ("center", "closed", "both")
@@ -47,11 +50,18 @@ def _dump(payload) -> str:
 
 def _load_json_arg(text: str):
     if text.startswith("@"):
+        path = text[1:]
         try:
-            with open(text[1:], "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                # at most MAX_FILE_BYTES + 1, in chunks: one read() would reserve it all
+                data = bytearray()
+                while chunk := handle.read(min(1 << 20, MAX_FILE_BYTES + 1 - len(data))):
+                    data += chunk
         except OSError as exc:
-            raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from exc
+            raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+        if len(data) > MAX_FILE_BYTES:
+            raise ValueError(f"cannot read {path}: it is over {MAX_FILE_BYTES} bytes")
+        text = data.decode("utf-8")
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting

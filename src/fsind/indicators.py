@@ -88,7 +88,8 @@ class CategorySpec(namedtuple(
     shape rules of :meth:`Family.check_shape` (which :func:`spec_from_json`
     also runs before it reads any form), and each form on its group and
     non-degenerate.  Fields past ``group`` default to None, ``labels`` to ().
-    Copy a spec with :func:`replace`, which makes these checks again.
+    Copy a spec as ``CategorySpec(**{**spec._asdict(), **changes})``, which
+    makes these checks again; ``_replace`` skips them.
     """
 
     __slots__ = ()
@@ -131,11 +132,6 @@ class CategorySpec(namedtuple(
         tags = ",".join(f"{k}={v}" for k, v in self.labels)
         suffix = f";{tags}" if tags else ""
         return f"{self.family}({','.join(parts)}{suffix})"
-
-
-def replace(spec: CategorySpec, **changes) -> CategorySpec:
-    """A copy of ``spec`` with some fields changed, checked like any new spec."""
-    return CategorySpec(**{**spec._asdict(), **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,7 @@ def ng1_closed_values(
 
 
 def ng2_closed_values(
-    group: FiniteAbelianGroup,
-    q: QuadraticForm,
-    gp: FiniteAbelianGroup,
-    qp: QuadraticForm,
+    group: FiniteAbelianGroup, q: QuadraticForm, qp: QuadraticForm
 ) -> Callable[[int], complex]:
     """The map k -> theta_k(e)/2 + Theta(G, 2kq) Theta(G', 2kq')/2, the m = |G|
     family, from one Gauss-sum map per form."""
@@ -196,14 +189,10 @@ def ng2_closed_values(
     return lambda k: group.power_count(k, e) / 2 + theta(2 * k) * theta_p(2 * k) / 2
 
 
-def hi_closed_values(
-    group: FiniteAbelianGroup,
-    h: FiniteAbelianGroup,
-    qpp: QuadraticForm,
-) -> Callable[[int], complex]:
-    """The map k -> theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1, from one
-    Gauss-sum map."""
-    m = (h.order - 1) // 2
+def hi_closed_values(group: FiniteAbelianGroup, qpp: QuadraticForm) -> Callable[[int], complex]:
+    """The map k -> theta_k(e)/2 + Theta(H, k m q'')/2 with |H| = 2m + 1, H the
+    group of q'', from one Gauss-sum map."""
+    m = (qpp.group.order - 1) // 2
     theta, e = gauss_values(qpp), group.identity
     return lambda k: group.power_count(k, e) / 2 + theta(k * m) / 2
 
@@ -324,7 +313,7 @@ FAMILIES: dict[str, Family] = {
             ring="NG(G,|G|)",
             rho_label=lambda group: RHO_LABEL,
             center=lambda s: center_ng2(s.group, s.q, s.gp, s.qp),
-            closed=lambda s: ng2_closed_values(s.group, s.q, s.gp, s.qp),
+            closed=lambda s: ng2_closed_values(s.group, s.q, s.qp),
             period=lambda group, gp, **_: math.lcm(group.exponent, gp.exponent),
             odd=True,
         ),
@@ -337,7 +326,7 @@ FAMILIES: dict[str, Family] = {
             ring="HI(G)",
             rho_label=lambda group: grho_label(group.identity),
             center=lambda s: center_hi(s.group, s.h, s.qpp),
-            closed=lambda s: hi_closed_values(s.group, s.h, s.qpp),
+            closed=lambda s: hi_closed_values(s.group, s.qpp),
             period=lambda group, h, **_: math.lcm(group.exponent, h.exponent),
             odd=True,
         ),

@@ -1,21 +1,23 @@
 """Reference code that only the tests call.
 
 Each function here is an independent restatement that some test checks the
-program against: the character pairing of a group, exact Q/Z values,
-boundaries and bicharacters of a form, the rank^2 |G| check of a quadratic
-table, a form table read one ``Fraction`` per entry, the order of a form's
-radical, orthogonal sums, Weil modular data,
-the simple objects of each family's Drinfeld center with their twist
-histograms, the complex-conjugate class of a spec, whole-period indicator
-vectors and the small NG1 equivalence classes.
+program against, or a helper only tests need: the negative of an element, the
+character pairing of a group, exact Q/Z values, boundaries and bicharacters
+of a form, the rank^2 |G| check of a quadratic table, a form table read one
+``Fraction`` per entry, the order of a form's radical, orthogonal sums, Weil
+modular data, the axioms and Frobenius-Perron dimensions of a based ring, the
+simple objects of each family's Drinfeld center with their twist histograms,
+a checked copy of a spec, the complex-conjugate class of a spec,
+whole-period indicator vectors and the small NG1 equivalence classes.
 No command runs any of it, so none of it lives in ``src/fsind``, and no module
 there imports this one (``tests/test_routes.py`` pins that).
 
-Two kinds of reference code stay in ``src/fsind``: :mod:`fsind.fusion` and
-:func:`fsind.indicators.nu_from_center`.  The benchmark's scripts wrap the
-ring builders by module path and import ``nu_from_center`` to capture their
-reference values, so they keep their module and signature until a change to
-the benchmark moves them.
+Two kinds of code that no command runs stay in ``src/fsind``: the ring
+constructors of :mod:`fsind.fusion` and :func:`fsind.indicators.nu_from_center`.
+The benchmark's scripts wrap the ring constructors by module path and import
+``nu_from_center`` to capture their reference values, so they keep their
+module and signature until a change to the benchmark moves them.  The ring
+checks import numpy when they run, so the rest of this module loads without it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,17 @@ from fsind.abelian import (
     grho_label,
     group_label,
 )
-from fsind.indicators import FAMILIES, FORM, PHASE, ROUTES, CategorySpec, replace
+from fsind.fusion import FusionRing
+from fsind.indicators import FAMILIES, FORM, PHASE, ROUTES, CategorySpec
 from fsind.qforms import QuadraticForm, phase_to_complex
 
 
 # ---------------------------------------------------------------------------
 # Groups and forms
+
+
+def neg(group: FiniteAbelianGroup, a: GroupElement) -> GroupElement:
+    return tuple(-x % n for x, n in zip(a, group.cyclic_factors))
 
 
 def character_value(group: FiniteAbelianGroup, h: GroupElement, g: GroupElement) -> int:
@@ -87,7 +94,7 @@ def is_quadratic_table(group: FiniteAbelianGroup, values) -> bool:
     dq(b, c) carries additivity from the generators to all of G."""
     den, elems = 2 * group.exponent, group.elements()
     values = [v % den for v in values]
-    if values[0] != 0 or any(values[group.index(group.neg(g))] != v
+    if values[0] != 0 or any(values[group.index(neg(group, g))] != v
                              for g, v in zip(elems, values)):
         return False
     basis = [tuple(int(i == j) % n for i, n in enumerate(group.cyclic_factors))
@@ -147,6 +154,59 @@ def weil_modular_data(q: QuadraticForm) -> tuple[list[list[complex]], list[list[
     phases = [phase_to_complex(value(q, g)) for g in elems]
     T = [[phase if i == j else 0j for j in range(len(elems))] for i, phase in enumerate(phases)]
     return S, T
+
+
+# ---------------------------------------------------------------------------
+# Based rings
+
+
+def verify_ring(ring: FusionRing) -> list[str]:
+    """Check unit, associativity, duality and the dual involution; both sides of
+    associativity by einsum.
+
+    Returns a list of violation descriptions; an empty list means the ring
+    satisfies all axioms.
+    """
+    import numpy as np
+
+    problems: list[str] = []
+    N = np.array(ring.N, dtype=np.int64)
+    rank = ring.rank
+    u = ring.unit
+    eye = np.eye(rank, dtype=np.int64)
+    if not np.array_equal(N[u], eye):
+        problems.append("unit: N[unit][j][k] != delta_jk")
+    if not np.array_equal(N[:, u, :], eye):
+        problems.append("unit: N[j][unit][k] != delta_jk")
+    left = np.einsum("ijm,mkl->ijkl", N, N)
+    right = np.einsum("jkm,iml->ijkl", N, N)
+    if not np.array_equal(left, right):
+        bad = np.argwhere(left != right)
+        i, j, k, l = (int(x) for x in bad[0])
+        problems.append(
+            f"associativity violated at (i,j,k,l)=({i},{j},{k},{l}) "
+            f"[{len(bad)} quadruples total]"
+        )
+    expected = np.zeros((rank, rank), dtype=np.int64)
+    for i, di in enumerate(ring.dual):
+        expected[i, di] = 1
+    if not np.array_equal(N[:, :, u], expected):
+        problems.append("duality: N[i][j][unit] != delta_{j, dual(i)}")
+    if ring.dual[u] != u or any(ring.dual[ring.dual[i]] != i for i in range(rank)):
+        problems.append("dual is not an involution fixing the unit")
+    if (N < 0).any():
+        problems.append("negative structure constant")
+    return problems
+
+
+def fp_dims(ring: FusionRing) -> list[float]:
+    """Frobenius-Perron dimensions: the Perron eigenvector of left multiplication
+    by sum_i b_i, M[k][j] = sum_i N[i][j][k], scaled to 1 at the unit."""
+    import numpy as np
+
+    values, vectors = np.linalg.eig(np.array(ring.N).sum(axis=0).T.astype(float))
+    perron = np.abs(vectors[:, np.argmax(values.real)].real)
+    return (perron / perron[ring.unit]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +370,7 @@ def hi_objects(
     # characters psi != trivial of G, one per pair {psi, conj(psi)}
     rows += [("A", 0, (2, n), {unit_label: 2, **all_grho})] * ((n - 1) // 2)
     for h in (elems[x] for x in group.pairs()):
-        mult = {group_label(h): 1, group_label(group.neg(h)): 1, **all_grho}
+        mult = {group_label(h): 1, group_label(neg(group, h)): 1, **all_grho}
         rows += [("C", character_value(group, phi, h) * scale, (2, n), mult) for phi in elems]
     rows += [
         ("D", m * qpp.values[x] * (den // qpp.den), (0, n), all_grho) for x in h_group.pairs()
@@ -331,6 +391,11 @@ def center_objects(spec: CategorySpec) -> CenterObjects:
 
 # ---------------------------------------------------------------------------
 # Specs and indicator vectors
+
+
+def replace(spec: CategorySpec, **changes) -> CategorySpec:
+    """A copy of ``spec`` with some fields changed, checked like any new spec."""
+    return CategorySpec(**{**spec._asdict(), **changes})
 
 
 def conjugate_spec(spec: CategorySpec) -> CategorySpec:

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
-from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_ring
+from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.indicators import (
     CategorySpec,
     closed_form_nu,
@@ -46,9 +46,11 @@ from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog, p_plus
 from oracles import (
     center_objects,
     conjugate_spec,
+    fp_dims,
     indicator_vector,
     ng1_equivalence_classes,
     orthogonal_sum,
+    verify_ring,
     weil_modular_data,
 )
 
@@ -343,7 +345,8 @@ def test_criterion_5_conjugate_row_symmetry():
 
 
 def test_criterion_5_ring_associativity_sweep():
-    """verify_ring is empty for NG(G, m) and HI(G) over every |G| <= 13."""
+    """The ring-axiom check is empty for NG(G, m) and HI(G) over every |G| <= 13:
+    71 rings."""
     started = time.time()
     failures = []
     for factors in ABELIAN_GROUPS_LE_13:

@@ -3,14 +3,16 @@
 ``perfbench/tracejob.py`` replaces each attribute listed in its ``TRACED`` and
 ``COUNTED`` tables as the module loads, so a renamed or deleted function makes
 every traced benchmark run die with ``AttributeError``.  The first test
-resolves the same paths without running the tracer.  Its size lambdas also
-read positional arguments and result attributes, which only a traced run
-exercises, so the second test runs one README command per subcommand under
-the tracer.
+resolves the same paths without running the tracer.  The second does the
+same for the names ``perfbench/capture_refs.py`` imports and calls.  The size
+lambdas also read positional arguments and result attributes, which only a
+traced run exercises, so the last test runs one README command per
+subcommand under the tracer.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -25,6 +27,7 @@ from test_golden_cli import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACEJOB = ROOT / "perfbench" / "tracejob.py"
+CAPTURE_REFS = ROOT / "perfbench" / "capture_refs.py"
 
 
 def _load_tracejob():
@@ -50,6 +53,43 @@ def test_traced_paths_resolve():
             target = getattr(target, attr, None)
         if not callable(target):
             missing.append(f"{module_name}.{path}")
+    assert missing == []
+
+
+def test_captured_names_resolve():
+    """Every name ``perfbench/capture_refs.py`` imports from fsind, and every
+    method it calls on a spec, exists; read from its source, since running it
+    rewrites the benchmark's reference data."""
+    from fsind.indicators import CategorySpec
+
+    tree = ast.parse(CAPTURE_REFS.read_text(encoding="utf-8"))
+    imported, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fsind":
+            for alias in node.names:
+                try:
+                    target = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    target = getattr(importlib.import_module(node.module), alias.name, None)
+                imported[alias.asname or alias.name] = target
+                if target is None:
+                    missing.append(f"{node.module}.{alias.name}")
+    assert {"cli", "spec_from_json", "spec_to_json", "nu_from_center"} <= imported.keys()
+    spec_methods = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner, attr = node.func.value, node.func.attr
+        if isinstance(owner, ast.Name) and owner.id in imported:
+            if not callable(getattr(imported[owner.id], attr, None)):
+                missing.append(f"{owner.id}.{attr}")
+        elif (isinstance(owner, ast.Name) and owner.id == "spec"
+              or isinstance(owner, ast.Attribute) and owner.attr == "spec"
+              or isinstance(owner, ast.Call) and getattr(owner.func, "id", "") == "spec_from_json"):
+            spec_methods.add(attr)
+    assert "rho_label" in spec_methods
+    missing += [f"CategorySpec.{attr}" for attr in sorted(spec_methods)
+                if not callable(getattr(CategorySpec, attr, None))]
     assert missing == []
 
 

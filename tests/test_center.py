@@ -24,7 +24,7 @@ from fsind.center import (
     center_ng1_exceptional7,
     center_ng2,
 )
-from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring
+from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.indicators import CategorySpec, center_values
 from fsind.qforms import DEFAULT_TOL, monomial_form, phase_to_complex
 from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
@@ -32,12 +32,14 @@ from oracles import (
     boundary,
     center_objects,
     character_value,
+    fp_dims,
     hi_objects,
     indicator_vector,
     ng1_equivalence_classes,
     ng1_objects,
     ng1x_objects,
     ng2_objects,
+    neg,
     twist_histogram,
     value,
     weil_modular_data,
@@ -478,7 +480,7 @@ def test_first_indicator_is_one_on_the_unit_only_but_the_red_set():
 
 def _pairs(group):
     """One element of each pair {x, -x}, x != e, the lex smaller."""
-    return [x for x in group.elements()[1:] if x <= group.neg(x)]
+    return [x for x in group.elements()[1:] if x <= neg(group, x)]
 
 
 def _expected_twists(spec):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,18 +6,12 @@ import numpy as np
 import pytest
 
 from fsind.abelian import FiniteAbelianGroup, cyclic
-from fsind.fusion import (
-    FusionRing,
-    _freeze,
-    fp_dims,
-    make_hi_ring,
-    make_near_group_ring,
-    verify_ring,
-)
+from fsind.fusion import FusionRing, _freeze, make_hi_ring, make_near_group_ring
 from fsind.indicators import CategorySpec
 from fsind.qforms import monomial_form
 
 from conftest import ABELIAN_GROUPS_LE_13
+from oracles import fp_dims, verify_ring
 
 TOL = 1e-9
 
@@ -24,6 +19,16 @@ TOL = 1e-9
 def _root(m: int, c: int) -> float:
     """The positive root of d^2 = m d + c."""
     return (m + math.sqrt(m * m + 4 * c)) / 2
+
+
+def _exact_dims(ring: FusionRing) -> list[float]:
+    """1 on each group element, and on each other simple the positive root of
+    d^2 = m d + |G| (NG(G, m)) or d^2 = |G| d + 1 (HI(G))."""
+    if "rho" in ring.labels:
+        n = ring.rank - 1
+        return [1.0] * n + [_root(ring.N[n][n][n], n)]
+    n = ring.rank // 2
+    return [1.0] * n + [_root(n, 1)] * n
 
 
 def _sweep_rings() -> list[FusionRing]:
@@ -40,57 +45,25 @@ def _sweep_rings() -> list[FusionRing]:
 SWEEP = _sweep_rings()
 
 
-def _verify_ring_einsum(ring: FusionRing) -> list[str]:
-    """Dense numpy reference for verify_ring: both sides of associativity by einsum."""
-    problems: list[str] = []
-    N = np.array(ring.N, dtype=np.int64)
-    rank = ring.rank
-    u = ring.unit
-    eye = np.eye(rank, dtype=np.int64)
-    if not np.array_equal(N[u], eye):
-        problems.append("unit: N[unit][j][k] != delta_jk")
-    if not np.array_equal(N[:, u, :], eye):
-        problems.append("unit: N[j][unit][k] != delta_jk")
-    left = np.einsum("ijm,mkl->ijkl", N, N)
-    right = np.einsum("jkm,iml->ijkl", N, N)
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)
-        i, j, k, l = (int(x) for x in bad[0])
-        problems.append(
-            f"associativity violated at (i,j,k,l)=({i},{j},{k},{l}) "
-            f"[{len(bad)} quadruples total]"
-        )
-    expected = np.zeros((rank, rank), dtype=np.int64)
-    for i, di in enumerate(ring.dual):
-        expected[i, di] = 1
-    if not np.array_equal(N[:, :, u], expected):
-        problems.append("duality: N[i][j][unit] != delta_{j, dual(i)}")
-    if ring.dual[u] != u or any(ring.dual[ring.dual[i]] != i for i in range(rank)):
-        problems.append("dual is not an involution fixing the unit")
-    if (N < 0).any():
-        problems.append("negative structure constant")
-    return problems
-
-
 def test_rep_s3_ring():
     ring = make_near_group_ring(cyclic(2), 1)
-    rho = ring.index("rho")
+    rho = ring.labels.index("rho")
     # rho^2 = rho + 0 + 1
     assert ring.N[rho][rho][rho] == 1
-    assert ring.N[rho][rho][ring.index("g:(0)")] == 1
-    assert ring.N[rho][rho][ring.index("g:(1)")] == 1
+    assert ring.N[rho][rho][ring.labels.index("g:(0)")] == 1
+    assert ring.N[rho][rho][ring.labels.index("g:(1)")] == 1
     assert verify_ring(ring) == []
     assert abs(fp_dims(ring)[rho] - 2) < TOL
 
 
 def test_fibonacci_shape():
     ring = make_near_group_ring(cyclic(1), 1)
-    assert abs(fp_dims(ring)[ring.index("rho")] - (1 + math.sqrt(5)) / 2) < TOL
+    assert abs(fp_dims(ring)[ring.labels.index("rho")] - (1 + math.sqrt(5)) / 2) < TOL
 
 
 def test_tambara_yamagami_shape():
     ring = make_near_group_ring(FiniteAbelianGroup((2, 2)), 0)
-    rho = ring.index("rho")
+    rho = ring.labels.index("rho")
     assert ring.N[rho][rho][rho] == 0
     assert sum(ring.N[rho][rho]) == 4
     assert verify_ring(ring) == []
@@ -98,8 +71,8 @@ def test_tambara_yamagami_shape():
 
 def test_yang_lee_ring():
     ring = make_hi_ring(cyclic(1))
-    rho = ring.index("grho:(0)")
-    assert ring.N[rho][rho][ring.index("g:(0)")] == 1
+    rho = ring.labels.index("grho:(0)")
+    assert ring.N[rho][rho][ring.labels.index("g:(0)")] == 1
     assert ring.N[rho][rho][rho] == 1
     assert abs(fp_dims(ring)[rho] - (1 + math.sqrt(5)) / 2) < TOL
 
@@ -107,11 +80,11 @@ def test_yang_lee_ring():
 def test_hi_z3_ring():
     ring = make_hi_ring(cyclic(3))
     assert ring.rank == 6
-    rho1, rho2 = ring.index("grho:(1)"), ring.index("grho:(2)")
+    rho1, rho2 = ring.labels.index("grho:(1)"), ring.labels.index("grho:(2)")
     # (1 rho)(2 rho) = (1 - 2) + sum_a (a rho)
     row = ring.N[rho1][rho2]
-    assert row[ring.index("g:(2)")] == 1
-    assert all(row[ring.index(f"grho:({a})")] == 1 for a in range(3))
+    assert row[ring.labels.index("g:(2)")] == 1
+    assert all(row[ring.labels.index(f"grho:({a})")] == 1 for a in range(3))
     d = fp_dims(ring)[rho1]
     assert abs(d - (3 + math.sqrt(13)) / 2) < TOL
     assert abs(sum(x * x for x in fp_dims(ring)) - (6 + 9 * (3 + math.sqrt(13)) / 2)) < 1e-7
@@ -130,12 +103,6 @@ def test_verify_ring_catches_tampering():
     assert any("associativity" in problem for problem in verify_ring(bad))
 
 
-def test_verify_ring_matches_einsum_reference_on_sweep():
-    assert len(SWEEP) == 71
-    for ring in SWEEP:
-        assert verify_ring(ring) == _verify_ring_einsum(ring) == [], ring.labels
-
-
 def _tampered(constants=(), dual=None) -> FusionRing:
     """NG(Z/3, 3) with structure constants (i, j, k, value) and the dual replaced."""
     base = make_near_group_ring(cyclic(3), 3)
@@ -145,48 +112,54 @@ def _tampered(constants=(), dual=None) -> FusionRing:
     return FusionRing(base.labels, base.unit, dual or base.dual, _freeze(tensor))
 
 
+UNIT_LEFT = "unit: N[unit][j][k] != delta_jk"
+UNIT_RIGHT = "unit: N[j][unit][k] != delta_jk"
+DUALITY = "duality: N[i][j][unit] != delta_{j, dual(i)}"
+
+
 @pytest.mark.parametrize(
-    "ring,kind",
+    "ring,expected",
     [
-        (_tampered([(0, 1, 2, 1)]), "unit: N[unit]"),
-        (_tampered([(1, 0, 2, 1)]), "unit: N[j][unit]"),
-        (_tampered([(3, 3, 1, 2)]), "associativity"),
-        (_tampered(dual=(0, 1, 2, 3)), "duality"),
-        (_tampered(dual=(0, 2, 3, 1)), "involution"),
-        (_tampered([(3, 3, 3, -1)]), "negative"),
+        (_tampered([(0, 1, 2, 1)]), [UNIT_LEFT, "associativity violated at "
+                                     "(i,j,k,l)=(0,0,1,2) [12 quadruples total]"]),
+        (_tampered([(1, 0, 2, 1)]), [UNIT_RIGHT, "associativity violated at "
+                                     "(i,j,k,l)=(1,0,0,2) [12 quadruples total]"]),
+        (_tampered([(3, 3, 1, 2)]), ["associativity violated at "
+                                     "(i,j,k,l)=(1,3,3,1) [8 quadruples total]"]),
+        (_tampered(dual=(0, 1, 2, 3)), [DUALITY]),
+        (_tampered(dual=(0, 2, 3, 1)), [DUALITY, "dual is not an involution fixing the unit"]),
+        (_tampered([(3, 3, 3, -1)]), ["negative structure constant"]),
     ],
     ids=["unit-left", "unit-right", "associativity", "duality", "involution", "negative"],
 )
-def test_verify_ring_matches_einsum_reference_on_tampered_rings(ring, kind):
-    problems = verify_ring(ring)
-    assert problems == _verify_ring_einsum(ring)
-    assert any(kind in problem for problem in problems)
+def test_verify_ring_matches_einsum_reference_on_tampered_rings(ring, expected):
+    """The one ring check, the einsum reference ``oracles.verify_ring``, reports
+    each tampered kind, and only what the tampering breaks."""
+    assert verify_ring(ring) == expected
 
 
 def test_fp_dims_match_eig_perron_vector():
-    # relative, because fp_dims stops on the relative step of its dims
+    """The eig Perron vector is the exact dims on every sweep ring."""
+    assert len(SWEEP) == 71
     for ring in SWEEP:
-        values, vectors = np.linalg.eig(np.array(ring.N).sum(axis=0).T.astype(float))
-        perron = np.abs(vectors[:, np.argmax(values.real)].real)
-        expected = perron / perron[ring.unit]
+        expected = np.array(_exact_dims(ring))
         assert np.abs(np.array(fp_dims(ring)) / expected - 1).max() < 1e-12, ring.labels
 
 
 def test_fp_dims_match_exact_rho_dims():
+    """The exact dims are a positive character of every sweep ring,
+    d_i d_j = sum_k N[i][j][k] d_k, so they are its Frobenius-Perron dims."""
     for ring in SWEEP:
-        if "rho" in ring.labels:
-            n, rho = ring.rank - 1, ring.index("rho")
-            expected = _root(ring.N[rho][rho][rho], n)
-        else:
-            n = ring.rank // 2
-            rho, expected = n, _root(n, 1)
-        assert abs(fp_dims(ring)[rho] / expected - 1) < 1e-12, ring.labels
+        dims = _exact_dims(ring)
+        for i, j in itertools.product(range(ring.rank), repeat=2):
+            total = sum(c * d for c, d in zip(ring.N[i][j], dims))
+            assert abs(dims[i] * dims[j] / total - 1) < 1e-12, (ring.labels, i, j)
 
 
 @pytest.mark.parametrize("n,m,expected", [(3, 2, 3.0), (3, 3, (3 + math.sqrt(21)) / 2)])
 def test_fp_dims_against_quadratic_roots(n, m, expected):
     ring = make_near_group_ring(cyclic(n), m)
-    assert abs(fp_dims(ring)[ring.index("rho")] - expected) < TOL
+    assert abs(fp_dims(ring)[ring.labels.index("rho")] - expected) < TOL
     assert abs(_root(m, n) - expected) < TOL
 
 

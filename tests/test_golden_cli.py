@@ -374,6 +374,17 @@ def test_cap_edge_cases_end_within_a_resource_bound(name):
     assert "out of memory" not in result.stderr, result.stderr
 
 
+def test_endless_file_argument_exits_2_within_a_resource_bound():
+    """An @file argument is read up to cli.MAX_FILE_BYTES and no further: `gauss`
+    on @/dev/zero exits 2 in a child capped at 256 MB and 20 s of CPU, like the
+    cap edge cases, naming the file and the limit, where reading it whole ran
+    out of memory."""
+    result = _python("-m", "fsind", "gauss", "--group", "@/dev/zero", "--form", "{}",
+                     preexec_fn=_capped(256, 20))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: cannot read /dev/zero: it is over 67108864 bytes\n"
+
+
 def test_rigidity_on_70_specs_near_the_period_cap_ends_within_a_resource_bound():
     """`rigidity` on 70 NG2 specs over Z/313 with Z/317 (period 99,221, within
     the cap), 35 labelled copies of each of two classes whose smallest separating
@@ -509,19 +520,23 @@ for name, argv in sorted(CASES.items()):
 
 
 def test_ring_checks_and_weil_data_without_numpy():
-    """verify_ring, fp_dims and weil_modular_data run with numpy unimportable."""
+    """The ring constructors and weil_modular_data run with numpy unimportable,
+    and the rings pass the check that needs no numpy: their dims 1 on G and d
+    on each other simple are a character, d_i d_j = sum_k N[i][j][k] d_k."""
     code = """
 import sys
 sys.modules["numpy"] = None
 from fsind.abelian import cyclic
-from fsind.fusion import fp_dims, make_hi_ring, make_near_group_ring, verify_ring
+from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.qforms import monomial_form
 from oracles import weil_modular_data
-for ring, d in ((make_near_group_ring(cyclic(3), 3), (3 + 21 ** 0.5) / 2),
-                (make_hi_ring(cyclic(5)), (5 + 29 ** 0.5) / 2)):
-    assert verify_ring(ring) == [], ring.labels
-    dims = fp_dims(ring)
-    assert abs(dims[ring.unit] - 1) < 1e-9 and abs(max(dims) - d) < 1e-9, dims
+for ring, n, d in ((make_near_group_ring(cyclic(3), 3), 3, (3 + 21 ** 0.5) / 2),
+                   (make_hi_ring(cyclic(5)), 5, (5 + 29 ** 0.5) / 2)):
+    dims = [1.0] * n + [d] * (ring.rank - n)
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            total = sum(c * x for c, x in zip(ring.N[i][j], dims))
+            assert abs(dims[i] * dims[j] - total) < 1e-9, (ring.labels, i, j)
 S, T = weil_modular_data(monomial_form(cyclic(7), (1,)))
 assert len(S) == len(T) == 7 and all(len(row) == 7 for row in S + T)
 for i in range(7):

@@ -25,14 +25,13 @@ from fsind.indicators import (
     ng1_closed_values,
     nu_agl_bruteforce,
     nu_from_center,
-    replace,
     rigidity_report,
     spec_from_json,
     spec_to_json,
 )
 from fsind.qforms import QuadraticForm, jacobi_symbol, monomial_form
 from fsind.tables import JacobiLawClaim, builtin_rows, load_hi_spec, load_ng2_spec
-from oracles import conjugate_spec, indicator_vector, ng1_equivalence_classes
+from oracles import conjugate_spec, indicator_vector, ng1_equivalence_classes, replace
 
 TOL = 1e-9
 
@@ -429,7 +428,7 @@ def test_ring_name_agrees_with_ring_equality():
     ring21, ring37 = make_near_group_ring(z21, 21), make_near_group_ring(z3x7, 21)
     assert ring21 != ring37
     relabel = {group_label((g,)): group_label((g % 3, g % 7)) for g in range(21)}
-    perm = [ring37.index(relabel.get(label, label)) for label in ring21.labels]
+    perm = [ring37.labels.index(relabel.get(label, label)) for label in ring21.labels]
     assert sorted(perm) == list(range(ring37.rank))
     assert ring37.unit == perm[ring21.unit]
     assert all(ring37.dual[perm[i]] == perm[ring21.dual[i]] for i in range(ring21.rank))

@@ -35,6 +35,7 @@ from oracles import (
     bicharacter,
     boundary,
     is_quadratic_table,
+    neg,
     orthogonal_sum,
     radical_order,
     table_form_by_fractions,
@@ -408,7 +409,7 @@ def test_form_arithmetic_and_validation_against_fraction_reference(first, second
     g = data.draw(st.sampled_from(elems))
     moved = data.draw(st.integers(0, q.den - 1))
     values = list(q.values)
-    values[group.index(g)] = values[group.index(group.neg(g))] = moved
+    values[group.index(g)] = values[group.index(neg(group, g))] = moved
     table = {h: Fraction(v, q.den) for h, v in zip(elems, values)}
     quadratic = table[group.identity] == 0 and boundary_is_biadditive(group, table.__getitem__)
     try:

@@ -10,9 +10,13 @@ check that the closed and center routes share only the ``root_sums`` kernel,
 that the center route counts no power of G as the closed route's theta_k(e) does,
 that the AGL code reads nothing of fsind but ``abelian``, and that no module
 of the program imports the tests' reference code in ``oracles``.
+
+A last test traces the golden cases under ``sys.setprofile`` and checks that
+every program function either runs or is named by the benchmark's scripts.
 """
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -151,3 +155,74 @@ def test_no_program_module_imports_the_oracles():
             else:
                 continue
             assert not any("oracles" in m.split(".") for m in modules), (path.name, node.lineno)
+
+
+# Every src/fsind function that no golden case enters, with what keeps it in
+# the program: the benchmark's scripts name it, or it is the process entry.
+KEPT_UNRUN = {
+    "abelian.format_element": "perfbench/capture_refs.py calls CategorySpec.rho_label",
+    "abelian.group_label": "perfbench/tracejob.py wraps the ring constructors that call it",
+    "abelian.grho_label": "perfbench/capture_refs.py calls CategorySpec.rho_label",
+    "abelian.group_to_json": "perfbench/capture_refs.py calls spec_to_json",
+    "qforms.form_to_json": "perfbench/capture_refs.py calls spec_to_json",
+    "fusion.FusionRing.rank": "perfbench/tracejob.py reads it",
+    "fusion.make_near_group_ring": "perfbench/tracejob.py wraps it",
+    "fusion.make_hi_ring": "perfbench/tracejob.py wraps it",
+    "fusion._freeze": "perfbench/tracejob.py wraps the ring constructors that call it",
+    "indicators.CategorySpec.rho_label": "perfbench/capture_refs.py calls it",
+    "indicators.nu_from_center": "perfbench/tracejob.py wraps it; capture_refs.py calls it",
+    "indicators.spec_to_json": "perfbench/capture_refs.py imports it",
+    "cli.run": "the process entry, which test_process_entry_output runs",
+}
+
+
+def _function_defs(module) -> dict:
+    """(file, first line) -> dotted name of each function ``module``'s source
+    defines, nested ones included.  A code object starts at its first
+    decorator, and ``co_qualname`` is newer than the oldest Python fsind runs on."""
+    path = Path(module.__file__)
+    defs = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                defs[(str(path), first)] = prefix + child.name
+                visit(child, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), module.__name__.removeprefix("fsind.") + ".")
+    return defs
+
+
+def test_every_program_function_runs_or_is_kept_by_name():
+    """Aim 2, no code without a caller: every function in ``src/fsind`` is
+    entered by some golden case or by a spec missing a parameter, or is listed
+    in KEPT_UNRUN with what keeps it."""
+    from test_golden_cli import CASES, run_case
+
+    sources = {path.name for path in Path(fsind.__file__).parent.glob("*.py")}
+    assert sources - {Path(m.__file__).name for m in MODULES} == {"__init__.py", "__main__.py"}
+    defs = {}
+    for module in MODULES:
+        defs.update(_function_defs(module))
+    tables.builtin_rows.cache_clear()  # an earlier test's rows would hide the loaders
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    missing_parameter = '{"family":"NG2","group":{"cyclic_factors":[3]}}'
+    sys.setprofile(profile)
+    try:
+        for argv in CASES.values():
+            run_case(argv)
+        assert run_case(["indicators", "--spec", missing_parameter]) == (2, "")
+    finally:
+        sys.setprofile(None)
+    unrun = {name for key, name in defs.items() if key not in entered}
+    assert unrun == set(KEPT_UNRUN)

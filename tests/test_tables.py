@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from fsind.indicators import closed_form_nu, replace
+from fsind.indicators import closed_form_nu
 from fsind.qforms import monomial_form
 from fsind.tables import (
     ClaimCheck,
@@ -22,7 +22,7 @@ from fsind.tables import (
     verify_tables,
 )
 
-from oracles import value
+from oracles import replace, value
 
 TOL = 1e-9
 
