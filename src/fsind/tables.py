@@ -1,24 +1,30 @@
 """Bundled reference tables of indicator values, and their verification.
 
 Every reference row for the near-group family with m = |G| (odd |G| from 3 to
-13) and for the Haagerup-Izumi families over Z/3 and Z/5 is stored verbatim:
-the pair of quadratic forms identifying the class, the opaque equivalence
-tags, and each listed indicator value.
+13) and for the Haagerup-Izumi families over Z/3 and Z/5 is one line of the
+data file ``tables.json`` beside this module: its table and row ids, its spec
+in the public spec JSON, the printed category and center-group strings
+verbatim, each listed indicator value, and its notes.  Each spec is read by
+:func:`fsind.indicators.spec_from_json`, with the key checks and caps of any
+user spec.
 
 Loading convention.  The printed form columns parametrize the center twists
 directly (theta_{A_g} = e^{2 pi i q_printed(g)}), while the evaluation
 formulas take the form q with <g, g> = e^{2 pi i * 2 q(g)}.  Since every
-group involved has odd exponent the bridge is exact: the loader stores
-q = q_printed / 2, each printed coefficient halved mod its cyclic factor.
-The convention is checked by an oracle rather than trusted: nu_1(rho) = 0
-must hold, and the outcome goes in the row's ``calibration`` notes beside the
-bridge note.  The loader repairs nothing.  The oracle fails on the four sign
-'-' Haagerup-Izumi rows, where no sign of q'' could help: every prime of
-|H| = |G|^2 + 4 is 1 mod 4, so -1 is a square mod |H| and -q'' is isometric to q''.
+group involved has odd exponent the bridge is exact: an NG2 row stores
+q = q_printed / 2, each printed coefficient halved mod its cyclic factor, and
+an HI row stores q'' as printed.  ``tests/test_tables.py`` checks the halving
+against each row's printed strings.  The convention is also checked by an
+oracle rather than trusted: nu_1(rho) = 0 must hold, and the outcome goes in
+the row's ``calibration`` notes beside the bridge note.  Nothing is repaired.
+The oracle fails on the four sign '-' Haagerup-Izumi rows, where no sign of
+q'' could help: every prime of |H| = |G|^2 + 4 is 1 mod 4, so -1 is a square
+mod |H| and -q'' is isometric to q''.
 
-Expected values are stored symbolically as (a, b, d) meaning (a + b*sqrt(d))/2
-with d < 0 read as i*sqrt(|d|); generic laws as a Jacobi-symbol pattern
-(1 +- (k/modulus))/2 spot-checked at sample k.  Nothing is typed as a decimal.
+Expected values are stored symbolically as [k, text, a, b, d] meaning
+nu_k = (a + b*sqrt(d))/2 with d < 0 read as i*sqrt(|d|); generic laws as a
+Jacobi-symbol pattern (1 +- (k/modulus))/2 spot-checked at sample k.  Nothing
+is typed as a decimal.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ import io
 import json
 from collections import namedtuple
 from functools import lru_cache
+from pathlib import Path
 
-from .abelian import FiniteAbelianGroup, cyclic
-from .indicators import ROUTES, CategorySpec, closed_form_nu
-from .qforms import DEFAULT_TOL, QuadraticForm, format_real, jacobi_symbol, monomial_form
+from .indicators import ROUTES, CategorySpec, closed_form_nu, spec_from_json
+from .qforms import DEFAULT_TOL, format_real, jacobi_symbol
 
 
 class ValueClaim(namedtuple("ValueClaim", "k text a b d")):
@@ -61,193 +67,43 @@ class TableRow(namedtuple(
 
 
 # ---------------------------------------------------------------------------
-# Loading helpers
-
-
-def _calibrate(spec: CategorySpec, loaded: str, failed: str) -> str:
-    """The nu_1(rho) = 0 oracle's note on ``spec``: it holds with ``loaded`` as
-    loaded, or it fails, and ``failed`` says for what."""
-    if abs(2 * closed_form_nu(spec, 1)) < DEFAULT_TOL:
-        return f"orientation: nu_1(rho) = 0 with {loaded} as loaded"
-    return f"orientation: calibration failed, nu_1(rho) != 0 {failed}"
-
-
-def _halved(group: FiniteAbelianGroup, coeffs) -> QuadraticForm:
-    """The monomial form of printed coefficients ``coeffs`` halved, c_i / 2 mod n_i."""
-    halves = (c * pow(2, -1, n) for c, n in zip(coeffs, group.cyclic_factors, strict=True))
-    return monomial_form(group, halves)
-
-
-def load_ng2_spec(
-    group: FiniteAbelianGroup, q_coeffs, gp: FiniteAbelianGroup, qp_coeffs, labels=()
-) -> tuple[CategorySpec, tuple[str, ...]]:
-    """An m = |G| spec from printed (doubled-convention) coefficients, and its notes."""
-    spec = CategorySpec(
-        "NG2",
-        group,
-        q=_halved(group, q_coeffs),
-        gp=gp,
-        qp=_halved(gp, qp_coeffs),
-        labels=tuple(labels),
-    )
-    note = _calibrate(spec, "forms", "with forms as loaded")
-    return spec, ("forms loaded as printed/2 (twist convention bridge)", note)
-
-
-def load_hi_spec(
-    group: FiniteAbelianGroup, h_group: FiniteAbelianGroup, qpp_coeffs, labels=()
-) -> tuple[CategorySpec, tuple[str, ...]]:
-    """A Haagerup-Izumi spec from printed coefficients (used directly), and its note."""
-    spec = CategorySpec(
-        "HI", group, h=h_group, qpp=monomial_form(h_group, qpp_coeffs), labels=tuple(labels)
-    )
-    return spec, (_calibrate(spec, "q''", "for either sign of q''"),)
-
-
-# ---------------------------------------------------------------------------
 # The rows
+
+
+# family -> (its bridge notes, what nu_1(rho) = 0 holds with, what it fails for)
+_CALIBRATION_NOTES = {
+    "NG2": (("forms loaded as printed/2 (twist convention bridge)",), "forms",
+            "with forms as loaded"),
+    "HI": ((), "q''", "for either sign of q''"),
+}
+
+
+def calibration(spec: CategorySpec) -> tuple[str, ...]:
+    """A row's calibration notes: its family's bridge note, if any, then the
+    nu_1(rho) = 0 oracle's outcome on ``spec`` as loaded."""
+    bridge, loaded, failed = _CALIBRATION_NOTES[spec.family]
+    if abs(2 * closed_form_nu(spec, 1)) < DEFAULT_TOL:
+        return (*bridge, f"orientation: nu_1(rho) = 0 with {loaded} as loaded")
+    return (*bridge, f"orientation: calibration failed, nu_1(rho) != 0 {failed}")
 
 
 @lru_cache(maxsize=None)
 def builtin_rows() -> tuple[TableRow, ...]:
-    """The 26 bundled rows, built on first use, table by table from ng3 to hi5;
-    their table ids are the one list of tables."""
-    rows: list[TableRow] = []
-
-    def add(table_id, row_id, loaded, category, center_group, coeffs, claims, notes):
-        spec, calibration = loaded
-        center = f"({center_group},{_print_form(center_group, coeffs)})"
-        rows.append(TableRow(table_id, row_id, spec, category, center, tuple(claims),
-                             tuple(notes), calibration))
-
-    def ng(table_id, row_id, n_or_factors, q_coeffs, gp_factors, qp_coeffs, c_label,
-           b_label, claims, notes=()):
-        group, gp = (
-            cyclic(n) if isinstance(n, int) else FiniteAbelianGroup(tuple(n))
-            for n in (n_or_factors, gp_factors)
+    """The 26 bundled rows of ``tables.json``, read on first use, table by table
+    from ng3 to hi5; their table ids are the one list of tables."""
+    rows = []
+    for entry in json.loads((Path(__file__).parent / "tables.json").read_text(encoding="utf-8")):
+        spec = spec_from_json(entry["spec"])
+        claims = tuple(
+            ValueClaim(*claim) if isinstance(claim, list)
+            else JacobiLawClaim(**{**claim, "sample_ks": tuple(claim["sample_ks"])})
+            for claim in entry["claims"]
         )
-        loaded = load_ng2_spec(group, q_coeffs, gp, qp_coeffs, (("b", b_label), ("c", c_label)))
-        category = f"NG({group},{_print_form(group, q_coeffs)},{b_label},{c_label})"
-        add(table_id, row_id, loaded, category, gp, qp_coeffs, claims, notes)
-
-    def hi(table_id, row_id, n, h_order, qpp_coeffs, sign, omega, a_label, claims,
-           notes=()):
-        h_group = cyclic(h_order)
-        labels = (("A", a_label), ("omega", omega), ("sign", sign))
-        loaded = load_hi_spec(cyclic(n), h_group, qpp_coeffs, labels)
-        category = f"HI(Z{n},{sign},{omega},{a_label})"
-        add(table_id, row_id, loaded, category, h_group, qpp_coeffs, claims, notes)
-
-    # near-group m = |G|: |G| = 3
-    ng("ng3", 1, 3, (1,), 7, (1,), "-", "-",
-       [ValueClaim(3, "(3+i sqrt3)/2", 3, 1, -3), ValueClaim(7, "(1+i sqrt7)/2", 1, 1, -7)])
-    ng("ng3", 2, 3, (-1,), 7, (-1,), "-", "-",
-       [ValueClaim(3, "(3-i sqrt3)/2", 3, -1, -3), ValueClaim(7, "(1-i sqrt7)/2", 1, -1, -7)])
-
-    # |G| = 5
-    ng("ng5", 1, 5, (2,), 9, (2,), "zeta3", "-",
-       [ValueClaim(3, "1+conj(zeta3)", 1, -1, -3), ValueClaim(5, "(5+sqrt5)/2", 5, 1, 5),
-        ValueClaim(9, "-1", -2, 0, 1)])
-    ng("ng5", 2, 5, (2,), 9, (-2,), "conj(zeta3)", "-",
-       [ValueClaim(3, "1+zeta3", 1, 1, -3), ValueClaim(5, "(5+sqrt5)/2", 5, 1, 5),
-        ValueClaim(9, "-1", -2, 0, 1)])
-    ng("ng5", 3, 5, (1,), (3, 3), (1, 1), "1", "-",
-       [ValueClaim(3, "-1", -2, 0, 1), ValueClaim(5, "(5-sqrt5)/2", 5, -1, 5),
-        ValueClaim(9, "2", 4, 0, 1)])
-
-    # |G| = 7
-    ng("ng7", 1, 7, (1,), 11, (-2,), "-", "-",
-       [ValueClaim(7, "(7-i sqrt7)/2", 7, -1, -7), ValueClaim(11, "(1+i sqrt11)/2", 1, 1, -11)])
-    ng("ng7", 2, 7, (-1,), 11, (2,), "-", "-",
-       [ValueClaim(7, "(7+i sqrt7)/2", 7, 1, -7), ValueClaim(11, "(1-i sqrt11)/2", 1, -1, -11)])
-
-    # |G| = 9
-    ng("ng9", 1, 9, (1,), 13, (-2,), "-", "-",
-       [ValueClaim(3, "1-zeta3", 3, -1, -3), ValueClaim(9, "3", 6, 0, 1),
-        ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-    ng("ng9", 2, 9, (-1,), 13, (2,), "-", "-",
-       [ValueClaim(3, "1-conj(zeta3)", 3, 1, -3), ValueClaim(9, "3", 6, 0, 1),
-        ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-    ng("ng9", 3, (3, 3), (1, -1), 13, (2,), "-", "-",
-       [ValueClaim(3, "3", 6, 0, 1), ValueClaim(9, "3", 6, 0, 1),
-        ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-
-    # |G| = 11
-    ng("ng11", 1, 11, (1,), 15, (2,), "zeta12^7", "-",
-       [ValueClaim(3, "(1-i sqrt3)/2", 1, -1, -3), ValueClaim(5, "(1+sqrt5)/2", 1, 1, 5),
-        ValueClaim(11, "(11-i sqrt11)/2", 11, -1, -11),
-        ValueClaim(15, "(1+i sqrt15)/2", 1, 1, -15)])
-    ng("ng11", 2, 11, (1,), 15, (1,), "conj(zeta12)", "-",
-       [ValueClaim(3, "(1+i sqrt3)/2", 1, 1, -3), ValueClaim(5, "(1-sqrt5)/2", 1, -1, 5),
-        ValueClaim(11, "(11-i sqrt11)/2", 11, -1, -11),
-        ValueClaim(15, "(1+i sqrt15)/2", 1, 1, -15)])
-    ng("ng11", 3, 11, (-1,), 15, (-1,), "zeta12", "-",
-       [ValueClaim(3, "(1-i sqrt3)/2", 1, -1, -3), ValueClaim(5, "(1-sqrt5)/2", 1, -1, 5),
-        ValueClaim(11, "(11+i sqrt11)/2", 11, 1, -11),
-        ValueClaim(15, "(1-i sqrt15)/2", 1, -1, -15)])
-    ng("ng11", 4, 11, (-1,), 15, (-2,), "zeta12^5", "-",
-       [ValueClaim(3, "(1+i sqrt3)/2", 1, 1, -3), ValueClaim(5, "(1+sqrt5)/2", 1, 1, 5),
-        ValueClaim(11, "(11+i sqrt11)/2", 11, 1, -11),
-        ValueClaim(15, "(1-i sqrt15)/2", 1, -1, -15)])
-
-    # |G| = 13
-    ng("ng13", 1, 13, (1,), 17, (3,), "-1", "b1",
-       [ValueClaim(13, "(13-sqrt13)/2", 13, -1, 13), ValueClaim(17, "(1+sqrt17)/2", 1, 1, 17)])
-    ng("ng13", 2, 13, (1,), 17, (3,), "-1", "b2",
-       [ValueClaim(13, "(13-sqrt13)/2", 13, -1, 13), ValueClaim(17, "(1+sqrt17)/2", 1, 1, 17)])
-    ng("ng13", 3, 13, (2,), 17, (1,), "1", "b3",
-       [ValueClaim(13, "(13+sqrt13)/2", 13, 1, 13), ValueClaim(17, "(1-sqrt17)/2", 1, -1, 17)])
-    ng("ng13", 4, 13, (2,), 17, (1,), "1", "b4",
-       [ValueClaim(13, "(13+sqrt13)/2", 13, 1, 13), ValueClaim(17, "(1-sqrt17)/2", 1, -1, 17)],
-       notes=("q' coefficient normalized to the group order 17 "
-              "(reference row prints denominator 15)",))
-
-    # Haagerup-Izumi: G = Z/3, H = Z/13
-    law13_minus = JacobiLawClaim("(1-(k/13))/2", -1, 13, (2, 4, 5, 7, 11))
-    law13_plus = JacobiLawClaim("(1+(k/13))/2", 1, 13, (2, 4, 5, 7, 11))
-    hi("hi3", 1, 3, 13, (1,), "+", "1", "A1",
-       [law13_minus, ValueClaim(3, "1", 2, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-    hi("hi3", 2, 3, 13, (1,), "+", "1", "A2",
-       [law13_minus, ValueClaim(3, "1", 2, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-    hi("hi3", 3, 3, 13, (2,), "-", "1", "A3",
-       [law13_plus, ValueClaim(3, "2", 4, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-    hi("hi3", 4, 3, 13, (2,), "-", "1", "A4",
-       [law13_plus, ValueClaim(3, "2", 4, 0, 1), ValueClaim(13, "(1+sqrt13)/2", 1, 1, 13)])
-
-    # Haagerup-Izumi: G = Z/5, H = Z/29.  The compatibility constraint
-    # |H| = |G|^2 + 4 forces order 29; the reference row prints Z/13 with
-    # forms already written over 29, and the generic law with modulus 13.
-    h29_note = (
-        "H stored as Z/29: |H| = |G|^2 + 4 forces order 29 "
-        "(reference row prints Z/13); generic-law modulus follows |H|",
-    )
-    law29_minus = JacobiLawClaim("(1-(k/29))/2", -1, 29, (2, 3, 4, 7, 9))
-    law29_plus = JacobiLawClaim("(1+(k/29))/2", 1, 29, (2, 3, 4, 7, 9))
-    hi("hi5", 1, 5, 29, (1,), "+", "1", "A6",
-       [law29_minus, ValueClaim(5, "2", 4, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
-       notes=h29_note)
-    hi("hi5", 2, 5, 29, (1,), "+", "1", "A7",
-       [law29_minus, ValueClaim(5, "2", 4, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
-       notes=h29_note)
-    hi("hi5", 3, 5, 29, (2,), "-", "1", "A8",
-       [law29_plus, ValueClaim(5, "3", 6, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
-       notes=h29_note)
-    hi("hi5", 4, 5, 29, (2,), "-", "1", "A9",
-       [law29_plus, ValueClaim(5, "3", 6, 0, 1), ValueClaim(29, "(1+sqrt29)/2", 1, 1, 29)],
-       notes=h29_note)
-
+        rows.append(TableRow(
+            entry["table_id"], entry["row_id"], spec, entry["printed_category"],
+            entry["printed_center_group"], claims, tuple(entry["notes"]), calibration(spec),
+        ))
     return tuple(rows)
-
-
-def _print_form(group, coeffs) -> str:
-    names = "ghuv"
-    parts = []
-    for i, (c, n) in enumerate(zip(coeffs, group.cyclic_factors)):
-        if c:
-            sym = names[i % len(names)]
-            prefix = {1: "", -1: "-"}.get(c, str(c))
-            parts.append(f"{prefix}{sym}^2/{n}")
-    return "+".join(parts).replace("+-", "-") or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ of a form, the rank^2 |G| check of a quadratic table, a form table read one
 ``Fraction`` per entry, the order of a form's radical, orthogonal sums, Weil
 modular data, the axioms and Frobenius-Perron dimensions of a based ring, the
 simple objects of each family's Drinfeld center with their twist histograms,
-a checked copy of a spec, the complex-conjugate class of a spec,
-whole-period indicator vectors and the small NG1 equivalence classes.
+a checked copy of a spec, NG2 and HI specs from printed coefficients, the
+complex-conjugate class of a spec, whole-period indicator vectors and the
+small NG1 equivalence classes.
 No command runs any of it, so none of it lives in ``src/fsind``, and no module
 there imports this one (``tests/test_routes.py`` pins that).
 
@@ -38,7 +39,7 @@ from fsind.abelian import (
 )
 from fsind.fusion import FusionRing
 from fsind.indicators import FAMILIES, FORM, PHASE, ROUTES, CategorySpec
-from fsind.qforms import QuadraticForm, phase_to_complex
+from fsind.qforms import QuadraticForm, monomial_form, phase_to_complex
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +397,23 @@ def center_objects(spec: CategorySpec) -> CenterObjects:
 def replace(spec: CategorySpec, **changes) -> CategorySpec:
     """A copy of ``spec`` with some fields changed, checked like any new spec."""
     return CategorySpec(**{**spec._asdict(), **changes})
+
+
+def ng2_spec(
+    group: FiniteAbelianGroup, q_printed, gp: FiniteAbelianGroup, qp_printed
+) -> CategorySpec:
+    """The NG2 spec of printed (twist-convention) monomial coefficients, each
+    halved mod its cyclic factor as the bundled rows store them."""
+    def halved(on, coeffs):
+        factors = on.cyclic_factors
+        return monomial_form(on, (c * pow(2, -1, n) for c, n in zip(coeffs, factors, strict=True)))
+
+    return CategorySpec("NG2", group, q=halved(group, q_printed), gp=gp, qp=halved(gp, qp_printed))
+
+
+def hi_spec(group: FiniteAbelianGroup, h: FiniteAbelianGroup, qpp_printed) -> CategorySpec:
+    """The HI spec of printed monomial coefficients of q'', stored as printed."""
+    return CategorySpec("HI", group, h=h, qpp=monomial_form(h, qpp_printed))
 
 
 def conjugate_spec(spec: CategorySpec) -> CategorySpec:

@@ -40,15 +40,17 @@ from fsind.indicators import (
     rigidity_report,
 )
 from fsind.qforms import gauss_sum, monomial_form
-from fsind.tables import builtin_rows, load_ng2_spec, verify_row
+from fsind.tables import builtin_rows, verify_row
 
 from conftest import ABELIAN_GROUPS_LE_13, metric_group_catalog, p_plus
 from oracles import (
     center_objects,
     conjugate_spec,
     fp_dims,
+    hi_spec,
     indicator_vector,
     ng1_equivalence_classes,
+    ng2_spec,
     orthogonal_sum,
     verify_ring,
     weil_modular_data,
@@ -391,9 +393,7 @@ def test_criterion_6_degenerate_coverage():
     failures = []
 
     # Yang-Lee: HI over the trivial group, center rank 4
-    from fsind.tables import load_hi_spec
-
-    yang_lee, _ = load_hi_spec(cyclic(1), cyclic(5), (1,))
+    yang_lee = hi_spec(cyclic(1), cyclic(5), (1,))
     presentation = yang_lee.center()
     if presentation.rank != 4:
         failures.append(f"Yang-Lee center rank {presentation.rank}, expected 4")
@@ -409,7 +409,7 @@ def test_criterion_6_degenerate_coverage():
     golden = (1 + math.sqrt(5)) / 2
     if verify_ring(ring) or abs(fp_dims(ring)[-1] - golden) >= TOL:
         failures.append("NG(Z1, 1) ring data wrong")
-    fib, _ = load_ng2_spec(cyclic(1), (0,), cyclic(5), (2,))
+    fib = ng2_spec(cyclic(1), (0,), cyclic(5), (2,))
     if fib.center().rank != 4:
         failures.append(f"NG(Z1,1) center rank {fib.center().rank}, expected 4")
     if abs(nu_from_center(fib.center(), "rho", 1)) >= TOL:

@@ -27,18 +27,20 @@ from fsind.center import (
 from fsind.fusion import make_hi_ring, make_near_group_ring
 from fsind.indicators import CategorySpec, center_values
 from fsind.qforms import DEFAULT_TOL, monomial_form, phase_to_complex
-from fsind.tables import builtin_rows, load_hi_spec, load_ng2_spec
+from fsind.tables import builtin_rows, calibration
 from oracles import (
     boundary,
     center_objects,
     character_value,
     fp_dims,
     hi_objects,
+    hi_spec,
     indicator_vector,
     ng1_equivalence_classes,
     ng1_objects,
     ng1x_objects,
     ng2_objects,
+    ng2_spec,
     neg,
     twist_histogram,
     value,
@@ -550,14 +552,15 @@ def test_weil_modular_data_examples():
 
 def test_orientation_calibration_keeps_the_forms_as_loaded():
     # the wrong orientation of q' on Z/11 fails the nu_1 oracle and is kept as printed
-    spec, notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (2,))
+    spec = ng2_spec(cyclic(7), (1,), cyclic(11), (2,))
+    notes = calibration(spec)
     assert notes[-1] == "orientation: calibration failed, nu_1(rho) != 0 with forms as loaded"
     assert spec.qp.scaled(2).values == monomial_form(cyclic(11), (2,)).values
-    _, reference_notes = load_ng2_spec(cyclic(7), (1,), cyclic(11), (-2,))
+    reference_notes = calibration(ng2_spec(cyclic(7), (1,), cyclic(11), (-2,)))
     assert reference_notes[-1] == "orientation: nu_1(rho) = 0 with forms as loaded"
 
 
 def test_orientation_calibration_failure_is_recorded():
     # the sign '-' Haagerup-Izumi data admits no orientation with nu_1 = 0
-    _, notes = load_hi_spec(cyclic(3), cyclic(13), (2,))
+    notes = calibration(hi_spec(cyclic(3), cyclic(13), (2,)))
     assert any("calibration failed" in note for note in notes)

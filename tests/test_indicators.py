@@ -30,8 +30,15 @@ from fsind.indicators import (
     spec_to_json,
 )
 from fsind.qforms import QuadraticForm, jacobi_symbol, monomial_form
-from fsind.tables import JacobiLawClaim, builtin_rows, load_hi_spec, load_ng2_spec
-from oracles import conjugate_spec, indicator_vector, ng1_equivalence_classes, replace
+from fsind.tables import JacobiLawClaim, builtin_rows
+from oracles import (
+    conjugate_spec,
+    hi_spec,
+    indicator_vector,
+    ng1_equivalence_classes,
+    ng2_spec,
+    replace,
+)
 
 TOL = 1e-9
 
@@ -408,9 +415,9 @@ def test_ring_name_agrees_with_ring_equality():
     specs = [row.spec for row in builtin_rows()]
     specs += [spec for n in (1, 2, 3, 7) for spec in ng1_equivalence_classes(n)]
     specs += [
-        load_ng2_spec(cyclic(1), (0,), cyclic(5), (2,))[0],
-        load_ng2_spec(cyclic(3), (1,), cyclic(7), (1,))[0],
-        load_hi_spec(cyclic(1), cyclic(5), (1,))[0],
+        ng2_spec(cyclic(1), (0,), cyclic(5), (2,)),
+        ng2_spec(cyclic(3), (1,), cyclic(7), (1,)),
+        hi_spec(cyclic(1), cyclic(5), (1,)),
     ]
     keys = [(FAMILIES[s.family].ring, s.group.key) for s in specs]
     rings = [built[s.family](s.group) for s in specs]

@@ -209,7 +209,7 @@ def test_every_program_function_runs_or_is_kept_by_name():
     defs = {}
     for module in MODULES:
         defs.update(_function_defs(module))
-    tables.builtin_rows.cache_clear()  # an earlier test's rows would hide the loaders
+    tables.builtin_rows.cache_clear()  # an earlier test's rows would hide the row reader
     entered = set()
 
     def profile(frame, event, arg):

@@ -1,13 +1,17 @@
 import cmath
 import csv
 import io
-import itertools
 import json
 import math
+import re
+import sys
 from collections import Counter
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
+import fsind
 from fsind.indicators import closed_form_nu
 from fsind.qforms import monomial_form
 from fsind.tables import (
@@ -17,7 +21,6 @@ from fsind.tables import (
     ValueClaim,
     builtin_rows,
     emit_report,
-    load_ng2_spec,
     verify_row,
     verify_tables,
 )
@@ -105,21 +108,38 @@ def test_no_builtin_row_needed_an_orientation_flip():
     assert len(outcomes) == 26  # "as loaded" on the other 22
 
 
-def test_ng2_loader_halves_each_printed_coefficient():
-    """On every (G, G') of the bundled NG2 rows and every unit coefficient, the
-    loaded forms are the printed ones halved: q_loaded * 2 = q_printed."""
-    pairs = {(row.spec.group, row.spec.gp) for row in builtin_rows() if row.spec.family == "NG2"}
-    assert len(pairs) == 8
-    for group, gp in pairs:
-        q_units, qp_units = (
-            itertools.product(*([c for c in range(n) if math.gcd(c, n) == 1]
-                                for n in g.cyclic_factors))
-            for g in (group, gp)
-        )
-        for q_coeffs, qp_coeffs in itertools.product(q_units, list(qp_units)):
-            spec = load_ng2_spec(group, q_coeffs, gp, qp_coeffs)[0]
-            assert spec.q.scaled(2) == monomial_form(group, q_coeffs), (group, q_coeffs)
-            assert spec.qp.scaled(2) == monomial_form(gp, qp_coeffs), (gp, qp_coeffs)
+def _printed_coefficients(form: str, group) -> tuple[int, ...]:
+    """The coefficients of a printed monomial form on ``group``, such as
+    ``g^2/3-h^2/3``: its cyclic factors are named g, h, u, v, each over its order."""
+    term = r"([+-]?\d*)([ghuv])\^2/(\d+)"
+    assert re.fullmatch(f"(?:{term})+", form), form
+    coeffs = [0] * group.rank
+    for c, name, n in re.findall(term, form):
+        i = "ghuv".index(name)
+        assert int(n) == group.cyclic_factors[i], form
+        coeffs[i] += int(c) if c.lstrip("+-") else int(c + "1")
+    return tuple(coeffs)
+
+
+def test_each_row_stores_its_printed_forms():
+    """The twist-convention bridge, checked against the printed strings: an NG2
+    row stores each printed form halved, q_stored * 2 = q_printed on G and on
+    G', and an HI row stores q'' on H as printed."""
+    for row in builtin_rows():
+        spec = row.spec
+        center = re.fullmatch(r"\((\w+),(.+)\)", row.printed_center_group)
+        if spec.family == "NG2":
+            category = re.fullmatch(r"NG\((\w+),([^,]+),[^,]+,[^,]+\)", row.printed_category)
+            assert (category[1], center[1]) == (str(spec.group), str(spec.gp))
+            q, qp = (_printed_coefficients(category[2], spec.group),
+                     _printed_coefficients(center[2], spec.gp))
+            assert spec.q.scaled(2) == monomial_form(spec.group, q), row.printed_category
+            assert spec.qp.scaled(2) == monomial_form(spec.gp, qp), row.printed_center_group
+        else:
+            category = re.fullmatch(r"HI\((\w+),[^,]+,[^,]+,[^,]+\)", row.printed_category)
+            assert (category[1], center[1]) == (str(spec.group), str(spec.h))
+            qpp = _printed_coefficients(center[2], spec.h)
+            assert spec.qpp == monomial_form(spec.h, qpp), row.printed_center_group
 
 
 def test_hi_rows_negated_form_is_isometric():
@@ -304,3 +324,22 @@ def test_table_ids_constant():
     """The tables, in the order their rows come: the `--table` choices."""
     table_ids = tuple(dict.fromkeys(r.table_id for r in builtin_rows()))
     assert tuple(EXPECTED_ROW_COUNTS) == table_ids
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="tomllib is in the standard library from Python 3.11"
+)
+def test_every_data_file_is_declared_package_data():
+    """A file of the package that is not Python, such as ``tables.json``, is
+    installed only if ``pyproject.toml`` declares it as package data."""
+    import tomllib
+
+    package = Path(fsind.__file__).parent
+    with open(package.parents[1] / "pyproject.toml", "rb") as file:
+        declared = tomllib.load(file)["tool"]["setuptools"]["package-data"]["fsind"]
+    data = [
+        path.relative_to(package).as_posix() for path in package.rglob("*")
+        if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts
+    ]
+    assert "tables.json" in data
+    assert [name for name in data if not any(fnmatch(name, glob) for glob in declared)] == []
